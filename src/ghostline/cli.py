@@ -248,7 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p-list", default="5,7", help="comma-separated primes")
     sp.add_argument("--suites", default=None, help="comma-separated suite names")
     sp.add_argument("--workers", type=int, default=None,
-                    help="worker processes (default GHOSTLINE_WORKERS or cpu count)")
+                    help="worker processes (default GHOSTLINE_WORKERS or cpu count; "
+                         "capped at the task and cpu counts)")
     for flag in _BOUND_FLAGS:
         sp.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=int, default=None)
     sp.add_argument("--format", choices=("json", "csv", "table"), default="json")

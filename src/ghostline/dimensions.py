@@ -41,7 +41,8 @@ def d_iw_of_bullet(ctx: GhostContext, k_bullet: int) -> int:
 
 def d_ur_of_bullet(ctx: GhostContext, k_bullet: int) -> int:
     val = (k_bullet - ctx.t1) // (ctx.p + 1) + (k_bullet - ctx.t2) // (ctx.p + 1) + 2
-    assert val >= 0, f"negative d_ur at k_bullet = {k_bullet}"
+    if val < 0:
+        raise ValueError(f"negative d_ur at k_bullet = {k_bullet}")
     return val
 
 
@@ -54,7 +55,8 @@ def d_ur(ctx: GhostContext, k: int) -> int:
 
 def d_new(ctx: GhostContext, k: int) -> int:
     val = d_iw(ctx, k) - 2 * d_ur(ctx, k)
-    assert val >= 0 and val % 2 == 0
+    if val < 0 or val % 2:
+        raise RuntimeError(f"d_new = {val} at k = {k} is not even and >= 0")
     return val
 
 

@@ -12,23 +12,41 @@ polynomial is never materialised.  The enumeration window for the factors
 comes from the exact inversions k_min_bullet / k_max_bullet rather than a
 heuristic scan.
 
-Evaluating at a classical weight w_k0 admits a fast path: the jump of
-v_p(g_{n,hat k0}(w_k0)) from n to n+1 is a pair of sums of (1 + vp(k-k0))
-over consecutive k_bullet windows, which the digit-sum identity evaluates
-in O(log) time.  ``ClassicalEvaluator`` accumulates these jumps from
-g_0 = 1, giving whole valuation profiles in linear time; the factored-form
-evaluation below stays as the independent slow route.
+Valuation profiles n -> v_p(g_n(w)) come from one jump evaluator per point,
+built by ``evaluator``.  The jump from n to n+1 is a sum over the k_bullet
+window whose multiplicities rise at n minus a sum over the window whose
+multiplicities fall, of the distance vp(w - w_k):
+
+* at a classical point w_k0 the distance is 1 + vp(k - k0), and the
+  digit-sum identity sums it over a window in O(log) time
+  (``ClassicalEvaluator``);
+* at ``Perturbed(k0, r)`` it is min(r, 1 + vp(k - k0)), summed level by
+  level as min(1, r - j) times the number of k with p^j | k - k0, one
+  congruence count per level (``PerturbedEvaluator``);
+* at ``Boundary(t)`` it is t, so the profile is t * deg g_n.
+
+Whole profiles thus cost O(n) window sums.  The factored evaluation
+``eval_vp`` below stays as the independent slow route that tests compare
+against; no library path calls it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Tuple
 
 from . import dimensions as dims
 from .valuation import INF, ExtRat, sum_vp_arith_prog, vp_factorial
-from .weight_space import Classical, GhostContext, WeightPoint, vp_point_to_weight
+from .weight_space import (
+    Boundary,
+    Classical,
+    GhostContext,
+    Perturbed,
+    WeightPoint,
+    vp_point_to_weight,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,6 +107,16 @@ def degree(ctx: GhostContext, n: int) -> int:
     return coefficient(ctx, n).degree()
 
 
+def _jump_windows(ctx: GhostContext, n: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """k_bullet windows (lo, hi), before clipping at 0, of the weights whose
+    multiplicity rises, resp. falls, from g_n to g_{n+1}:
+    (k_mid_bullet(n), k_max_bullet(n)] and [k_min_bullet(n), k_mid_bullet(n)].
+    """
+    kmid = dims.k_mid_bullet(ctx, n)
+    _, kmin = dims.k_min_bullet(ctx, n)
+    return (kmid + 1, dims.k_max_bullet(ctx, n)), (kmin, kmid)
+
+
 _DEGREE_CACHE: dict = {}
 
 
@@ -103,12 +131,9 @@ def degree_fast(ctx: GhostContext, n: int) -> int:
     """
     vals = _DEGREE_CACHE.setdefault(ctx, [0])
     while len(vals) <= n:
-        m = len(vals) - 1
-        kmid = dims.k_mid_bullet(ctx, m)
-        kmax = dims.k_max_bullet(ctx, m)
-        _, kmin = dims.k_min_bullet(ctx, m)
-        pos = kmax - max(kmid + 1, 0) + 1
-        neg = kmid - max(kmin, 0) + 1
+        (rise_lo, rise_hi), (fall_lo, fall_hi) = _jump_windows(ctx, len(vals) - 1)
+        pos = rise_hi - max(rise_lo, 0) + 1
+        neg = fall_hi - max(fall_lo, 0) + 1
         vals.append(vals[-1] + max(pos, 0) - max(neg, 0))
     return vals[n]
 
@@ -215,12 +240,8 @@ def increment_at(ctx: GhostContext, n: int, k0: int) -> int:
     weights whose multiplicity rises at n, the window
     [k_min_bullet(n), k_mid_bullet(n)] those whose multiplicity falls.
     """
-    kmid = dims.k_mid_bullet(ctx, n)
-    kmax = dims.k_max_bullet(ctx, n)
-    _, kmin = dims.k_min_bullet(ctx, n)
-    pos = _window_sum(ctx, kmid + 1, kmax, k0)
-    neg = _window_sum(ctx, kmin, kmid, k0)
-    return pos - neg
+    (rise_lo, rise_hi), (fall_lo, fall_hi) = _jump_windows(ctx, n)
+    return _window_sum(ctx, rise_lo, rise_hi, k0) - _window_sum(ctx, fall_lo, fall_hi, k0)
 
 
 def eval_increment_oracle(ctx: GhostContext, n: int, k0: int) -> int:
@@ -280,11 +301,107 @@ def classical_evaluator(ctx: GhostContext, k0: int) -> ClassicalEvaluator:
     return ClassicalEvaluator(ctx, k0)
 
 
-def eval_vp_classical(ctx: GhostContext, n: int, k0: int) -> ExtRat:
-    """Fast v_p(g_n(w_k0)) via accumulated jumps (cached per (ctx, k0))."""
-    return classical_evaluator(ctx, k0).value(n)
+def _capped_window_sum(
+    ctx: GhostContext, kb_lo: int, kb_hi: int, k0: int, whole: int, frac: Fraction
+) -> Tuple[int, int]:
+    """Sum of min(r, 1 + vp(k - k0)) over k_bullet in [kb_lo, kb_hi], where
+    r = whole + frac with 0 <= frac < 1, returned as (i, j) with sum i + frac*j.
+
+    min(r, 1 + vp(x)) is the sum over levels l >= 0 with p^l | x of
+    min(1, r - l), a positive weight only for l < ceil(r); a term k = k0
+    (x = 0) is divisible at every level and contributes r itself.  Level l
+    counts the k_bullet solving k_eps - k0 + (p-1)*k_bullet = 0 mod p^l.
+    The solution sets are nested, so the first empty level ends the sum,
+    and once p^l exceeds every nonzero |k - k0| in the window only k = k0
+    is left, at every remaining level.
+    """
+    kb_lo = max(kb_lo, 0)
+    if kb_lo > kb_hi:
+        return 0, 0
+    p = ctx.p
+    offset = ctx.k_eps - k0
+    levels = whole + (1 if frac else 0)
+    bound = max(abs(offset + (p - 1) * kb_lo), abs(offset + (p - 1) * kb_hi))
+    full = top = 0
+    count, level, pl = kb_hi - kb_lo + 1, 0, 1
+    while count and level < levels:
+        if pl > bound:
+            full += count * max(whole - level, 0)
+            if frac:
+                top = count
+            break
+        if level < whole:
+            full += count
+        else:
+            top = count
+        level += 1
+        pl *= p
+        res = (-offset * pow(p - 1, -1, pl)) % pl
+        count = (kb_hi - res) // pl - (kb_lo - 1 - res) // pl
+    return full, top
 
 
-def eval_vp_omit_classical(ctx: GhostContext, n: int, k0: int) -> int:
-    """Fast v_p(g_{n, hat k0}(w_k0)) via accumulated jumps."""
-    return classical_evaluator(ctx, k0).omitted(n)
+class PerturbedEvaluator:
+    """Valuation profile n -> v_p(g_n(w)) at w = Perturbed(k0, r).
+
+    Accumulates the jumps from v_p(g_0) = 0.  With r = whole + frac every
+    jump is an integer plus frac times an integer; the two integer parts
+    are summed separately and combined only in ``value``.  No factor
+    vanishes at a perturbed point, so the profile is finite everywhere.
+    """
+
+    def __init__(self, ctx: GhostContext, k0: int, r: Fraction):
+        self.ctx = ctx
+        self.k0 = k0
+        self.whole = r.numerator // r.denominator
+        self.frac = r - self.whole
+        self._full = [0]
+        self._top = [0]
+
+    def _grow(self, n: int) -> None:
+        ctx, k0, whole, frac = self.ctx, self.k0, self.whole, self.frac
+        while len(self._full) <= n:
+            rise, fall = _jump_windows(ctx, len(self._full) - 1)
+            pos_full, pos_top = _capped_window_sum(ctx, *rise, k0, whole, frac)
+            neg_full, neg_top = _capped_window_sum(ctx, *fall, k0, whole, frac)
+            self._full.append(self._full[-1] + pos_full - neg_full)
+            self._top.append(self._top[-1] + pos_top - neg_top)
+
+    def value(self, n: int) -> ExtRat:
+        """v_p(g_n(w)), always finite."""
+        self._grow(n)
+        if not self.frac:
+            return self._full[n]
+        return self._full[n] + self.frac * self._top[n]
+
+
+class BoundaryEvaluator:
+    """Valuation profile n -> t * deg g_n at w = Boundary(t)."""
+
+    def __init__(self, ctx: GhostContext, t: Fraction):
+        self.ctx = ctx
+        self.t = t
+
+    def value(self, n: int) -> ExtRat:
+        return self.t * degree_fast(self.ctx, n)
+
+
+@lru_cache(maxsize=512)
+def _point_evaluator(ctx: GhostContext, w: WeightPoint):
+    if isinstance(w, Perturbed):
+        return PerturbedEvaluator(ctx, w.k0, w.r)
+    if isinstance(w, Boundary):
+        return BoundaryEvaluator(ctx, w.t)
+    raise TypeError(f"not a weight point: {w!r}")
+
+
+def evaluator(ctx: GhostContext, w: WeightPoint):
+    """The jump evaluator at w, whose ``value(n)`` is v_p(g_n(w)).
+
+    Classical points share the ``classical_evaluator`` cache; the others
+    are cached here, so a caller that re-evaluates a point (a Newton
+    polygon retried with a doubled buffer) extends the same profile.
+    """
+    if isinstance(w, Classical):
+        return classical_evaluator(ctx, w.k)
+    return _point_evaluator(ctx, w)

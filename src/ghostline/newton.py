@@ -114,7 +114,10 @@ def _future_safe(
     eventually outgrows any line, since the degree increments strictly
     increase; until it does, classical points are compared by their exact
     coefficient valuations, which the jump evaluator supplies in constant
-    time per index.
+    time per index.  Perturbed and boundary points are decided by the floor
+    alone: their evaluators could supply exact values too, but comparing
+    them could certify a prefix from a smaller buffer and so change the
+    reported ``certified_upto`` and ``buffer_used``.
     """
     c = min_factor_valuation(w)
     exact = None
@@ -148,10 +151,12 @@ def np_of_ghost(
 ) -> NewtonPolygon:
     """Certified Newton polygon prefix of the ghost series at the point w.
 
-    Hull of (n, v_p(g_n(w))) over the window n in [0, n_max + buffer];
-    certified_upto is the largest windowed vertex whose trailing segment no
-    future point can undercut.  Raises CertificationError when that falls
-    short of n_max (callers retry with a doubled buffer).
+    Hull of (n, v_p(g_n(w))) over the window n in [0, n_max + buffer],
+    with the values taken from the jump evaluator of w (O(1) amortised per
+    index at every kind of point); certified_upto is the largest windowed
+    vertex whose trailing segment no future point can undercut.  Raises
+    CertificationError when that falls short of n_max (callers retry with a
+    doubled buffer, which extends the same cached evaluator).
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -161,13 +166,8 @@ def np_of_ghost(
         raise ValueError(f"buffer must be >= 0, got {buffer}")
     window_end = n_max + buffer
 
-    if isinstance(w, Classical):
-        ev = ghost.classical_evaluator(ctx, w.k)
-        pts: List[Tuple[int, ExtRat]] = [(n, ev.value(n)) for n in range(window_end + 1)]
-    else:
-        pts = [(n, ghost.eval_vp(ctx, n, w)) for n in range(window_end + 1)]
-
-    hull = lower_convex_hull(pts)
+    ev = ghost.evaluator(ctx, w)
+    hull = lower_convex_hull([(n, ev.value(n)) for n in range(window_end + 1)])
     verts = hull.vertices
     certified = None
     for i in range(len(verts) - 1, -1, -1):
@@ -195,17 +195,17 @@ def np_of_ghost_auto(
     retries: int = 4,
 ) -> Tuple[NewtonPolygon, int]:
     """np_of_ghost with automatic buffer doubling; returns (polygon, buffer)."""
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
     if buffer is None:
         buffer = 2 * ctx.p + 8
-    last: CertificationError | None = None
-    for _ in range(retries + 1):
+    for attempt in range(retries + 1):
         try:
             return np_of_ghost(ctx, w, n_max, buffer), buffer
-        except CertificationError as exc:
-            last = exc
+        except CertificationError:
+            if attempt == retries:
+                raise
             buffer *= 2
-    assert last is not None
-    raise last
 
 
 def is_vertex(np: NewtonPolygon, n: int) -> bool:

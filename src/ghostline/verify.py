@@ -175,7 +175,8 @@ def check_atkin_lehner(ctx: GhostContext, k0: int) -> CheckReport:
     t0 = time.perf_counter()
     ctx2 = new_context(ctx.p, ctx.a, ctx.res(k0 - 2 - ctx.a - ctx.s_eps))
     d = dims.d_iw(ctx, k0)
-    assert d == dims.d_iw(ctx2, k0)
+    if d != dims.d_iw(ctx2, k0):
+        raise RuntimeError(f"d_iw at k0 = {k0} differs on the paired disk s_eps = {ctx2.s_eps}")
     on_class = ctx.on_disk(k0)
     ev1 = ghost.classical_evaluator(ctx, k0)
     ev2 = ghost.classical_evaluator(ctx2, k0)
@@ -687,8 +688,16 @@ def run_suite(name: str, ctx: GhostContext, **bounds) -> CheckReport:
 def worker_count() -> int:
     env = os.environ.get("GHOSTLINE_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"GHOSTLINE_WORKERS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
+
+
+def clamp_workers(requested: int, tasks: int, cpus: Optional[int]) -> int:
+    """Pool size for a grid: never more workers than tasks or cores, and >= 1."""
+    return max(1, min(requested, tasks, cpus or 1))
 
 
 def _grid_task(args) -> List[dict]:
@@ -718,8 +727,8 @@ def run_grid(
         for a in range(1, p - 3)
         for s_eps in range(0, p - 1)
     ]
-    workers = workers or worker_count()
-    if workers <= 1 or len(tasks) <= 1:
+    workers = clamp_workers(workers or worker_count(), len(tasks), os.cpu_count())
+    if workers <= 1:
         nested = [_grid_task(t) for t in tasks]
     else:
         import multiprocessing as mp

@@ -94,8 +94,10 @@ def new_context(p: int, a: int, s_eps: int) -> GhostContext:
 
     ctx = GhostContext(p, a, s_eps, k_eps, delta_eps, t1, t2, beta_even, beta_odd)
     # consistency of the derived constants
-    assert 2 <= k_eps <= p
-    assert (p - 1) * delta_eps + res(a + 2 * s_eps) == s_eps + res(a + s_eps)
+    if not 2 <= k_eps <= p:
+        raise RuntimeError(f"k_eps = {k_eps} outside [2, {p}] for {ctx}")
+    if (p - 1) * delta_eps + res(a + 2 * s_eps) != s_eps + res(a + s_eps):
+        raise RuntimeError(f"delta_eps = {delta_eps} inconsistent for {ctx}")
     return ctx
 
 

@@ -1,7 +1,15 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ghostline
 
 from ghostline import cli, verify
 from ghostline.verify import CheckReport
@@ -49,6 +57,26 @@ class TestNpCommand:
                            "--buffer", "1")
         assert code == 3
         assert "certified" in err
+
+
+class TestOptimisedMode:
+    """python -O strips assert statements; the invariants must not need them."""
+
+    @pytest.mark.parametrize("point", ["classical:30", "perturbed:18:9/2", "boundary:2/3"])
+    def test_np_output_unchanged(self, point):
+        env = dict(os.environ)
+        src = str(Path(ghostline.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["-m", "ghostline.cli", "np", "--p", "7", "--a", "2", "--seps", "4",
+                "--point", point, "--nmax", "20"]
+        outs = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run([sys.executable, *flags, *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["certified_upto"] >= 20
 
 
 class TestDimsCommand:

@@ -79,6 +79,11 @@ class TestDUr:
         with pytest.raises(ValueError):
             dims.d_ur(new_context(7, 2, 0), 5)
 
+    def test_rejects_negative_rank(self):
+        # raised, not asserted, so it holds under python -O too
+        with pytest.raises(ValueError, match="negative d_ur"):
+            dims.d_ur_of_bullet(new_context(7, 2, 0), -20)
+
     def test_step_in_k(self):
         for ctx in contexts():
             p = ctx.p

@@ -269,6 +269,68 @@ class TestEvaluation:
                     assert ev.omitted(n) == want_omit
 
 
+class TestPointEvaluator:
+    """The jump evaluator at perturbed and boundary points against eval_vp."""
+
+    PRIMES = (5, 7, 11, 13)
+    N = 45
+
+    def check(self, ctx, w, n_top=N):
+        ev = ghost.evaluator(ctx, w)
+        for n in range(0, n_top + 1):
+            assert ev.value(n) == ghost.eval_vp(ctx, n, w), (ctx, w, n)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_perturbed_radius_shapes(self, p):
+        # r < 1, integer r, denominators 2 and 3, and a radius above every
+        # digit level the windows reach (only k = k0 itself sees all of it)
+        radii = (Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3),
+                 Fraction(5, 2), Fraction(7, 3), Fraction(10_001, 3))
+        rng = random.Random(p)
+        ctx = new_context(p, rng.randint(1, p - 4), rng.randint(0, p - 2))
+        for r in radii:
+            for k0 in (ctx.weight_of_bullet(0), ctx.weight_of_bullet(rng.randint(1, 40))):
+                self.check(ctx, Perturbed(k0, r))
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_perturbed_off_class_and_small_bases(self, p):
+        rng = random.Random(100 + p)
+        ctx = new_context(p, rng.randint(1, p - 4), rng.randint(0, p - 2))
+        bases = [ctx.k_eps + 1, ctx.weight_of_bullet(5) + 2, 0, -7,
+                 ctx.weight_of_bullet(-1)]
+        for k0 in bases:
+            for r in (Fraction(3, 2), Fraction(4), Fraction(11, 3)):
+                self.check(ctx, Perturbed(k0, r))
+
+    def test_perturbed_random(self):
+        rng = random.Random(2024)
+        for _ in range(25):
+            p = rng.choice(self.PRIMES)
+            ctx = new_context(p, rng.randint(1, p - 4), rng.randint(0, p - 2))
+            if rng.random() < 0.7:
+                k0 = ctx.weight_of_bullet(rng.randint(0, 60))
+            else:
+                k0 = rng.randint(-20, 400)
+            r = Fraction(rng.randint(1, 30), rng.choice((1, 2, 3)))
+            self.check(ctx, Perturbed(k0, r))
+
+    def test_perturbed_deep(self):
+        # a base whose own multiplicity rises and falls inside the range
+        ctx = new_context(11, 5, 7)
+        self.check(ctx, Perturbed(ctx.weight_of_bullet(30), Fraction(9, 2)), n_top=120)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_boundary(self, p):
+        ctx = new_context(p, 1, p - 2)
+        for t in (Fraction(1, 2), Fraction(1, 3), Fraction(5, 7)):
+            self.check(ctx, Boundary(t))
+
+    def test_cached_per_point(self):
+        w = Perturbed(18, Fraction(5, 2))
+        assert ghost.evaluator(C4, w) is ghost.evaluator(C4, w)
+        assert ghost.evaluator(C4, Classical(18)) is ghost.classical_evaluator(C4, 18)
+
+
 class TestJson:
     def test_coefficient_serialisation(self):
         d = ghost.coefficient(C4, 2).to_json_dict()

@@ -137,3 +137,41 @@ class TestGhostPolygon:
         assert set(d) == {"vertices", "slopes", "certified_upto"}
         assert d["vertices"][0] == [0, "0/1"]
         assert all(isinstance(s, str) and "/" in s for s, _ in d["slopes"])
+
+
+class _FactoredEvaluator:
+    """Values by the factored oracle, in the evaluator interface."""
+
+    def __init__(self, ctx, w):
+        self.ctx, self.w = ctx, w
+
+    def value(self, n):
+        return ghost.eval_vp(self.ctx, n, self.w)
+
+
+class TestPolygonAgainstFactoredOracle:
+    CASES = [
+        (new_context(5, 1, 2), Perturbed(20, Fraction(7, 2)), 30),
+        (new_context(7, 2, 4), Perturbed(18, Fraction(4)), 30),
+        (new_context(7, 3, 1), Perturbed(5, Fraction(2, 3)), 25),
+        (new_context(11, 5, 7), Perturbed(new_context(11, 5, 7).weight_of_bullet(12),
+                                          Fraction(19, 2)), 40),
+        (new_context(13, 4, 3), Perturbed(100, Fraction(5)), 30),
+        (new_context(7, 2, 0), Boundary(Fraction(1, 2)), 30),
+        (new_context(11, 2, 9), Boundary(Fraction(2, 3)), 30),
+        (new_context(13, 9, 0), Boundary(Fraction(1, 5)), 25),
+    ]
+
+    @pytest.mark.parametrize("ctx, w, n_max", CASES)
+    def test_matches_factored_route(self, monkeypatch, ctx, w, n_max):
+        fast, fast_buffer = newton.np_of_ghost_auto(ctx, w, n_max)
+        monkeypatch.setattr(newton.ghost, "evaluator", _FactoredEvaluator)
+        slow, slow_buffer = newton.np_of_ghost_auto(ctx, w, n_max)
+        assert fast.vertices == slow.vertices
+        assert fast.slopes == slow.slopes
+        assert fast.certified_upto == slow.certified_upto
+        assert fast_buffer == slow_buffer
+
+    def test_negative_retries_rejected(self):
+        with pytest.raises(ValueError):
+            newton.np_of_ghost_auto(C4, Classical(18), 5, retries=-1)

@@ -155,7 +155,10 @@ class TestGrid:
                 for r in reports]
         assert keys == sorted(keys)
 
-    def test_parallel_matches_sequential(self):
+    def test_parallel_matches_sequential(self, monkeypatch):
+        # run_grid caps the pool at the core count; pretend to have two so
+        # the pool path runs on every host
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
         args = ([5], ["nestedness"], {"points": 2, "n_max": 10})
         seq = verify.run_grid(*args, workers=1)
         par = verify.run_grid(*args, workers=2)
@@ -166,3 +169,16 @@ class TestGrid:
     def test_worker_env_override(self, monkeypatch):
         monkeypatch.setenv("GHOSTLINE_WORKERS", "3")
         assert verify.worker_count() == 3
+
+    def test_worker_env_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv("GHOSTLINE_WORKERS", "four")
+        with pytest.raises(ValueError, match="GHOSTLINE_WORKERS"):
+            verify.worker_count()
+
+    def test_worker_clamp(self):
+        assert verify.clamp_workers(10_000, 200, 2) == 2
+        assert verify.clamp_workers(8, 3, 16) == 3
+        assert verify.clamp_workers(4, 200, 16) == 4
+        assert verify.clamp_workers(0, 200, 16) == 1
+        assert verify.clamp_workers(-5, 0, None) == 1
+        assert verify.clamp_workers(6, 200, None) == 1
