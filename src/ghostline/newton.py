@@ -1,7 +1,9 @@
 """Exact lower convex hulls and certified Newton polygons of ghost series.
 
-All hull arithmetic is cross-multiplied exact rational arithmetic; points
-at +infinity impose no constraint and are skipped.  Vertices are strict:
+Hull arithmetic is exact and cross-multiplied on the values as given:
+integer profiles (every classical point) stay ``int`` and only the slopes
+become ``Fraction``s; points at +infinity impose no constraint and are
+skipped.  Vertices are strict:
 collinear interior points are not vertices, matching the convention that a
 straight stretch of the polygon has vertices only at its ends.
 
@@ -20,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from math import lcm
+from typing import List, Sequence, Tuple, Union
 
 from . import ghost_series as ghost
 from .valuation import INF, ExtRat
@@ -48,7 +51,7 @@ class CertificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class NewtonPolygon:
-    vertices: Tuple[Tuple[int, Fraction], ...]
+    vertices: Tuple[Tuple[int, Union[int, Fraction]], ...]  # y as given to the hull
     slopes: Tuple[Tuple[Fraction, int], ...]  # (slope, width) per segment
     certified_upto: int
 
@@ -60,9 +63,9 @@ class NewtonPolygon:
         }
 
 
-def _hull_vertices(points: Sequence[Tuple[int, Fraction]]) -> List[Tuple[int, Fraction]]:
+def _hull_vertices(points: Sequence[Tuple[int, ExtRat]]) -> List[Tuple[int, ExtRat]]:
     # monotone chain, lower hull only; input sorted by x, strict vertices
-    hull: List[Tuple[int, Fraction]] = []
+    hull: List[Tuple[int, ExtRat]] = []
     for pt in points:
         while len(hull) >= 2:
             (x0, y0), (x1, y1) = hull[-2], hull[-1]
@@ -75,7 +78,7 @@ def _hull_vertices(points: Sequence[Tuple[int, Fraction]]) -> List[Tuple[int, Fr
     return hull
 
 
-def _segments(vertices: Sequence[Tuple[int, Fraction]]) -> Tuple[Tuple[Fraction, int], ...]:
+def _segments(vertices: Sequence[Tuple[int, ExtRat]]) -> Tuple[Tuple[Fraction, int], ...]:
     out = []
     for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
         out.append((Fraction(y1 - y0, x1 - x0), x1 - x0))
@@ -85,10 +88,11 @@ def _segments(vertices: Sequence[Tuple[int, Fraction]]) -> Tuple[Tuple[Fraction,
 def lower_convex_hull(points: Sequence[Tuple[int, ExtRat]]) -> NewtonPolygon:
     """Lower hull of integer-indexed extended-rational points.
 
-    Points with y = +inf are skipped; the x-values must be distinct and at
+    Finite y-values are kept as given (``int`` or ``Fraction``); points
+    with y = +inf are skipped; the x-values must be distinct and at
     least one y must be finite.
     """
-    finite = [(x, Fraction(y)) for x, y in points if y is not INF]
+    finite = [(x, y) for x, y in points if y is not INF]
     if not finite:
         raise ValueError("need at least one finite point")
     finite.sort()
@@ -102,7 +106,7 @@ def _future_safe(
     ctx: GhostContext,
     w: WeightPoint,
     vx: int,
-    vy: Fraction,
+    vy: Union[int, Fraction],
     slope_in: Fraction,
     window_end: int,
     max_steps: int = 100_000,
@@ -118,28 +122,36 @@ def _future_safe(
     alone: their evaluators could supply exact values too, but comparing
     them could certify a prefix from a smaller buffer and so change the
     reported ``certified_upto`` and ``buffer_used``.
+
+    Line, floor and exact values are all scaled by D, the least common
+    denominator of vy, slope_in and c, so the loop compares integers.
     """
     c = min_factor_valuation(w)
     exact = None
     if isinstance(w, Classical):
         ev = ghost.classical_evaluator(ctx, w.k)
-        exact = ev.value
+        exact = ev.value  # integer valued at classical points
+    d = lcm(vy.denominator, slope_in.denominator, c.denominator)
+    y0 = vy.numerator * (d // vy.denominator)
+    slope = slope_in.numerator * (d // slope_in.denominator)
+    cd = c.numerator * (d // c.denominator)
     m = window_end + 1
+    line = y0 + slope * (m - vx)  # D times the line at m
     for _ in range(max_steps):
-        line = vy + slope_in * (m - vx)
-        floor = c * ghost.degree_fast(ctx, m)
-        if floor > line:
-            inc = ghost.degree_fast(ctx, m + 1) - ghost.degree_fast(ctx, m)
-            if c * inc >= slope_in:
+        deg = ghost.degree_fast(ctx, m)
+        if cd * deg > line:
+            inc = ghost.degree_fast(ctx, m + 1) - deg
+            if cd * inc >= slope:
                 # the floor now rises at least as fast as the line, forever
                 return True
         elif exact is None:
             return False
         else:
             y = exact(m)
-            if y is not INF and y <= line:
+            if y is not INF and y * d <= line:
                 return False
         m += 1
+        line += slope
     return False
 
 

@@ -61,28 +61,33 @@ class DeltaProfile:
     raw: Tuple[Tuple[int, Fraction], ...]
     hull: Tuple[Tuple[int, Fraction], ...]  # hull value at every integer offset
 
+    def _at(self, values: Tuple[Tuple[int, Fraction], ...], ell: int) -> Fraction:
+        # offsets run over -top..top in order, so offset ell sits at ell + top
+        top = values[-1][0]
+        if not -top <= ell <= top:
+            raise KeyError(ell)
+        return values[ell + top][1]
+
     def raw_value(self, ell: int) -> Fraction:
-        return dict(self.raw)[ell]
+        return self._at(self.raw, ell)
 
     def hull_value(self, ell: int) -> Fraction:
-        return dict(self.hull)[ell]
+        return self._at(self.hull, ell)
 
     def hull_gaps(self) -> List[Fraction]:
         """Gaps hull(L) - hull(L-1) for L = 1..d_new/2 (nondecreasing)."""
-        vals = dict(self.hull)
-        top = max(l for l, _ in self.hull)
-        return [vals[L] - vals[L - 1] for L in range(1, top + 1)]
+        top = self.hull[-1][0]
+        vals = [v for _, v in self.hull[top:]]
+        return [b - a for a, b in zip(vals, vals[1:])]
 
     def is_vertex(self, ell: int) -> bool:
         """Strict-vertex test of (ell, raw(ell)) on the hull."""
         if self.raw_value(ell) != self.hull_value(ell):
             return False
-        top = max(l for l, _ in self.hull)
-        if abs(ell) == top:
+        if abs(ell) == self.hull[-1][0]:
             return True
-        vals = dict(self.hull)
-        left = vals[ell] - vals[ell - 1]
-        right = vals[ell + 1] - vals[ell]
+        left = self.hull_value(ell) - self.hull_value(ell - 1)
+        right = self.hull_value(ell + 1) - self.hull_value(ell)
         return left < right
 
     def to_json_dict(self) -> dict:
@@ -279,15 +284,23 @@ def vertex_theorem_check(
 def _range_gamma(
     ctx: GhostContext, w: WeightPoint, r: NearSteinbergRange
 ) -> Optional[Fraction]:
+    """Largest finite vp(w - w_k) over the ghost zeros w_k of the
+    coefficients g_n with n inside the range.
+
+    w_k is a zero of g_n exactly when d_ur(k) < n < d_iw(k) - d_ur(k), so
+    each candidate weight is visited once and kept when that interval meets
+    (lo, hi); the candidates are the union of the factor windows
+    [k_min_bullet(n), k_max_bullet(n-1)] over lo < n < hi.
+    """
     best: Optional[Fraction] = None
-    for n in range(r.lo + 1, r.hi):
-        for k, _ in ghost.coefficient(ctx, n).factors:
-            v = vp_point_to_weight(ctx, w, k)
-            if v is INF:
-                continue
-            v = Fraction(v)
-            if best is None or v > best:
-                best = v
+    _, kb_lo = dims.k_min_bullet(ctx, r.lo + 1)
+    for kb in range(max(kb_lo, 0), dims.k_max_bullet(ctx, r.hi - 2) + 1):
+        du = dims.d_ur_of_bullet(ctx, kb)
+        if max(r.lo, du) + 1 >= min(r.hi, dims.d_iw_of_bullet(ctx, kb) - du):
+            continue
+        v = vp_point_to_weight(ctx, w, ctx.weight_of_bullet(kb))
+        if v is not INF and (best is None or v > best):
+            best = Fraction(v)
     return best
 
 

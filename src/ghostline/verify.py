@@ -362,59 +362,83 @@ def _theta_eta(ctx: GhostContext, kb: int, ell: int) -> Tuple[int, int]:
     return theta, eta
 
 
+def _twice(x: Fraction) -> int:
+    """2x as an int, for a profile value x in (1/2)Z."""
+    if x.denominator == 1:
+        return 2 * x.numerator
+    if x.denominator == 2:
+        return x.numerator
+    raise RuntimeError(f"profile value {x} is not in (1/2)Z")
+
+
+def _half(x2: int) -> str:
+    """Witness rendering of the rational x2 / 2."""
+    return format_rational(Fraction(x2, 2))
+
+
 def check_delta_estimates(
     ctx: GhostContext, k: int, with_k_prime: bool = False
 ) -> CheckReport:
-    """Gap bounds, convexity defect, and hull-distance bounds of one profile."""
+    """Gap bounds, convexity defect, and hull-distance bounds of one profile.
+
+    Profile values lie in (1/2)Z, so gaps, defects and their bounds are
+    compared doubled, as integers; raw - hull is kept as an unreduced
+    numerator over a positive denominator.  A Fraction is built only for a
+    witness, or for the log bound when raw - hull > 0.
+    """
     t0 = time.perf_counter()
     p = ctx.p
     kb = ctx.bullet(k)
     half_new = dims.d_new(ctx, k) // 2
-    half_iw = dims.d_iw(ctx, k) // 2
     prof = steinberg.delta_profile(ctx, k)
-    raw = dict(prof.raw)
-    hull = dict(prof.hull)
+    top = prof.raw[-1][0]  # offsets run over -top..top, offset 0 at position top
+    raw2 = [_twice(v) for _, v in prof.raw[top:]]
+    hull = [v for _, v in prof.hull[top:]]
     witnesses = []
-    min_step = Fraction(min(ctx.a + 2, p - 1 - ctx.a), 2)
+    min_step2 = min(ctx.a + 2, p - 1 - ctx.a)
     for ell in range(1, half_new + 1):
-        gap = raw[ell] - raw[ell - 1]
-        low = min_step + Fraction(p - 1, 2) * (ell - 1)
-        if gap < low:
-            witnesses.append({"k": k, "ell": ell, "lhs": format_rational(gap),
-                              "rhs": format_rational(low), "reason": "gap lower bound"})
+        gap2 = raw2[ell] - raw2[ell - 1]
+        low2 = min_step2 + (p - 1) * (ell - 1)
+        if gap2 < low2:
+            witnesses.append({"k": k, "ell": ell, "lhs": _half(gap2),
+                              "rhs": _half(low2), "reason": "gap lower bound"})
         theta, eta = _theta_eta(ctx, kb, ell)
         lo_i = eta - (p + 1) // 2 * (ell - 1)
         hi_i = eta + theta + (p + 1) // 2 * (ell - 1)
         beta_max = max_vp_interval(lo_i, hi_i, p) if lo_i <= hi_i else 0
         if beta_max is not INF:
-            up = Fraction(p - 1, 2) * ell + Fraction(3, 2) + beta_max + ilog(p, ell)
-            if gap > up:
-                witnesses.append({"k": k, "ell": ell, "lhs": format_rational(gap),
-                                  "rhs": format_rational(up),
-                                  "reason": "gap upper bound"})
-        # distance between the raw profile and its hull
-        diff = raw[ell] - hull[ell]
+            up2 = (p - 1) * ell + 3 + 2 * (beta_max + ilog(p, ell))
+            if gap2 > up2:
+                witnesses.append({"k": k, "ell": ell, "lhs": _half(gap2),
+                                  "rhs": _half(up2), "reason": "gap upper bound"})
+        # distance between the raw profile and its hull, as diff_num / diff_den
+        h = hull[ell]
+        diff_num, diff_den = raw2[ell] * h.denominator - 2 * h.numerator, 2 * h.denominator
         if ell < 2 * p and ell != p:
-            if diff != 0:
-                witnesses.append({"k": k, "ell": ell, "lhs": format_rational(diff),
+            if diff_num != 0:
+                witnesses.append({"k": k, "ell": ell,
+                                  "lhs": format_rational(Fraction(diff_num, diff_den)),
                                   "rhs": "0", "reason": "hull equality small ell"})
         elif ell == p:
-            if diff > 1:
-                witnesses.append({"k": k, "ell": ell, "lhs": format_rational(diff),
+            if diff_num > diff_den:
+                witnesses.append({"k": k, "ell": ell,
+                                  "lhs": format_rational(Fraction(diff_num, diff_den)),
                                   "rhs": "1", "reason": "hull distance at ell = p"})
-        if p >= 7 and not _leq_3_log_ratio_sq(Fraction(diff), ell, p):
-            witnesses.append({"k": k, "ell": ell, "lhs": format_rational(diff),
+        if (p >= 7 and diff_num > 0
+                and not _leq_3_log_ratio_sq(Fraction(diff_num, diff_den), ell, p)):
+            witnesses.append({"k": k, "ell": ell,
+                              "lhs": format_rational(Fraction(diff_num, diff_den)),
                               "rhs": f"3*(log_{p}({ell}))^2",
                               "reason": "hull distance log bound"})
         if with_k_prime:
-            witnesses.extend(_check_k_prime_bounds(ctx, k, ell, gap))
+            witnesses.extend(_check_k_prime_bounds(ctx, k, ell, gap2))
     for ell in range(1, half_new):
-        defect = raw[ell + 1] - 2 * raw[ell] + raw[ell - 1]
+        defect2 = raw2[ell + 1] - 2 * raw2[ell] + raw2[ell - 1]
         theta, _ = _theta_eta(ctx, kb, ell)
         vl = vp_int(ell, p)
         for rhs in (p - 1 - theta - 2 * vl, 1 - 2 * vl):
-            if defect < rhs:
-                witnesses.append({"k": k, "ell": ell, "lhs": format_rational(defect),
+            if defect2 < 2 * rhs:
+                witnesses.append({"k": k, "ell": ell, "lhs": _half(defect2),
                                   "rhs": rhs, "reason": "convexity defect"})
     return _report(
         "delta_estimates",
@@ -453,24 +477,26 @@ def _k_prime_candidates(ctx: GhostContext, k: int, ell: int) -> List[int]:
     return out
 
 
-def _check_k_prime_bounds(ctx: GhostContext, k: int, ell: int, gap: Fraction) -> List[dict]:
+def _check_k_prime_bounds(ctx: GhostContext, k: int, ell: int, gap2: int) -> List[dict]:
+    """Strengthened gap bounds against the weights k' near k; gap2 is twice
+    the profile gap at ell, and every bound is compared doubled."""
     p = ctx.p
     witnesses = []
-    fine = Fraction(1, 2) + Fraction(p - 1, 2) * (ell - 1) - ilog(p, (p + 1) * ell)
-    checks = [(fine, "strengthened gap bound")]
+    fine2 = 1 + (p - 1) * (ell - 1) - 2 * ilog(p, (p + 1) * ell)
+    checks = [(fine2, "strengthened gap bound")]
     if ell == 1:
-        checks.append((Fraction(1, 2), "strengthened gap bound ell=1"))
+        checks.append((1, "strengthened gap bound ell=1"))
     else:
-        checks.append((Fraction(2 * ell - 1, 2), "strengthened gap bound floor"))
+        checks.append((2 * ell - 1, "strengthened gap bound floor"))
         if p >= 7:
-            checks.append((Fraction(2 * ell + 1, 2), "strengthened gap bound p>=7"))
+            checks.append((2 * ell + 1, "strengthened gap bound p>=7"))
     for k2 in _k_prime_candidates(ctx, k, ell):
-        margin = gap - (1 + vp_int(k - k2, p))
-        for rhs, reason in checks:
-            if margin < rhs:
+        margin2 = gap2 - 2 * (1 + vp_int(k - k2, p))
+        for rhs2, reason in checks:
+            if margin2 < rhs2:
                 witnesses.append({"k": k, "k_prime": k2, "ell": ell,
-                                  "lhs": format_rational(margin),
-                                  "rhs": format_rational(rhs), "reason": reason})
+                                  "lhs": _half(margin2), "rhs": _half(rhs2),
+                                  "reason": reason})
     return witnesses
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,13 @@ from hypothesis import given, settings, strategies as st
 from ghostline import ghost_series as ghost
 from ghostline import newton
 from ghostline.valuation import INF
-from ghostline.weight_space import Boundary, Classical, Perturbed, new_context
+from ghostline.weight_space import (
+    Boundary,
+    Classical,
+    Perturbed,
+    min_factor_valuation,
+    new_context,
+)
 
 C0 = new_context(7, 2, 0)
 C4 = new_context(7, 2, 4)
@@ -24,6 +31,13 @@ class TestLowerConvexHull:
 
         np_ = newton.lower_convex_hull([(0, 0), (1, INF), (2, 4)])
         assert np_.vertices == ((0, 0), (2, 4))
+
+    def test_integer_values_stay_int(self):
+        np_ = newton.lower_convex_hull([(0, 0), (1, 5), (2, 3), (3, INF), (4, 9)])
+        assert all(type(y) is int for _, y in np_.vertices)
+        assert all(type(s) is Fraction for s, _ in np_.slopes)
+        np_, _ = newton.np_of_ghost_auto(C4, Classical(30), 8)
+        assert all(type(y) is int for _, y in np_.vertices)
 
     def test_collinear_points_are_not_vertices(self):
         np_ = newton.lower_convex_hull([(0, 0), (1, 1), (2, 2), (3, 5)])
@@ -175,3 +189,74 @@ class TestPolygonAgainstFactoredOracle:
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError):
             newton.np_of_ghost_auto(C4, Classical(18), 5, retries=-1)
+
+
+def _future_safe_fraction(ctx, w, vx, vy, slope_in, window_end, max_steps=100_000):
+    """The certification loop in plain Fraction arithmetic, as the oracle."""
+    c = min_factor_valuation(w)
+    exact = ghost.classical_evaluator(ctx, w.k).value if isinstance(w, Classical) else None
+    m = window_end + 1
+    for _ in range(max_steps):
+        line = vy + slope_in * (m - vx)
+        floor = c * ghost.degree_fast(ctx, m)
+        if floor > line:
+            inc = ghost.degree_fast(ctx, m + 1) - ghost.degree_fast(ctx, m)
+            if c * inc >= slope_in:
+                return True
+        elif exact is None:
+            return False
+        else:
+            y = exact(m)
+            if y is not INF and y <= line:
+                return False
+        m += 1
+    return False
+
+
+def _random_certification_case(rng, kind):
+    p = rng.choice((5, 7, 11, 13))
+    ctx = new_context(p, rng.randint(1, p - 4), rng.randint(0, p - 2))
+    if kind == "classical":
+        w = Classical(rng.choice((ctx.weight_of_bullet(rng.randint(0, 30)), rng.randint(2, 300))))
+    elif kind == "perturbed":
+        w = Perturbed(ctx.weight_of_bullet(rng.randint(0, 30)),
+                      Fraction(rng.randint(1, 30), rng.choice((1, 2, 3))))
+    else:
+        den = rng.randint(2, 6)
+        w = Boundary(Fraction(rng.randint(1, den - 1), den))
+    c = min_factor_valuation(w)
+    window_end = rng.randint(4, 40)
+    vx = rng.randint(max(0, window_end - 12), window_end)
+    m = window_end + 1
+    inc = ghost.degree_fast(ctx, m + 1) - ghost.degree_fast(ctx, m)
+    slope_in = c * inc + Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5)))
+    # the line passes near the true value at vx or near the floor just past
+    # the window, so that both outcomes occur
+    y = ghost.evaluator(ctx, w).value(vx)
+    if y is INF or rng.random() < 0.5:
+        y = c * ghost.degree_fast(ctx, m) - slope_in * (m - vx)
+    vy = y + Fraction(rng.randint(-8, 8), rng.choice((1, 1, 2, 3, 4)))
+    if vy.denominator == 1 and rng.random() < 0.5:
+        vy = int(vy)  # hull vertices of integer profiles stay int
+    return ctx, w, vx, vy, slope_in, window_end
+
+
+class TestIntegerCertification:
+    @pytest.mark.parametrize("kind", ["classical", "perturbed", "boundary"])
+    def test_matches_fraction_reference(self, kind):
+        rng = random.Random(f"future-safe-{kind}")
+        outcomes = []
+        for _ in range(300):
+            args = _random_certification_case(rng, kind)
+            got = newton._future_safe(*args)
+            assert got == _future_safe_fraction(*args), args
+            outcomes.append(got)
+        assert outcomes.count(True) >= 20 and outcomes.count(False) >= 20
+
+    def test_step_limit_matches_reference(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            args = _random_certification_case(rng, rng.choice(("classical", "perturbed")))
+            steps = rng.randint(0, 5)
+            assert (newton._future_safe(*args, max_steps=steps)
+                    == _future_safe_fraction(*args, max_steps=steps))

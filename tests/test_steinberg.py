@@ -4,8 +4,16 @@ from fractions import Fraction
 import pytest
 
 from ghostline import dimensions as dims
+from ghostline import ghost_series as ghost
 from ghostline import steinberg
-from ghostline.weight_space import Boundary, Classical, Perturbed, new_context
+from ghostline.valuation import INF
+from ghostline.weight_space import (
+    Boundary,
+    Classical,
+    Perturbed,
+    new_context,
+    vp_point_to_weight,
+)
 
 C0 = new_context(7, 2, 0)
 C4 = new_context(7, 2, 4)
@@ -62,6 +70,24 @@ class TestDeltaProfile:
                 elif abs(ell) == ctx.p:
                     assert raw[ell] - hull[ell] <= 1
 
+    def test_positional_lookups_match_dicts(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            p = rng.choice((5, 7, 11, 13))
+            ctx = new_context(p, rng.randint(1, p - 4), rng.randint(0, p - 2))
+            prof = steinberg.delta_profile(ctx, ctx.weight_of_bullet(rng.randint(0, 80)))
+            raw, hull = dict(prof.raw), dict(prof.hull)
+            top = max(raw)
+            for ell in range(-top, top + 1):
+                assert prof.raw_value(ell) == raw[ell]
+                assert prof.hull_value(ell) == hull[ell]
+            assert prof.hull_gaps() == [hull[L] - hull[L - 1] for L in range(1, top + 1)]
+            for ell in (-top - 1, top + 1):
+                with pytest.raises(KeyError):
+                    prof.raw_value(ell)
+                with pytest.raises(KeyError):
+                    prof.hull_value(ell)
+
     def test_trivial_profile(self):
         prof = steinberg.delta_profile(C0, 4)  # d_new = 0
         assert len(prof.raw) == 1
@@ -99,6 +125,38 @@ class TestRanges:
             du, di = dims.d_ur(C4, r.k), dims.d_iw(C4, r.k)
             assert 1 <= r.L <= (di - 2 * du) // 2
             assert du <= r.lo and r.hi <= di - du
+
+
+def _gamma_by_coefficients(ctx, w, r):
+    """Largest finite distance to a factor of the coefficients inside r,
+    by walking every factored coefficient."""
+    best = None
+    for n in range(r.lo + 1, r.hi):
+        for k, _ in ghost.coefficient(ctx, n).factors:
+            v = vp_point_to_weight(ctx, w, k)
+            if v is not INF and (best is None or v > best):
+                best = Fraction(v)
+    return best
+
+
+class TestRangeGamma:
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_matches_coefficient_walk(self, p):
+        rng = random.Random(p)
+        compared = 0
+        for _ in range(40):
+            ctx = new_context(p, rng.randint(1, p - 4), rng.randint(0, p - 2))
+            w = Perturbed(ctx.weight_of_bullet(rng.randint(0, 12)),
+                          Fraction(rng.randint(1, 24), rng.choice((1, 2, 3))))
+            for r in steinberg.near_steinberg_ranges(ctx, w, 30):
+                assert steinberg._range_gamma(ctx, w, r) == _gamma_by_coefficients(ctx, w, r)
+                compared += 1
+        assert compared >= 25
+
+    def test_classical_point_skips_its_own_zero(self):
+        w = Classical(18)
+        for r in steinberg.near_steinberg_ranges(C4, w, 10):
+            assert steinberg._range_gamma(C4, w, r) == _gamma_by_coefficients(C4, w, r)
 
 
 class TestNested:

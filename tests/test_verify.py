@@ -1,10 +1,14 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from ghostline import dimensions as dims
 from ghostline import ghost_series as ghost
-from ghostline import verify
+from ghostline import steinberg, verify
+from ghostline.valuation import INF, ilog, max_vp_interval, vp_int
+from ghostline.weight_space import format_rational
 from ghostline.weight_space import new_context
 
 C0 = new_context(7, 2, 0)
@@ -105,6 +109,150 @@ class TestDeltaEstimates:
         ctx = new_context(11, 5, 4)
         for kb in range(0, 25):
             assert verify.check_delta_estimates(ctx, ctx.weight_of_bullet(kb), True).ok
+
+
+def _fraction_delta_estimates(ctx, k, with_k_prime=False):
+    """The estimate checks in plain Fraction arithmetic on dict lookups, as
+    the oracle for the doubled-integer checks; returns the witnesses."""
+    p = ctx.p
+    kb = ctx.bullet(k)
+    half_new = dims.d_new(ctx, k) // 2
+    prof = steinberg.delta_profile(ctx, k)
+    raw = dict(prof.raw)
+    hull = dict(prof.hull)
+    witnesses = []
+    min_step = Fraction(min(ctx.a + 2, p - 1 - ctx.a), 2)
+    for ell in range(1, half_new + 1):
+        gap = raw[ell] - raw[ell - 1]
+        low = min_step + Fraction(p - 1, 2) * (ell - 1)
+        if gap < low:
+            witnesses.append({"k": k, "ell": ell, "lhs": format_rational(gap),
+                              "rhs": format_rational(low), "reason": "gap lower bound"})
+        theta, eta = verify._theta_eta(ctx, kb, ell)
+        lo_i = eta - (p + 1) // 2 * (ell - 1)
+        hi_i = eta + theta + (p + 1) // 2 * (ell - 1)
+        beta_max = max_vp_interval(lo_i, hi_i, p) if lo_i <= hi_i else 0
+        if beta_max is not INF:
+            up = Fraction(p - 1, 2) * ell + Fraction(3, 2) + beta_max + ilog(p, ell)
+            if gap > up:
+                witnesses.append({"k": k, "ell": ell, "lhs": format_rational(gap),
+                                  "rhs": format_rational(up), "reason": "gap upper bound"})
+        diff = raw[ell] - hull[ell]
+        if ell < 2 * p and ell != p:
+            if diff != 0:
+                witnesses.append({"k": k, "ell": ell, "lhs": format_rational(diff),
+                                  "rhs": "0", "reason": "hull equality small ell"})
+        elif ell == p:
+            if diff > 1:
+                witnesses.append({"k": k, "ell": ell, "lhs": format_rational(diff),
+                                  "rhs": "1", "reason": "hull distance at ell = p"})
+        if p >= 7 and not verify._leq_3_log_ratio_sq(Fraction(diff), ell, p):
+            witnesses.append({"k": k, "ell": ell, "lhs": format_rational(diff),
+                              "rhs": f"3*(log_{p}({ell}))^2",
+                              "reason": "hull distance log bound"})
+        if with_k_prime:
+            witnesses.extend(_fraction_k_prime_bounds(ctx, k, ell, gap))
+    for ell in range(1, half_new):
+        defect = raw[ell + 1] - 2 * raw[ell] + raw[ell - 1]
+        theta, _ = verify._theta_eta(ctx, kb, ell)
+        vl = vp_int(ell, p)
+        for rhs in (p - 1 - theta - 2 * vl, 1 - 2 * vl):
+            if defect < rhs:
+                witnesses.append({"k": k, "ell": ell, "lhs": format_rational(defect),
+                                  "rhs": rhs, "reason": "convexity defect"})
+    return witnesses
+
+
+def _fraction_k_prime_bounds(ctx, k, ell, gap):
+    p = ctx.p
+    witnesses = []
+    fine = Fraction(1, 2) + Fraction(p - 1, 2) * (ell - 1) - ilog(p, (p + 1) * ell)
+    checks = [(fine, "strengthened gap bound")]
+    if ell == 1:
+        checks.append((Fraction(1, 2), "strengthened gap bound ell=1"))
+    else:
+        checks.append((Fraction(2 * ell - 1, 2), "strengthened gap bound floor"))
+        if p >= 7:
+            checks.append((Fraction(2 * ell + 1, 2), "strengthened gap bound p>=7"))
+    for k2 in verify._k_prime_candidates(ctx, k, ell):
+        margin = gap - (1 + vp_int(k - k2, p))
+        for rhs, reason in checks:
+            if margin < rhs:
+                witnesses.append({"k": k, "k_prime": k2, "ell": ell,
+                                  "lhs": format_rational(margin),
+                                  "rhs": format_rational(rhs), "reason": reason})
+    return witnesses
+
+
+def _assert_matches_oracle(ctx, k, with_k_prime):
+    rep = verify.check_delta_estimates(ctx, k, with_k_prime).to_json_dict()
+    want = _fraction_delta_estimates(ctx, k, with_k_prime)
+    assert rep["witnesses"] == want
+    assert rep["status"] == ("pass" if not want else "fail")
+    assert rep["params"] == {"p": ctx.p, "a": ctx.a, "s_eps": ctx.s_eps, "k": k,
+                             "with_k_prime": with_k_prime}
+    return rep["witnesses"]
+
+
+def _doctored(prof, raw_shift=lambda ell: 0, hull_shift=lambda ell: 0, flat=False):
+    """A copy of the profile with its raw and hull values moved in (1/2)Z."""
+    def move(values, shift):
+        return tuple((l, (0 if flat else v) + Fraction(shift(abs(l)), 2)) for l, v in values)
+
+    return steinberg.DeltaProfile(prof.k, move(prof.raw, raw_shift), move(prof.hull, hull_shift))
+
+
+class TestDeltaEstimatesOracle:
+    ALL_REASONS = {
+        "gap lower bound", "gap upper bound", "hull equality small ell",
+        "hull distance at ell = p", "hull distance log bound", "convexity defect",
+        "strengthened gap bound", "strengthened gap bound ell=1",
+        "strengthened gap bound floor", "strengthened gap bound p>=7",
+    }
+
+    def test_real_profiles(self):
+        rng = random.Random(77)
+        for _ in range(30):
+            p = rng.choice((5, 7, 11, 13))
+            ctx = new_context(p, rng.randint(1, p - 4), rng.randint(0, p - 2))
+            k = ctx.weight_of_bullet(rng.randint(0, 120))
+            assert _assert_matches_oracle(ctx, k, rng.random() < 0.3) == []
+
+    def test_doctored_profiles_hit_every_witness(self, monkeypatch):
+        real = steinberg.delta_profile
+        doctors = [
+            dict(flat=True),  # every gap 0: lower bound and all k' bounds
+            dict(raw_shift=lambda l: 60 * (l == 4)),  # spike: upper bound, defect
+            dict(raw_shift=lambda l: 3 * (l == 1)),  # raw off the hull at ell = 1
+            dict(raw_shift=lambda l: 5 * (l == 7)),  # raw 5/2 above hull at ell = 7 = p for p = 7
+            dict(raw_shift=lambda l: 1 * (l == 15),  # a non-integer distance
+                 hull_shift=lambda l: -2 * (l == 15)),
+        ]
+        seen = set()
+        for ctx, kb in ((new_context(7, 2, 4), 40), (new_context(11, 5, 4), 60),
+                        (new_context(5, 1, 2), 30)):
+            k = ctx.weight_of_bullet(kb)
+            assert dims.d_new(ctx, k) // 2 >= 2 * ctx.p + 2
+            for doctor in doctors:
+                monkeypatch.setattr(
+                    steinberg, "delta_profile",
+                    lambda c, kk, doctor=doctor: _doctored(real(c, kk), **doctor),
+                )
+                for with_k_prime in (False, True):
+                    wits = _assert_matches_oracle(ctx, k, with_k_prime)
+                    seen.update(w["reason"] for w in wits)
+        assert seen == self.ALL_REASONS
+
+    def test_rejects_values_off_the_half_lattice(self, monkeypatch):
+        real = steinberg.delta_profile
+        monkeypatch.setattr(
+            steinberg, "delta_profile",
+            lambda c, kk: steinberg.DeltaProfile(
+                kk, tuple((l, v + Fraction(1, 3)) for l, v in real(c, kk).raw),
+                real(c, kk).hull),
+        )
+        with pytest.raises(RuntimeError, match="1/2"):
+            verify.check_delta_estimates(C4, 18)
 
 
 class TestLogBoundHelper:
