@@ -11,8 +11,8 @@ Three ranks drive the whole combinatorics:
 
 The extremal-weight functions invert these step functions: k_mid_bullet(n)
 is the unique index with n = d_iw/2, k_max_bullet(n) the largest with
-d_ur <= n, and k_min_bullet(n) the smallest with d_iw - d_ur > n (returned
-together with its undivided numerator, which the valuation sums need).
+d_ur <= n, and k_min_bullet(n) the smallest with d_iw - d_ur > n.  Between
+the last two lie the zeros of the n-th ghost coefficient (``zero_window``).
 
 Two independent oracles guard the closed forms: a power-basis count for
 d_iw, and a Jordan-Holder recursion in the Grothendieck group of
@@ -21,7 +21,7 @@ GL_2(F_p)-representations for d_ur.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Iterator
 
 from .weight_space import GhostContext
 
@@ -75,14 +75,16 @@ def k_min_tilde_bullet(ctx: GhostContext, n: int) -> int:
     return (ctx.p + 1) // 2 * (n - 1 + 2 * ctx.delta_eps) - ctx.beta(n - 1) + 1
 
 
-def k_min_bullet(ctx: GhostContext, n: int) -> Tuple[int, int]:
-    """Return (k_min_tilde, k_min): d_iw - d_ur > n holds iff k_bullet >= k_min.
+def k_min_bullet(ctx: GhostContext, n: int) -> int:
+    """Smallest k_bullet with d_iw - d_ur > n: the ceiling of
+    k_min_tilde_bullet(n) / p."""
+    return -((-k_min_tilde_bullet(ctx, n)) // ctx.p)
 
-    Both values are exposed because the digit-sum identities in the
-    valuation increments consume the undivided k_min_tilde.
-    """
-    tilde = k_min_tilde_bullet(ctx, n)
-    return tilde, -((-tilde) // ctx.p)
+
+def zero_window(ctx: GhostContext, n: int) -> range:
+    """The k_bullet >= 0 with d_ur < n < d_iw - d_ur, i.e. the weights whose
+    points w_k are the zeros of the n-th ghost coefficient."""
+    return range(max(k_min_bullet(ctx, n), 0), k_max_bullet(ctx, n - 1) + 1)
 
 
 def power_basis_degrees(ctx: GhostContext) -> Iterator[int]:

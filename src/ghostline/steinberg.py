@@ -175,19 +175,16 @@ def near_steinberg_ranges(
     """All ranges whose open interval meets [1, n_max].
 
     For each n the candidate weights are exactly those with
-    n in (d_ur, d_iw - d_ur), i.e. k_bullet in
-    [k_min_bullet(n), k_max_bullet(n-1)]; a range containing n always has
-    its centre weight among these, so the enumeration is complete.
+    n in (d_ur, d_iw - d_ur), i.e. ``dims.zero_window(n)``; a range
+    containing n always has its centre weight among these, so the
+    enumeration is complete.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     found: Dict[int, NearSteinbergRange] = {}
     seen: set[int] = set()
     for n in range(1, n_max + 1):
-        _, kb_lo = dims.k_min_bullet(ctx, n)
-        kb_lo = max(kb_lo, 0)
-        kb_hi = dims.k_max_bullet(ctx, n - 1)
-        for kb in range(kb_lo, kb_hi + 1):
+        for kb in dims.zero_window(ctx, n):
             k = ctx.weight_of_bullet(kb)
             if k in seen:
                 continue
@@ -289,12 +286,12 @@ def _range_gamma(
 
     w_k is a zero of g_n exactly when d_ur(k) < n < d_iw(k) - d_ur(k), so
     each candidate weight is visited once and kept when that interval meets
-    (lo, hi); the candidates are the union of the factor windows
-    [k_min_bullet(n), k_max_bullet(n-1)] over lo < n < hi.
+    (lo, hi); the candidates are the union of the zero windows over
+    lo < n < hi, which run from that of lo + 1 to that of hi - 1.
     """
     best: Optional[Fraction] = None
-    _, kb_lo = dims.k_min_bullet(ctx, r.lo + 1)
-    for kb in range(max(kb_lo, 0), dims.k_max_bullet(ctx, r.hi - 2) + 1):
+    first, last = dims.zero_window(ctx, r.lo + 1), dims.zero_window(ctx, r.hi - 1)
+    for kb in range(first.start, last.stop):
         du = dims.d_ur_of_bullet(ctx, kb)
         if max(r.lo, du) + 1 >= min(r.hi, dims.d_iw_of_bullet(ctx, kb) - du):
             continue
@@ -367,10 +364,7 @@ def delta_vertex_check(ctx: GhostContext, k0: int, ell: int) -> dict:
     w = Classical(k0)
 
     def witness(n: int, side: int) -> Optional[int]:
-        _, kb_lo = dims.k_min_bullet(ctx, n)
-        kb_lo = max(kb_lo, 0)
-        kb_hi = dims.k_max_bullet(ctx, n - 1)
-        for kb in range(kb_lo, kb_hi + 1):
+        for kb in dims.zero_window(ctx, n):
             k1 = ctx.weight_of_bullet(kb)
             if side * (k1 - k0) <= 0:
                 continue
@@ -394,13 +388,21 @@ def delta_vertex_check(ctx: GhostContext, k0: int, ell: int) -> dict:
     }
 
 
+def slope_class_ok(ctx: GhostContext, slope: Fraction, width: int) -> bool:
+    """Slope class of a segment at a classical point: width-1 slopes are
+    integers, wider slopes have even width and lie in a/2 + Z."""
+    if width == 1:
+        return slope.denominator == 1
+    return width % 2 == 0 and (slope - Fraction(ctx.a, 2)).denominator == 1
+
+
 def delta_hull_slope_classes(ctx: GhostContext, k0: int) -> List[dict]:
     """Violations of the profile hull slope classes.
 
     Stated in the un-normalised coordinates (profile slope plus the
     Steinberg slope (k0-2)/2, i.e. the hull of the omitted valuations
-    themselves): width-1 slopes are integers, wider slopes have even width
-    and lie in a/2 + Z -- the same classes as the polygon slopes at w_k0.
+    themselves) by ``slope_class_ok``, the same classes as the polygon
+    slopes at w_k0.
     """
     prof = delta_profile(ctx, k0)
     if len(prof.raw) < 2:
@@ -410,10 +412,6 @@ def delta_hull_slope_classes(ctx: GhostContext, k0: int) -> List[dict]:
     bad = []
     for norm_slope, width in hull.slopes:
         slope = norm_slope + shift
-        if width == 1:
-            if slope.denominator != 1:
-                bad.append({"k0": k0, "slope": slope, "width": width})
-        else:
-            if width % 2 != 0 or not _in_lattice(slope - Fraction(ctx.a, 2), None):
-                bad.append({"k0": k0, "slope": slope, "width": width})
+        if not slope_class_ok(ctx, slope, width):
+            bad.append({"k0": k0, "slope": slope, "width": width})
     return bad

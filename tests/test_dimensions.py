@@ -119,11 +119,10 @@ class TestExtremalWeights:
         assert dims.d_ur(c4, 6) == 0 and dims.d_ur(c4, 12) == 1
 
     def test_k_min_examples(self):
-        tilde, kmin = dims.k_min_bullet(new_context(7, 2, 0), 2)
-        assert (tilde, kmin) == (5, 1)  # smallest zero of g_2 is w_10
-        tilde, kmin = dims.k_min_bullet(new_context(7, 2, 0), 3)
-        assert (tilde, kmin) == (9, 2)  # smallest zero of g_3 is w_16
-        _, kmin = dims.k_min_bullet(new_context(7, 2, 4), 2)
+        c0 = new_context(7, 2, 0)
+        assert (dims.k_min_tilde_bullet(c0, 2), dims.k_min_bullet(c0, 2)) == (5, 1)  # w_10
+        assert (dims.k_min_tilde_bullet(c0, 3), dims.k_min_bullet(c0, 3)) == (9, 2)  # w_16
+        kmin = dims.k_min_bullet(new_context(7, 2, 4), 2)
         assert new_context(7, 2, 4).weight_of_bullet(kmin) == 12
 
     def test_inversions_characterise_ranks(self):
@@ -132,7 +131,7 @@ class TestExtremalWeights:
         for ctx in contexts():
             for n in range(0, 200):
                 assert dims.k_max_bullet(ctx, n + 1) > dims.k_max_bullet(ctx, n)
-                assert dims.k_min_bullet(ctx, n + 1)[1] >= dims.k_min_bullet(ctx, n)[1]
+                assert dims.k_min_bullet(ctx, n + 1) >= dims.k_min_bullet(ctx, n)
             for kb in range(0, 2000):
                 du = dims.d_ur_of_bullet(ctx, kb)
                 di = dims.d_iw_of_bullet(ctx, kb)
@@ -140,16 +139,16 @@ class TestExtremalWeights:
                 assert dims.k_max_bullet(ctx, du) >= kb
                 if du >= 1:
                     assert dims.k_max_bullet(ctx, du - 1) < kb
-                assert dims.k_min_bullet(ctx, di - du)[1] > kb
+                assert dims.k_min_bullet(ctx, di - du) > kb
                 if di - du >= 1:
-                    assert dims.k_min_bullet(ctx, di - du - 1)[1] <= kb
+                    assert dims.k_min_bullet(ctx, di - du - 1) <= kb
 
     def test_exhaustive_equivalences_small(self):
         ctx = new_context(7, 2, 3)
         for n in range(0, 500):
             kmid = dims.k_mid_bullet(ctx, n)
             kmax = dims.k_max_bullet(ctx, n)
-            kmin = dims.k_min_bullet(ctx, n)[1]
+            kmin = dims.k_min_bullet(ctx, n)
             for kb in range(0, 600):
                 du = dims.d_ur_of_bullet(ctx, kb)
                 di = dims.d_iw_of_bullet(ctx, kb)

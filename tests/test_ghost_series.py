@@ -208,12 +208,11 @@ class TestEvaluation:
     def test_increment_oracle_example(self):
         # jump of the 18-omitted valuation from n=3 to n=4; the profile
         # normalisation peels off (k-2)/2 = 8, leaving the gap 11 - 8 = 3
-        assert ghost.eval_increment_oracle(C4, 3, 18) == 19 - 8 == 11
-        assert ghost.eval_increment_oracle(C4, 3, 18) - 8 == 3
+        assert ghost.increment_at(C4, 3, 18) == (19 - 8, 0) == (11, 0)
 
     def test_increment_oracle_empty_ranges(self):
         ctx = new_context(7, 2, 0)  # k_max_bullet(0) < 0: nothing moves at n=0
-        assert ghost.eval_increment_oracle(ctx, 0, 4) == 0
+        assert ghost.increment_at(ctx, 0, 4) == (0, 0)
 
     def test_increment_oracle_matches_direct(self):
         rng = random.Random(99)
@@ -225,7 +224,7 @@ class TestEvaluation:
             direct = ghost.eval_vp_omit(ctx, n + 1, Classical(k0), {k0}) - ghost.eval_vp_omit(
                 ctx, n, Classical(k0), {k0}
             )
-            assert ghost.eval_increment_oracle(ctx, n, k0) == direct
+            assert ghost.increment_at(ctx, n, k0) == (direct, 0)
 
     def test_second_difference_formula(self):
         # second difference of omitted valuations against the window form:
@@ -248,7 +247,7 @@ class TestEvaluation:
                 return total
 
             kmax_prev, kmax_now = dims.k_max_bullet(ctx, n - 1), dims.k_max_bullet(ctx, n)
-            kmin_prev, kmin_now = dims.k_min_bullet(ctx, n - 1)[1], dims.k_min_bullet(ctx, n)[1]
+            kmin_prev, kmin_now = dims.k_min_bullet(ctx, n - 1), dims.k_min_bullet(ctx, n)
             rhs = wsum(kmax_prev + 1, kmax_now) + wsum(kmin_prev, kmin_now - 1)
             kmid = dims.k_mid_bullet(ctx, n)
             if kmid != k0b and kmid >= 0:
@@ -267,6 +266,58 @@ class TestEvaluation:
                     assert got == want, (ctx, k0, n)
                     want_omit = ghost.eval_vp_omit(ctx, n, Classical(k0), {k0})
                     assert ev.omitted(n) == want_omit
+
+
+class TestLevelSum:
+    """The level-count window sum against the direct sum of the distances."""
+
+    @staticmethod
+    def direct(ctx, kb_lo, kb_hi, k0, r):
+        total = 0
+        for kb in range(max(kb_lo, 0), kb_hi + 1):
+            k = ctx.weight_of_bullet(kb)
+            if k0 is None:
+                total += min(r, 1)
+            elif k != k0:
+                total += min(r, 1 + vp_int(k - k0, ctx.p))
+        return total
+
+    @staticmethod
+    def level_sum(ctx, kb_lo, kb_hi, k0, r):
+        whole = None if r is INF else r.numerator // r.denominator
+        full, top = ghost._level_sum(ctx, kb_lo, kb_hi, k0, whole)
+        return full if r is INF else full + (r - whole) * top
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_matches_direct_sum(self, p):
+        rng = random.Random(300 + p)
+        radii = (INF, Fraction(1), Fraction(2), Fraction(5), Fraction(1, 2),
+                 Fraction(7, 2), Fraction(2, 3), Fraction(10, 3), Fraction(10_001, 3))
+        seen = set()
+        for _ in range(600):
+            ctx = new_context(p, rng.randint(1, p - 4), rng.randint(0, p - 2))
+            shape = rng.choice(("on", "off", "small", "none"))
+            if shape == "on":
+                k0 = ctx.weight_of_bullet(rng.randint(0, 60))
+            elif shape == "off":
+                k0 = ctx.weight_of_bullet(rng.randint(0, 60)) + rng.randint(1, p - 2)
+            elif shape == "small":
+                k0 = rng.choice((ctx.weight_of_bullet(-1), ctx.weight_of_bullet(-3), 0, 1, -7))
+            else:
+                k0 = None
+            r = rng.choice((Fraction(1, 2), Fraction(2, 3), Fraction(1)) if k0 is None else radii)
+            if shape == "on" and rng.random() < 0.5:
+                k0b = ctx.bullet(k0)  # a window around k0 itself
+                kb_lo, kb_hi = k0b - rng.randint(0, 30), k0b + rng.randint(0, 30)
+            else:
+                kb_lo = rng.randint(-15, 60)  # below 0: clipped
+                kb_hi = kb_lo + rng.randint(-2, 90)
+            holds_k0 = k0 is not None and ctx.on_disk(k0) and max(kb_lo, 0) <= ctx.bullet(k0) <= kb_hi
+            seen.add((shape, r is INF, kb_lo < 0, holds_k0))
+            want = self.direct(ctx, kb_lo, kb_hi, k0, r)
+            assert self.level_sum(ctx, kb_lo, kb_hi, k0, r) == want, (ctx, kb_lo, kb_hi, k0, r)
+        assert ("on", True, False, True) in seen and ("on", False, True, True) in seen
+        assert {s for s, *_ in seen} == {"on", "off", "small", "none"}
 
 
 class TestPointEvaluator:
