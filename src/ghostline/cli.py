@@ -15,20 +15,14 @@ import csv
 import io
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import dimensions as dims
 from . import ghost_series as ghost
 from . import newton
 from . import steinberg
 from . import verify
-from .weight_space import (
-    GhostContext,
-    format_rational,
-    new_context,
-    parse_point,
-    parse_rational,
-)
+from .weight_space import GhostContext, WeightPoint, new_context, parse_point
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -77,7 +71,8 @@ def _payload_ghost(args) -> dict:
     return ghost.coefficient(ctx, args.n).to_json_dict()
 
 
-def _payload_np(args) -> dict:
+def _point_query(args) -> Tuple[GhostContext, WeightPoint]:
+    """Context and parsed --point of an np or ns query, with --nmax checked."""
     ctx = _context(args)
     try:
         point = parse_point(args.point)
@@ -85,6 +80,11 @@ def _payload_np(args) -> dict:
         raise ParameterError(str(exc)) from exc
     if args.nmax < 1:
         raise ParameterError("--nmax must be >= 1")
+    return ctx, point
+
+
+def _payload_np(args) -> dict:
+    ctx, point = _point_query(args)
     np_, buffer_used = newton.np_of_ghost_auto(ctx, point, args.nmax, args.buffer)
     payload = {"point": args.point, "n_max": args.nmax, "buffer_used": buffer_used}
     payload.update(np_.to_json_dict())
@@ -101,13 +101,7 @@ def _payload_delta(args) -> dict:
 
 
 def _payload_ns(args) -> dict:
-    ctx = _context(args)
-    try:
-        point = parse_point(args.point)
-    except ValueError as exc:
-        raise ParameterError(str(exc)) from exc
-    if args.nmax < 1:
-        raise ParameterError("--nmax must be >= 1")
+    ctx, point = _point_query(args)
     ranges = steinberg.near_steinberg_ranges(ctx, point, args.nmax)
     nested, witness = steinberg.check_nested(ranges)
     return {

@@ -42,14 +42,7 @@ from typing import Iterable, Optional, Tuple
 
 from . import dimensions as dims
 from .valuation import INF, ExtRat
-from .weight_space import (
-    Boundary,
-    Classical,
-    GhostContext,
-    Perturbed,
-    WeightPoint,
-    vp_point_to_weight,
-)
+from .weight_space import GhostContext, WeightPoint, vp_point_to_weight
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,13 +275,9 @@ def evaluator(ctx: GhostContext, w: WeightPoint) -> JumpEvaluator:
     (a Newton polygon retried with a doubled buffer) extends the same
     profile.
     """
-    if isinstance(w, Classical):
-        return classical_evaluator(ctx, w.k)
-    if isinstance(w, Perturbed):
-        return _point_evaluator(ctx, w.k0, w.r)
-    if isinstance(w, Boundary):
-        return _point_evaluator(ctx, None, w.t)
-    raise TypeError(f"not a weight point: {w!r}")
+    if w.r is INF:
+        return classical_evaluator(ctx, w.k0)
+    return _point_evaluator(ctx, w.k0, w.r)
 
 
 def degree_fast(ctx: GhostContext, n: int) -> int:

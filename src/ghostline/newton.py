@@ -27,13 +27,7 @@ from typing import List, Sequence, Tuple, Union
 
 from . import ghost_series as ghost
 from .valuation import INF, ExtRat
-from .weight_space import (
-    Classical,
-    GhostContext,
-    WeightPoint,
-    format_rational,
-    min_factor_valuation,
-)
+from .weight_space import GhostContext, WeightPoint, format_rational, min_factor_valuation
 
 
 class CertificationError(RuntimeError):
@@ -116,21 +110,18 @@ def _future_safe(
 
     The generic floor c * deg(g_m) with c = min over factors of vp(w - w_k)
     eventually outgrows any line, since the degree increments strictly
-    increase; until it does, classical points are compared by their exact
-    coefficient valuations, which the jump evaluator supplies in constant
-    time per index.  Perturbed and boundary points are decided by the floor
-    alone: their evaluators could supply exact values too, but comparing
-    them could certify a prefix from a smaller buffer and so change the
-    reported ``certified_upto`` and ``buffer_used``.
+    increase; until it does, classical points (r = INF) are compared by
+    their exact, integer coefficient valuations, which the jump evaluator
+    supplies in constant time per index.  Points of finite radius are
+    decided by the floor alone: their evaluators could supply exact values
+    too, but comparing them could certify a prefix from a smaller buffer
+    and so change the reported ``certified_upto`` and ``buffer_used``.
 
     Line, floor and exact values are all scaled by D, the least common
     denominator of vy, slope_in and c, so the loop compares integers.
     """
     c = min_factor_valuation(w)
-    exact = None
-    if isinstance(w, Classical):
-        ev = ghost.classical_evaluator(ctx, w.k)
-        exact = ev.value  # integer valued at classical points
+    exact = ghost.evaluator(ctx, w).value if w.r is INF else None
     d = lcm(vy.denominator, slope_in.denominator, c.denominator)
     y0 = vy.numerator * (d // vy.denominator)
     slope = slope_in.numerator * (d // slope_in.denominator)
@@ -159,7 +150,7 @@ def np_of_ghost(
     ctx: GhostContext,
     w: WeightPoint,
     n_max: int,
-    buffer: int | None = None,
+    buffer: int,
 ) -> NewtonPolygon:
     """Certified Newton polygon prefix of the ghost series at the point w.
 
@@ -172,8 +163,6 @@ def np_of_ghost(
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if buffer is None:
-        buffer = 2 * ctx.p + 8
     if buffer < 0:
         raise ValueError(f"buffer must be >= 0, got {buffer}")
     window_end = n_max + buffer
@@ -242,8 +231,3 @@ def slope_at(np: NewtonPolygon, i: int) -> Fraction:
         if i <= pos:
             return s
     raise ValueError(f"slope {i} is beyond the computed window")
-
-
-def slopes_upto(np: NewtonPolygon, n: int) -> List[Fraction]:
-    """Slopes 1..n with multiplicity (requires the prefix to be certified)."""
-    return [slope_at(np, i) for i in range(1, n + 1)]

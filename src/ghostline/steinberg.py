@@ -132,14 +132,11 @@ def _hull_gaps(ctx: GhostContext, k: int) -> Tuple[Fraction, ...]:
 
 def l_max(ctx: GhostContext, w: WeightPoint, k: int) -> Optional[int]:
     """Largest L in [1, d_new/2] with vp(w - w_k) >= hull gap at L, if any."""
-    if dims.d_new(ctx, k) == 0:
-        return None
     v = vp_point_to_weight(ctx, w, k)
-    gaps = _hull_gaps(ctx, k)
-    if v is INF:
-        return len(gaps)
+    if v < MIN_GAP or dims.d_new(ctx, k) == 0:
+        return None  # below every profile gap, or no profile at all
     best = None
-    for L, gap in enumerate(gaps, start=1):
+    for L, gap in enumerate(_hull_gaps(ctx, k), start=1):
         if v >= gap:
             best = L
         else:
@@ -189,8 +186,6 @@ def near_steinberg_ranges(
             if k in seen:
                 continue
             seen.add(k)
-            if vp_point_to_weight(ctx, w, k) < MIN_GAP:
-                continue  # below every profile gap, no range possible
             rng = near_steinberg_range(ctx, w, k)
             if rng is not None and rng.lo < n_max and rng.hi > 1:
                 found[k] = rng
@@ -306,16 +301,12 @@ def _check_range_slope(
 ) -> List[dict]:
     violations: List[dict] = []
     a = Fraction(ctx.a, 2)
-    if (
-        isinstance(w, Classical)
-        and w.k != r.k
-        and ghost.classical_evaluator(ctx, w.k).multiplicity_k0((r.lo + r.hi) // 2) > 0
-    ):
+    ev = ghost.evaluator(ctx, w)
+    if w.r is INF and w.k0 != r.k and ev.multiplicity_k0((r.lo + r.hi) // 2) > 0:
         # the point is a zero inside another weight's range: the straight
         # line lives on the omitted profile, with slope in a/2 + Z.  (For
         # the point's own range the plain polygon below already skips the
         # infinite coordinates and carries the straight line itself.)
-        ev = ghost.classical_evaluator(ctx, w.k)
         pts = [(n, ev.omitted(n)) for n in range(r.lo, r.hi + 1)]
         hull = newton.lower_convex_hull(pts)
         if len(hull.slopes) != 1:
@@ -334,7 +325,7 @@ def _check_range_slope(
         violations.append({"range": r, "reason": "polygon not straight over range"})
         return violations
     slope = next(iter(seg_slopes))
-    gamma = None if isinstance(w, Classical) else _range_gamma(ctx, w, r)
+    gamma = None if w.r is INF else _range_gamma(ctx, w, r)
     if not _in_lattice(slope - a, gamma):
         violations.append(
             {"range": r, "reason": "slope class", "slope": slope, "gamma": gamma}
@@ -367,8 +358,6 @@ def delta_vertex_check(ctx: GhostContext, k0: int, ell: int) -> dict:
         for kb in dims.zero_window(ctx, n):
             k1 = ctx.weight_of_bullet(kb)
             if side * (k1 - k0) <= 0:
-                continue
-            if vp_point_to_weight(ctx, w, k1) < MIN_GAP:
                 continue
             rng = near_steinberg_range(ctx, w, k1)
             if rng is not None and rng.contains(n):

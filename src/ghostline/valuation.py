@@ -67,16 +67,6 @@ INF = PlusInfinity()
 ExtRat = Union[int, Fraction, PlusInfinity]
 
 
-def is_finite(x: ExtRat) -> bool:
-    return x is not INF
-
-
-def as_fraction(x: ExtRat) -> Fraction:
-    if x is INF:
-        raise ValueError("cannot convert inf to a fraction")
-    return Fraction(x)
-
-
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 

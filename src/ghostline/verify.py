@@ -514,9 +514,7 @@ def _random_points(ctx: GhostContext, count: int, seed: int) -> List[WeightPoint
     return points
 
 
-def check_vertex_theorem(
-    ctx: GhostContext, points: int = 3, n_max: int = 14, seed: int = 20817
-) -> CheckReport:
+def check_vertex_theorem(ctx: GhostContext, points: int, n_max: int, seed: int) -> CheckReport:
     """Vertices of the polygon = non-near-Steinberg indices, on random points."""
     t0 = time.perf_counter()
     witnesses = []
@@ -540,9 +538,7 @@ def check_vertex_theorem(
     )
 
 
-def check_nestedness(
-    ctx: GhostContext, points: int = 4, n_max: int = 20, seed: int = 60143
-) -> CheckReport:
+def check_nestedness(ctx: GhostContext, points: int, n_max: int, seed: int) -> CheckReport:
     """Near-Steinberg ranges are pairwise disjoint-or-contained.
 
     Besides random points this deliberately probes bases congruent modulo
@@ -570,7 +566,7 @@ def check_nestedness(
     )
 
 
-def check_delta_vertices(ctx: GhostContext, k_bullet_max: int = 40) -> CheckReport:
+def check_delta_vertices(ctx: GhostContext, k_bullet_max: int) -> CheckReport:
     """Three-way equivalence for profile hull vertices, plus slope classes."""
     t0 = time.perf_counter()
     witnesses = []

@@ -9,18 +9,20 @@ twisted variants apply the determinant twist externally.
 
 Points of the open weight disk are modelled purely by their distance
 profile to the classical points w_k: every downstream quantity depends
-only on vp(w - w_k), never on p-adic digits.  Three shapes cover all
-experiments:
+only on vp(w - w_k), never on p-adic digits.  Every point has a base
+weight ``k0`` (``None`` for none) and a radius ``r``, and its profile is
+the one rule of ``vp_point_to_weight``: r at k = k0 and with no base
+weight, min(r, 1 + vp(k0 - k)) elsewhere.  The three shapes differ only
+in those two attributes:
 
-* ``Classical(k)``      -- the point w_k itself,
-* ``Perturbed(k0, r)``  -- a generic point at exact distance r from w_k0,
-* ``Boundary(t)``       -- a point of valuation t in (0, 1), where every
-  distance vp(w - w_k) collapses to t.
+* ``Classical(k)``      -- the point w_k itself: k0 = k, r = INF;
+* ``Perturbed(k0, r)``  -- a generic point at exact distance r from w_k0;
+* ``Boundary(t)``       -- a point of valuation t in (0, 1): no base
+  weight and r = t, since vp(w_k) >= 1 > t collapses every distance to t.
 
-For a ``Perturbed`` point the profile is the generic one,
-min(r, 1 + vp(k0 - k)), even when r ties with the classical distance;
-non-generic loci are expressed by re-basing the perturbation at another
-classical weight.
+For a ``Perturbed`` point the profile is the generic one even when r ties
+with the classical distance; non-generic loci are expressed by re-basing
+the perturbation at another classical weight.
 """
 
 from __future__ import annotations
@@ -104,6 +106,11 @@ def new_context(p: int, a: int, s_eps: int) -> GhostContext:
 @dataclass(frozen=True, slots=True)
 class Classical:
     k: int
+    r = INF
+
+    @property
+    def k0(self) -> int:
+        return self.k
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,6 +127,11 @@ class Perturbed:
 @dataclass(frozen=True, slots=True)
 class Boundary:
     t: Fraction
+    k0 = None
+
+    @property
+    def r(self) -> Fraction:
+        return self.t
 
     def __post_init__(self):
         object.__setattr__(self, "t", Fraction(self.t))
@@ -139,16 +151,10 @@ def vp_between_weights(ctx: GhostContext, k1: int, k2: int) -> ExtRat:
 
 def vp_point_to_weight(ctx: GhostContext, w: WeightPoint, k: int) -> ExtRat:
     """Distance profile vp(w - w_k) of a point at the classical weight k."""
-    if isinstance(w, Classical):
-        return vp_between_weights(ctx, w.k, k)
-    if isinstance(w, Perturbed):
-        if w.k0 == k:
-            return w.r
-        return min(w.r, 1 + vp_int(w.k0 - k, ctx.p))
-    if isinstance(w, Boundary):
-        # vp(w_k) >= 1 > t for every integer k, so the profile is constant
-        return w.t
-    raise TypeError(f"not a weight point: {w!r}")
+    k0, r = w.k0, w.r
+    if k0 is None or k0 == k:
+        return r
+    return min(r, 1 + vp_int(k0 - k, ctx.p))
 
 
 def min_factor_valuation(w: WeightPoint) -> Fraction:
@@ -158,13 +164,7 @@ def min_factor_valuation(w: WeightPoint) -> Fraction:
     coefficient contributes at least this much to the coefficient's
     valuation at w.
     """
-    if isinstance(w, Classical):
-        return Fraction(1)
-    if isinstance(w, Perturbed):
-        return min(w.r, Fraction(1))
-    if isinstance(w, Boundary):
-        return w.t
-    raise TypeError(f"not a weight point: {w!r}")
+    return Fraction(min(w.r, 1))
 
 
 def format_rational(x: ExtRat) -> str:

@@ -111,6 +111,17 @@ class TestLMax:
     def test_no_range_when_d_new_zero(self):
         assert steinberg.l_max(C0, Classical(4), 4) is None
 
+    def test_far_point_skips_the_profile(self):
+        # vp(w - w_k) = 1 < MIN_GAP: no range, and no profile is built
+        k = C4.weight_of_bullet(40)
+        w = Perturbed(k + 6, Fraction(7))
+        assert vp_point_to_weight(C4, w, k) < steinberg.MIN_GAP
+        assert dims.d_new(C4, k) > 0
+        steinberg._hull_gaps.cache_clear()
+        misses = steinberg.delta_profile.cache_info().misses
+        assert steinberg.l_max(C4, w, k) is None
+        assert steinberg.delta_profile.cache_info().misses == misses
+
 
 class TestRanges:
     def test_examples(self):

@@ -1,15 +1,19 @@
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghostline.valuation import INF
+from ghostline import ghost_series as ghost
+from ghostline.valuation import INF, vp_int
 from ghostline.weight_space import (
     Boundary,
     Classical,
     Perturbed,
     format_point,
     format_rational,
+    min_factor_valuation,
     new_context,
     parse_point,
     parse_rational,
@@ -118,6 +122,72 @@ class TestVpPointToWeight:
             Perturbed(18, Fraction(0))
         with pytest.raises(ValueError):
             Boundary(Fraction(1))
+
+
+def _vp_by_kind(ctx, w, k):
+    """The distance profile decided by point kind, one branch per kind."""
+    if isinstance(w, Classical):
+        return vp_between_weights(ctx, w.k, k)
+    if isinstance(w, Perturbed):
+        if w.k0 == k:
+            return w.r
+        return min(w.r, 1 + vp_int(w.k0 - k, ctx.p))
+    if isinstance(w, Boundary):
+        return w.t
+    raise TypeError(f"not a weight point: {w!r}")
+
+
+def _min_factor_by_kind(w):
+    if isinstance(w, Classical):
+        return Fraction(1)
+    if isinstance(w, Perturbed):
+        return min(w.r, Fraction(1))
+    if isinstance(w, Boundary):
+        return w.t
+    raise TypeError(f"not a weight point: {w!r}")
+
+
+class TestPointModel:
+    """Every point is a base weight k0 and a radius r; the one profile rule
+    must agree with the kind-by-kind rule it replaced."""
+
+    def test_attributes(self):
+        assert Classical(18).k0 == 18 and Classical(18).r is INF
+        assert Boundary(Fraction(1, 3)).k0 is None
+        assert Boundary(Fraction(1, 3)).r == Fraction(1, 3)
+        w = Perturbed(18, Fraction(5, 2))
+        assert (w.k0, w.r) == (18, Fraction(5, 2))
+
+    def test_fields_unchanged(self):
+        names = lambda cls: [(f.name, f.type) for f in dataclasses.fields(cls)]
+        assert names(Classical) == [("k", "int")]
+        assert names(Perturbed) == [("k0", "int"), ("r", "Fraction")]
+        assert names(Boundary) == [("t", "Fraction")]
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_profile_matches_kind_rule(self, p):
+        rng = random.Random(p)
+        radii = [Fraction(1, 3), Fraction(1, 2), Fraction(5, 6), Fraction(1), Fraction(2),
+                 Fraction(3), Fraction(7, 2), Fraction(8, 3), Fraction(10001, 3)]
+        for a in range(1, p - 3):
+            ctx = new_context(p, a, rng.randint(0, p - 2))
+            on_class = [ctx.weight_of_bullet(kb) for kb in (0, 1, 2, p, p * p + 1)]
+            bases = on_class + [ctx.k_eps + 1, 1, 0, -3]  # off the class, below 2
+            points = [Classical(k0) for k0 in bases]
+            points += [Perturbed(k0, r) for k0 in bases for r in radii]
+            points += [Boundary(t) for t in radii if t < 1]
+            for w in points:
+                ks = set(range(-5, 60)) | {b + j * p ** e for b in bases
+                                           for j in (-1, 1) for e in (1, 2, 3)}
+                for k in sorted(ks | set(bases)):
+                    got, want = vp_point_to_weight(ctx, w, k), _vp_by_kind(ctx, w, k)
+                    assert got == want and type(got) is type(want), (w, k)
+                got, want = min_factor_valuation(w), _min_factor_by_kind(w)
+                assert got == want and type(got) is type(want), w
+
+    def test_classical_evaluator_is_shared(self):
+        ctx = new_context(7, 2, 4)
+        assert ghost.evaluator(ctx, Classical(18)) is ghost.classical_evaluator(ctx, 18)
 
 
 class TestEncodings:
