@@ -206,7 +206,7 @@ def np_of_ghost_auto(
         except CertificationError:
             if attempt == retries:
                 raise
-            buffer *= 2
+            buffer = max(1, 2 * buffer)  # a zero buffer must grow too
 
 
 def is_vertex(np: NewtonPolygon, n: int) -> bool:

@@ -14,19 +14,25 @@ straight stretch around d_iw/2 is the largest L with
     vp(w - w_k) >= hull gap at L,
 
 and the open interval (d_iw/2 - L, d_iw/2 + L) is the near-Steinberg range
-of (w, k).  The checkers below verify, witness by witness, that these
-ranges are nested, that they are exactly the non-vertices of the Newton
-polygon, and that non-vertices of the profile hull are detected by
-near-Steinberg ranges of neighbouring weights.
+of (w, k).  A hull gap is constant along a hull segment, so a
+``DeltaProfile`` keeps only its raw values and the offsets of its hull
+vertices, and ``l_max`` scans segments rather than offsets; this module
+is the only one that knows that layout.
+
+The checkers below verify, witness by witness, that these ranges are
+nested, that they are exactly the non-vertices of the Newton polygon, and
+that non-vertices of the profile hull are detected by near-Steinberg
+ranges of neighbouring weights.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import dimensions as dims
 from . import ghost_series as ghost
@@ -47,54 +53,68 @@ MIN_GAP = Fraction(3, 2)
 
 def delta_prime(ctx: GhostContext, k: int, ell: int) -> Fraction:
     """Profile value at offset ell, |ell| <= d_new(k)/2."""
-    half_new = dims.d_new(ctx, k) // 2
-    if abs(ell) > half_new:
-        raise ValueError(f"|ell| = {abs(ell)} exceeds d_new/2 = {half_new}")
-    half_iw = dims.d_iw(ctx, k) // 2
-    ev = ghost.classical_evaluator(ctx, k)
-    return ev.omitted(half_iw + ell) - Fraction(k - 2, 2) * ell
+    prof = delta_profile(ctx, k)
+    if abs(ell) > prof.top:
+        raise ValueError(f"|ell| = {abs(ell)} exceeds d_new/2 = {prof.top}")
+    return prof.raw_value(ell)
 
 
 @dataclass(frozen=True)
 class DeltaProfile:
-    k: int
-    raw: Tuple[Tuple[int, Fraction], ...]
-    hull: Tuple[Tuple[int, Fraction], ...]  # hull value at every integer offset
+    """The duality profile of one weight k and its lower convex hull.
 
-    def _at(self, values: Tuple[Tuple[int, Fraction], ...], ell: int) -> Fraction:
-        # offsets run over -top..top in order, so offset ell sits at ell + top
-        top = values[-1][0]
-        if not -top <= ell <= top:
-            raise KeyError(ell)
-        return values[ell + top][1]
+    ``raw`` holds the profile values at the offsets -top..top in order (so
+    offset ell sits at position ell + top), and ``vertices`` the sorted
+    offsets of the strict vertices of the hull; the two ends are always
+    vertices.  Hull values, segments and gaps are read off ``raw`` at
+    neighbouring vertices when asked for.
+    """
+
+    k: int
+    raw: Tuple[Fraction, ...]
+    vertices: Tuple[int, ...]
+
+    @property
+    def top(self) -> int:
+        return len(self.raw) // 2
 
     def raw_value(self, ell: int) -> Fraction:
-        return self._at(self.raw, ell)
+        top = self.top
+        if not -top <= ell <= top:
+            raise KeyError(ell)
+        return self.raw[ell + top]
 
     def hull_value(self, ell: int) -> Fraction:
-        return self._at(self.hull, ell)
-
-    def hull_gaps(self) -> List[Fraction]:
-        """Gaps hull(L) - hull(L-1) for L = 1..d_new/2 (nondecreasing)."""
-        top = self.hull[-1][0]
-        vals = [v for _, v in self.hull[top:]]
-        return [b - a for a, b in zip(vals, vals[1:])]
+        y = self.raw_value(ell)
+        i = bisect_left(self.vertices, ell)
+        if self.vertices[i] == ell:
+            return y
+        x0, x1 = self.vertices[i - 1 : i + 1]
+        y0, y1 = self.raw_value(x0), self.raw_value(x1)
+        return y0 + Fraction(y1 - y0, x1 - x0) * (ell - x0)
 
     def is_vertex(self, ell: int) -> bool:
         """Strict-vertex test of (ell, raw(ell)) on the hull."""
-        if self.raw_value(ell) != self.hull_value(ell):
-            return False
-        if abs(ell) == self.hull[-1][0]:
-            return True
-        left = self.hull_value(ell) - self.hull_value(ell - 1)
-        right = self.hull_value(ell + 1) - self.hull_value(ell)
-        return left < right
+        i = bisect_left(self.vertices, ell)
+        return i < len(self.vertices) and self.vertices[i] == ell
+
+    def segments(self, start: Optional[int] = None) -> Iterator[Tuple[Fraction, int]]:
+        """(slope, width) of each hull segment, left to right; from offset
+        ``start`` on, the segment that contains it cut at ``start``."""
+        top = self.top
+        start = -top if start is None else start
+        vs = self.vertices
+        i = max(bisect_right(vs, start) - 1, 0)
+        for x0, x1 in zip(vs[i:], vs[i + 1 :]):
+            slope = Fraction(self.raw[x1 + top] - self.raw[x0 + top], x1 - x0)
+            yield slope, x1 - max(x0, start)
 
     def to_json_dict(self) -> dict:
+        offsets = range(-self.top, self.top + 1)
         return {
             "k": self.k,
-            "raw": [[l, format_rational(v)] for l, v in self.raw],
-            "hull": [[l, format_rational(v)] for l, v in self.hull],
+            "raw": [[l, format_rational(v)] for l, v in zip(offsets, self.raw)],
+            "hull": [[l, format_rational(self.hull_value(l))] for l in offsets],
         }
 
 
@@ -104,44 +124,29 @@ def delta_profile(ctx: GhostContext, k: int) -> DeltaProfile:
     half_new = dims.d_new(ctx, k) // 2
     half_iw = dims.d_iw(ctx, k) // 2
     ev = ghost.classical_evaluator(ctx, k)
-    raw = tuple(
-        (l, ev.omitted(half_iw + l) - Fraction(k - 2, 2) * l)
-        for l in range(-half_new, half_new + 1)
-    )
-    hull_np = newton.lower_convex_hull(raw)
-    # interpolate the hull at every integer offset
-    hull_vals: List[Tuple[int, Fraction]] = []
-    verts = hull_np.vertices
-    vi = 0
-    for l in range(-half_new, half_new + 1):
-        while vi + 1 < len(verts) and verts[vi + 1][0] <= l:
-            vi += 1
-        x0, y0 = verts[vi]
-        if l == x0:
-            hull_vals.append((l, y0))
-        else:
-            x1, y1 = verts[vi + 1]
-            hull_vals.append((l, y0 + Fraction(y1 - y0, x1 - x0) * (l - x0)))
-    return DeltaProfile(k, raw, tuple(hull_vals))
-
-
-@lru_cache(maxsize=65536)
-def _hull_gaps(ctx: GhostContext, k: int) -> Tuple[Fraction, ...]:
-    return tuple(delta_profile(ctx, k).hull_gaps())
+    steinberg_slope = Fraction(k - 2, 2)
+    offsets = range(-half_new, half_new + 1)
+    raw = tuple(ev.omitted(half_iw + l) - steinberg_slope * l for l in offsets)
+    hull = newton.lower_convex_hull(list(zip(offsets, raw)))
+    return DeltaProfile(k, raw, tuple(x for x, _ in hull.vertices))
 
 
 def l_max(ctx: GhostContext, w: WeightPoint, k: int) -> Optional[int]:
-    """Largest L in [1, d_new/2] with vp(w - w_k) >= hull gap at L, if any."""
+    """Largest L in [1, d_new/2] with vp(w - w_k) >= hull gap at L, if any.
+
+    The gap hull(L) - hull(L - 1) is the slope of the hull segment over
+    [L - 1, L], so the scan runs over the segments right of offset 0 and
+    stops at the first slope above vp(w - w_k) (hull slopes increase).
+    """
     v = vp_point_to_weight(ctx, w, k)
     if v < MIN_GAP or dims.d_new(ctx, k) == 0:
         return None  # below every profile gap, or no profile at all
-    best = None
-    for L, gap in enumerate(_hull_gaps(ctx, k), start=1):
-        if v >= gap:
-            best = L
-        else:
-            break  # hull gaps are nondecreasing
-    return best
+    end = 0
+    for gap, width in delta_profile(ctx, k).segments(0):
+        if v < gap:
+            break
+        end += width
+    return end or None
 
 
 @dataclass(frozen=True)
@@ -171,25 +176,21 @@ def near_steinberg_ranges(
 ) -> List[NearSteinbergRange]:
     """All ranges whose open interval meets [1, n_max].
 
-    For each n the candidate weights are exactly those with
-    n in (d_ur, d_iw - d_ur), i.e. ``dims.zero_window(n)``; a range
-    containing n always has its centre weight among these, so the
-    enumeration is complete.
+    A range containing n has its centre weight among the zeros of g_n,
+    ``dims.zero_window(n)``.  Both ends of the window grow with n, so one
+    scan of the k_bullet interval from the window of 1 to that of n_max is
+    complete; a weight inside it but in none of the windows is a zero of
+    no g_n at all (d_new <= 1), so it has no range.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    found: Dict[int, NearSteinbergRange] = {}
-    seen: set[int] = set()
-    for n in range(1, n_max + 1):
-        for kb in dims.zero_window(ctx, n):
-            k = ctx.weight_of_bullet(kb)
-            if k in seen:
-                continue
-            seen.add(k)
-            rng = near_steinberg_range(ctx, w, k)
-            if rng is not None and rng.lo < n_max and rng.hi > 1:
-                found[k] = rng
-    return sorted(found.values(), key=lambda r: (r.lo, r.hi, r.k))
+    first, last = dims.zero_window(ctx, 1), dims.zero_window(ctx, n_max)
+    found = []
+    for kb in range(first.start, last.stop):
+        rng = near_steinberg_range(ctx, w, ctx.weight_of_bullet(kb))
+        if rng is not None and rng.lo < n_max and rng.hi > 1:
+            found.append(rng)
+    return sorted(found, key=lambda r: (r.lo, r.hi, r.k))
 
 
 def check_nested(
@@ -393,13 +394,9 @@ def delta_hull_slope_classes(ctx: GhostContext, k0: int) -> List[dict]:
     themselves) by ``slope_class_ok``, the same classes as the polygon
     slopes at w_k0.
     """
-    prof = delta_profile(ctx, k0)
-    if len(prof.raw) < 2:
-        return []
-    hull = newton.lower_convex_hull(prof.raw)
     shift = Fraction(k0 - 2, 2)
     bad = []
-    for norm_slope, width in hull.slopes:
+    for norm_slope, width in delta_profile(ctx, k0).segments():
         slope = norm_slope + shift
         if not slope_class_ok(ctx, slope, width):
             bad.append({"k0": k0, "slope": slope, "width": width})

@@ -386,9 +386,7 @@ def check_delta_estimates(
     kb = ctx.bullet(k)
     half_new = dims.d_new(ctx, k) // 2
     prof = steinberg.delta_profile(ctx, k)
-    top = prof.raw[-1][0]  # offsets run over -top..top, offset 0 at position top
-    raw2 = [_twice(v) for _, v in prof.raw[top:]]
-    hull = [v for _, v in prof.hull[top:]]
+    raw2 = [_twice(prof.raw_value(ell)) for ell in range(half_new + 1)]
     witnesses = []
     min_step2 = min(ctx.a + 2, p - 1 - ctx.a)
     for ell in range(1, half_new + 1):
@@ -407,7 +405,7 @@ def check_delta_estimates(
                 witnesses.append({"k": k, "ell": ell, "lhs": _half(gap2),
                                   "rhs": _half(up2), "reason": "gap upper bound"})
         # distance between the raw profile and its hull, as diff_num / diff_den
-        h = hull[ell]
+        h = prof.hull_value(ell)
         diff_num, diff_den = raw2[ell] * h.denominator - 2 * h.numerator, 2 * h.denominator
         if ell < 2 * p and ell != p:
             if diff_num != 0:

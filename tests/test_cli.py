@@ -62,21 +62,36 @@ class TestNpCommand:
 class TestOptimisedMode:
     """python -O strips assert statements; the invariants must not need them."""
 
-    @pytest.mark.parametrize("point", ["classical:30", "perturbed:18:9/2", "boundary:2/3"])
-    def test_np_output_unchanged(self, point):
+    @staticmethod
+    def _plain_and_optimised(*argv):
         env = dict(os.environ)
         src = str(Path(ghostline.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        argv = ["-m", "ghostline.cli", "np", "--p", "7", "--a", "2", "--seps", "4",
-                "--point", point, "--nmax", "20"]
         outs = []
         for flags in ([], ["-O"]):
-            proc = subprocess.run([sys.executable, *flags, *argv], env=env,
-                                  capture_output=True, text=True, timeout=120)
+            proc = subprocess.run([sys.executable, *flags, "-m", "ghostline.cli", *argv],
+                                  env=env, capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
-        assert json.loads(outs[0])["certified_upto"] >= 20
+        return json.loads(outs[0])
+
+    @pytest.mark.parametrize("point", ["classical:30", "perturbed:18:9/2", "boundary:2/3"])
+    def test_np_output_unchanged(self, point):
+        out = self._plain_and_optimised("np", "--p", "7", "--a", "2", "--seps", "4",
+                                        "--point", point, "--nmax", "20")
+        assert out["certified_upto"] >= 20
+
+    def test_ns_output_unchanged(self):
+        out = self._plain_and_optimised("ns", "--p", "7", "--a", "2", "--seps", "4",
+                                        "--point", "perturbed:18:7/1", "--nmax", "30")
+        assert out["nested"] and {"k": 18, "L": 2, "lo": 1, "hi": 5} in out["ranges"]
+
+    def test_delta_output_unchanged(self):
+        out = self._plain_and_optimised("delta", "--p", "11", "--a", "3", "--seps", "6",
+                                        "--k", "1507")
+        assert len(out["raw"]) == len(out["hull"]) > 20
+        assert out["raw"] != out["hull"]  # a profile with offsets off its hull
 
 
 class TestDimsCommand:

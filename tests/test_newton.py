@@ -136,6 +136,20 @@ class TestGhostPolygon:
         with pytest.raises(newton.CertificationError):
             newton.np_of_ghost(C4, Classical(k), n_mid, buffer=2)
 
+    def test_zero_buffer_grows(self, monkeypatch):
+        buffers = []
+        real = newton.np_of_ghost
+
+        def spy(ctx, w, n_max, buffer):
+            buffers.append(buffer)
+            return real(ctx, w, n_max, buffer)
+
+        monkeypatch.setattr(newton, "np_of_ghost", spy)
+        np_, used = newton.np_of_ghost_auto(C4, Classical(18), 2, buffer=0)
+        assert buffers[0] == 0 and len(buffers) >= 2
+        assert all(a < b for a, b in zip(buffers, buffers[1:]))
+        assert used == buffers[-1] and np_.certified_upto >= 2
+
     def test_queries_beyond_certification_rejected(self):
         np_, _ = newton.np_of_ghost_auto(C4, Classical(18), 5)
         with pytest.raises(ValueError):

@@ -5,12 +5,13 @@ import pytest
 
 from ghostline import dimensions as dims
 from ghostline import ghost_series as ghost
-from ghostline import steinberg
+from ghostline import newton, steinberg
 from ghostline.valuation import INF
 from ghostline.weight_space import (
     Boundary,
     Classical,
     Perturbed,
+    format_rational,
     new_context,
     vp_point_to_weight,
 )
@@ -42,20 +43,62 @@ class TestDeltaPrime:
                 assert steinberg.delta_prime(ctx, k, ell) == steinberg.delta_prime(ctx, k, -ell)
 
 
+def interpolated_hull(raw, vertices):
+    """Hull values at every offset of ``raw`` (a dict keyed by offset), by
+    linear interpolation between the given vertex offsets, walked left to
+    right as the profile once stored them."""
+    hull, vi = {}, 0
+    for ell in sorted(raw):
+        while vi + 1 < len(vertices) and vertices[vi + 1] <= ell:
+            vi += 1
+        x0 = vertices[vi]
+        if ell == x0:
+            hull[ell] = raw[x0]
+        else:
+            x1 = vertices[vi + 1]
+            hull[ell] = raw[x0] + Fraction(raw[x1] - raw[x0], x1 - x0) * (ell - x0)
+    return hull
+
+
+def per_offset_profile(ctx, k):
+    """The profile as it was once built: raw values by the omitted-valuation
+    formula, one hull, and hull values interpolated at every offset."""
+    half_new = dims.d_new(ctx, k) // 2
+    half_iw = dims.d_iw(ctx, k) // 2
+    ev = ghost.classical_evaluator(ctx, k)
+    raw = {l: ev.omitted(half_iw + l) - Fraction(k - 2, 2) * l
+           for l in range(-half_new, half_new + 1)}
+    hull = newton.lower_convex_hull(sorted(raw.items()))
+    return raw, interpolated_hull(raw, [x for x, _ in hull.vertices]), hull
+
+
+def per_offset_l_max(ctx, w, k):
+    """l_max by a scan over the gaps at every offset."""
+    _, hull, _ = per_offset_profile(ctx, k)
+    v = vp_point_to_weight(ctx, w, k)
+    best = None
+    for L in range(1, max(hull) + 1):
+        if v < hull[L] - hull[L - 1]:
+            break
+        best = L
+    return best
+
+
 class TestDeltaProfile:
     def test_hull_equals_raw_when_convex(self):
         prof = steinberg.delta_profile(C4, 18)
-        assert [v for _, v in prof.raw] == [17, 11, 8, 11, 17]
-        assert prof.raw == prof.hull
-        assert prof.hull_gaps() == [3, 6]
+        assert list(prof.raw) == [17, 11, 8, 11, 17]
+        assert [prof.hull_value(l) for l in range(-2, 3)] == list(prof.raw)
+        assert prof.vertices == (-2, -1, 0, 1, 2)
+        assert list(prof.segments(0)) == [(3, 1), (6, 1)]
         assert prof.is_vertex(0) and prof.is_vertex(1)
 
     def test_symmetric(self):
         for kb in range(0, 25):
             k = C0.weight_of_bullet(kb)
             prof = steinberg.delta_profile(C0, k)
-            vals = dict(prof.raw)
-            assert all(vals[l] == vals[-l] for l, _ in prof.raw)
+            assert prof.raw == prof.raw[::-1]
+            assert prof.vertices == tuple(-x for x in reversed(prof.vertices))
 
     def test_hull_matches_raw_below_2p(self):
         # equality regime: offsets below 2p other than p itself
@@ -63,34 +106,58 @@ class TestDeltaProfile:
         for kb in range(0, 40):
             k = ctx.weight_of_bullet(kb)
             prof = steinberg.delta_profile(ctx, k)
-            raw, hull = dict(prof.raw), dict(prof.hull)
-            for ell in raw:
+            for ell in range(-prof.top, prof.top + 1):
+                raw, hull = prof.raw_value(ell), prof.hull_value(ell)
                 if abs(ell) < 2 * ctx.p and abs(ell) != ctx.p:
-                    assert raw[ell] == hull[ell], (k, ell)
+                    assert raw == hull, (k, ell)
                 elif abs(ell) == ctx.p:
-                    assert raw[ell] - hull[ell] <= 1
+                    assert raw - hull <= 1
 
     def test_positional_lookups_match_dicts(self):
+        # against the per-offset construction: values, vertices, segments, JSON
         rng = random.Random(41)
         for _ in range(40):
             p = rng.choice((5, 7, 11, 13))
             ctx = new_context(p, rng.randint(1, p - 4), rng.randint(0, p - 2))
-            prof = steinberg.delta_profile(ctx, ctx.weight_of_bullet(rng.randint(0, 80)))
-            raw, hull = dict(prof.raw), dict(prof.hull)
+            k = ctx.weight_of_bullet(rng.randint(0, 80))
+            prof = steinberg.delta_profile(ctx, k)
+            raw, hull, hull_np = per_offset_profile(ctx, k)
             top = max(raw)
+            assert prof.top == top
             for ell in range(-top, top + 1):
                 assert prof.raw_value(ell) == raw[ell]
                 assert prof.hull_value(ell) == hull[ell]
-            assert prof.hull_gaps() == [hull[L] - hull[L - 1] for L in range(1, top + 1)]
+                strict = raw[ell] == hull[ell] and (
+                    abs(ell) == top
+                    or hull[ell] - hull[ell - 1] < hull[ell + 1] - hull[ell])
+                assert prof.is_vertex(ell) == strict
+            assert tuple(prof.segments()) == hull_np.slopes
+            gaps = [g for g, width in prof.segments(0) for _ in range(width)]
+            assert gaps == [hull[L] - hull[L - 1] for L in range(1, top + 1)]
+            assert prof.to_json_dict() == {
+                "k": k,
+                "raw": [[l, format_rational(raw[l])] for l in range(-top, top + 1)],
+                "hull": [[l, format_rational(hull[l])] for l in range(-top, top + 1)],
+            }
             for ell in (-top - 1, top + 1):
                 with pytest.raises(KeyError):
                     prof.raw_value(ell)
                 with pytest.raises(KeyError):
                     prof.hull_value(ell)
 
+    def test_segments_cut_at_a_non_vertex(self):
+        # on (5,1,0) the hull of weight 35 ends in a segment of gap 12 and
+        # width 2 over [4, 6]; from offset 5 on it is cut to width 1
+        ctx = new_context(5, 1, 0)
+        prof = steinberg.delta_profile(ctx, 35)
+        assert prof.top == 6 and not prof.is_vertex(5)
+        assert list(prof.segments(5)) == [(12, 1)]
+        assert list(prof.segments(4)) == [(12, 2)]
+
     def test_trivial_profile(self):
         prof = steinberg.delta_profile(C0, 4)  # d_new = 0
         assert len(prof.raw) == 1
+        assert prof.vertices == (0,) and list(prof.segments()) == []
 
     def test_json(self):
         d = steinberg.delta_profile(C4, 18).to_json_dict()
@@ -105,6 +172,35 @@ class TestLMax:
         assert steinberg.l_max(C4, Perturbed(18, Fraction(4)), 18) == 1
         assert steinberg.l_max(C4, Perturbed(18, Fraction(5, 2)), 18) is None
 
+    def test_distance_equal_to_a_gap(self):
+        # the gaps of weight 18 on (7,2,4) are 3 and 6; v >= gap is closed
+        assert steinberg.l_max(C4, Perturbed(18, Fraction(3)), 18) == 1
+        assert steinberg.l_max(C4, Perturbed(18, Fraction(6)), 18) == 2
+        assert steinberg.l_max(C4, Perturbed(18, Fraction(11, 2)), 18) == 1
+
+    def test_distance_on_a_wide_segment(self):
+        # weight 66 on (7,2,4): the last hull segment has gap 23 and width
+        # 2, ending at d_new/2 = 8, so no distance gives L = 7
+        prof = steinberg.delta_profile(C4, 66)
+        assert prof.top == 8 and list(prof.segments(0))[-2:] == [(19, 1), (23, 2)]
+        for r, want in ((Fraction(19), 6), (Fraction(45, 2), 6), (Fraction(23), 8)):
+            assert steinberg.l_max(C4, Perturbed(66, r), 66) == want
+
+    def test_matches_per_offset_scan(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            p = rng.choice((5, 7, 11, 13))
+            ctx = new_context(p, rng.randint(1, p - 4), rng.randint(0, p - 2))
+            k = ctx.weight_of_bullet(rng.randint(0, 60))
+            gaps = [g for g, _ in steinberg.delta_profile(ctx, k).segments(0)]
+            # every gap exactly, just below and just above, and the classical point
+            radii = {g + d for g in gaps for d in (Fraction(-1, 7), 0, Fraction(1, 7))}
+            for w in [Perturbed(k, r) for r in radii] + [Classical(k)]:
+                want = per_offset_l_max(ctx, w, k)
+                if vp_point_to_weight(ctx, w, k) < steinberg.MIN_GAP:
+                    want = None
+                assert steinberg.l_max(ctx, w, k) == want, (ctx, k, w)
+
     def test_classical_point_gets_full_width(self):
         assert steinberg.l_max(C4, Classical(18), 18) == dims.d_new(C4, 18) // 2
 
@@ -117,10 +213,25 @@ class TestLMax:
         w = Perturbed(k + 6, Fraction(7))
         assert vp_point_to_weight(C4, w, k) < steinberg.MIN_GAP
         assert dims.d_new(C4, k) > 0
-        steinberg._hull_gaps.cache_clear()
-        misses = steinberg.delta_profile.cache_info().misses
+        steinberg.delta_profile.cache_clear()
         assert steinberg.l_max(C4, w, k) is None
-        assert steinberg.delta_profile.cache_info().misses == misses
+        assert steinberg.delta_profile.cache_info().currsize == 0
+
+
+def per_n_ranges(ctx, w, n_max):
+    """near_steinberg_ranges by a separate walk of the zero window of every
+    n <= n_max, each weight visited once."""
+    found, seen = {}, set()
+    for n in range(1, n_max + 1):
+        for kb in dims.zero_window(ctx, n):
+            k = ctx.weight_of_bullet(kb)
+            if k in seen:
+                continue
+            seen.add(k)
+            rng = steinberg.near_steinberg_range(ctx, w, k)
+            if rng is not None and rng.lo < n_max and rng.hi > 1:
+                found[k] = rng
+    return sorted(found.values(), key=lambda r: (r.lo, r.hi, r.k))
 
 
 class TestRanges:
@@ -130,6 +241,26 @@ class TestRanges:
         got = steinberg.near_steinberg_ranges(C4, Perturbed(18, Fraction(4)), 6)
         assert steinberg.NearSteinbergRange(18, 1, 2, 4) in got
         assert steinberg.near_steinberg_ranges(C4, Boundary(Fraction(1, 2)), 10) == []
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_matches_per_n_enumeration(self, p):
+        rng = random.Random(100 + p)
+        found = 0
+        for _ in range(30):
+            ctx = new_context(p, rng.randint(1, p - 4), rng.randint(0, p - 2))
+            kind = rng.random()
+            if kind < 0.6:
+                w = Perturbed(ctx.weight_of_bullet(rng.randint(0, 15)),
+                              Fraction(rng.randint(1, 30), rng.choice((1, 2, 3))))
+            elif kind < 0.8:
+                w = Classical(ctx.weight_of_bullet(rng.randint(0, 15)))
+            else:
+                w = Boundary(Fraction(rng.randint(1, 4), 5))
+            n_max = rng.randint(1, 40)
+            got = steinberg.near_steinberg_ranges(ctx, w, n_max)
+            assert got == per_n_ranges(ctx, w, n_max), (ctx, w, n_max)
+            found += len(got)
+        assert found >= 20
 
     def test_interval_inside_new_window(self):
         for r in steinberg.near_steinberg_ranges(C4, Perturbed(18, Fraction(7)), 10):

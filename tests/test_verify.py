@@ -6,10 +6,11 @@ import pytest
 
 from ghostline import dimensions as dims
 from ghostline import ghost_series as ghost
-from ghostline import steinberg, verify
+from ghostline import newton, steinberg, verify
 from ghostline.valuation import INF, ilog, max_vp_interval, vp_int
 from ghostline.weight_space import format_rational
 from ghostline.weight_space import new_context
+from test_steinberg import interpolated_hull
 
 C0 = new_context(7, 2, 0)
 C4 = new_context(7, 2, 4)
@@ -118,8 +119,8 @@ def _fraction_delta_estimates(ctx, k, with_k_prime=False):
     kb = ctx.bullet(k)
     half_new = dims.d_new(ctx, k) // 2
     prof = steinberg.delta_profile(ctx, k)
-    raw = dict(prof.raw)
-    hull = dict(prof.hull)
+    raw = {l: prof.raw_value(l) for l in range(-half_new, half_new + 1)}
+    hull = interpolated_hull(raw, prof.vertices)
     witnesses = []
     min_step = Fraction(min(ctx.a + 2, p - 1 - ctx.a), 2)
     for ell in range(1, half_new + 1):
@@ -194,12 +195,14 @@ def _assert_matches_oracle(ctx, k, with_k_prime):
     return rep["witnesses"]
 
 
-def _doctored(prof, raw_shift=lambda ell: 0, hull_shift=lambda ell: 0, flat=False):
-    """A copy of the profile with its raw and hull values moved in (1/2)Z."""
-    def move(values, shift):
-        return tuple((l, (0 if flat else v) + Fraction(shift(abs(l)), 2)) for l, v in values)
-
-    return steinberg.DeltaProfile(prof.k, move(prof.raw, raw_shift), move(prof.hull, hull_shift))
+def _doctored(prof, raw_shift=lambda ell: 0, flat=False):
+    """A profile whose raw values are those of prof (or 0) moved in (1/2)Z,
+    with the vertices of its own lower hull."""
+    top = prof.top
+    raw = tuple((0 if flat else v) + Fraction(raw_shift(abs(l)), 2)
+                for l, v in zip(range(-top, top + 1), prof.raw))
+    hull = newton.lower_convex_hull(list(zip(range(-top, top + 1), raw)))
+    return steinberg.DeltaProfile(prof.k, raw, tuple(x for x, _ in hull.vertices))
 
 
 class TestDeltaEstimatesOracle:
@@ -224,9 +227,8 @@ class TestDeltaEstimatesOracle:
             dict(flat=True),  # every gap 0: lower bound and all k' bounds
             dict(raw_shift=lambda l: 60 * (l == 4)),  # spike: upper bound, defect
             dict(raw_shift=lambda l: 3 * (l == 1)),  # raw off the hull at ell = 1
-            dict(raw_shift=lambda l: 5 * (l == 7)),  # raw 5/2 above hull at ell = 7 = p for p = 7
-            dict(raw_shift=lambda l: 1 * (l == 15),  # a non-integer distance
-                 hull_shift=lambda l: -2 * (l == 15)),
+            dict(raw_shift=lambda l: 40 * (l == 7)),  # raw far above hull at ell = 7 = p for p = 7
+            dict(raw_shift=lambda l: 61 * (l == 15)),  # an odd shift: a non-integer distance
         ]
         seen = set()
         for ctx, kb in ((new_context(7, 2, 4), 40), (new_context(11, 5, 4), 60),
@@ -248,8 +250,8 @@ class TestDeltaEstimatesOracle:
         monkeypatch.setattr(
             steinberg, "delta_profile",
             lambda c, kk: steinberg.DeltaProfile(
-                kk, tuple((l, v + Fraction(1, 3)) for l, v in real(c, kk).raw),
-                real(c, kk).hull),
+                kk, tuple(v + Fraction(1, 3) for v in real(c, kk).raw),
+                real(c, kk).vertices),
         )
         with pytest.raises(RuntimeError, match="1/2"):
             verify.check_delta_estimates(C4, 18)
