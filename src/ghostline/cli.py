@@ -115,29 +115,31 @@ def _payload_ns(args) -> dict:
     }
 
 
-_BOUND_FLAGS = ("k_bullet_max", "k0_max", "ell_max", "n_max", "points", "seed",
-                "k_prime_bullet_max")
+def _bound_names(suites) -> List[str]:
+    """The bounds the suites read, each once, from their signatures."""
+    return list(dict.fromkeys(b for name in suites for b in verify.suite_bounds(name)))
 
 
-def _bounds_from(args) -> dict:
-    bounds = {}
-    for name in _BOUND_FLAGS:
-        val = getattr(args, name, None)
-        if val is not None:
-            bounds[name] = val
-    return bounds
+def _bounds_from(args, suites) -> dict:
+    """The bound flags given, each of which one of the suites must read."""
+    bounds = {b: getattr(args, b) for b in _bound_names(verify.SUITES)}
+    read = _bound_names(suites)
+    for b, val in bounds.items():
+        if val is not None and b not in read:
+            raise ParameterError(f"no selected suite reads --{b.replace('_', '-')}")
+    return {b: val for b, val in bounds.items() if val is not None}
 
 
 def _payload_verify(args) -> dict:
     ctx = _context(args)
-    report = verify.run_suite(args.suite, ctx, **_bounds_from(args))
+    report = verify.run_suite(args.suite, ctx, **_bounds_from(args, [args.suite]))
     return report.to_json_dict()
 
 
 def _payload_scan(args) -> dict:
     ps = [int(x) for x in args.p_list.split(",")]
     suites = args.suites.split(",") if args.suites else sorted(verify.SUITES)
-    reports = verify.run_grid(ps, suites, _bounds_from(args), workers=args.workers)
+    reports = verify.run_grid(ps, suites, _bounds_from(args, suites), workers=args.workers)
     failed = sum(1 for r in reports if r["status"] != "pass")
     return {"suites": suites, "p_list": ps, "failed": failed, "reports": reports}
 
@@ -234,8 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run one verification suite")
     common(sp)
     sp.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
-    for flag in _BOUND_FLAGS:
-        sp.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=int, default=None)
+    for bound in _bound_names(verify.SUITES):
+        sp.add_argument("--" + bound.replace("_", "-"), type=int)
     sp.set_defaults(payload=_payload_verify)
 
     sp = sub.add_parser("scan", help="suite grid over (p, a, s_eps) in parallel")
@@ -244,8 +246,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--workers", type=int, default=None,
                     help="worker processes (default GHOSTLINE_WORKERS or cpu count; "
                          "capped at the task and cpu counts)")
-    for flag in _BOUND_FLAGS:
-        sp.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=int, default=None)
+    for bound in _bound_names(verify.SUITES):
+        sp.add_argument("--" + bound.replace("_", "-"), type=int)
     sp.add_argument("--format", choices=("json", "csv", "table"), default="json")
     sp.add_argument("--out", default=None)
     sp.set_defaults(payload=_payload_scan)

@@ -1,11 +1,10 @@
 """Exact lower convex hulls and certified Newton polygons of ghost series.
 
 Hull arithmetic is exact and cross-multiplied on the values as given:
-integer profiles (every classical point) stay ``int`` and only the slopes
-become ``Fraction``s; points at +infinity impose no constraint and are
-skipped.  Vertices are strict:
-collinear interior points are not vertices, matching the convention that a
-straight stretch of the polygon has vertices only at its ends.
+integer profiles (every classical point) stay ``int``; points at +infinity
+are skipped.  Vertices are strict: collinear interior points are not
+vertices, so a straight stretch has vertices only at its ends.  A polygon
+is stored as its vertices; ``segments`` reads its slopes off them.
 
 A ghost Newton polygon is an infinite object, so a finite computation must
 certify its prefix.  The certificate rests on two facts: every factor of a
@@ -20,10 +19,12 @@ are final up to X.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from typing import List, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import ghost_series as ghost
 from .valuation import INF, ExtRat
@@ -43,11 +44,40 @@ class CertificationError(RuntimeError):
         )
 
 
+#: Buffer doublings ``np_of_ghost_auto`` tries before it gives up.
+RETRIES = 4
+
+
+def segments(
+    vertices: Iterable[Tuple[int, ExtRat]], start: Optional[int] = None
+) -> Iterator[Tuple[Fraction, int]]:
+    """(slope, width) of each segment of the polyline through ``vertices``
+    (sorted by x), left to right; with ``start``, only the part right of x =
+    ``start`` counts, so the segment that contains it is cut there."""
+    it = iter(vertices)
+    x0, y0 = next(it)
+    start = x0 if start is None else start
+    for x1, y1 in it:
+        if x1 > start:
+            yield Fraction(y1 - y0, x1 - x0), x1 - max(x0, start)
+        x0, y0 = x1, y1
+
+
 @dataclass(frozen=True)
 class NewtonPolygon:
-    vertices: Tuple[Tuple[int, Union[int, Fraction]], ...]  # y as given to the hull
-    slopes: Tuple[Tuple[Fraction, int], ...]  # (slope, width) per segment
-    certified_upto: int
+    """A lower hull, or a certified polygon prefix, by its strict vertices
+    (y as given to the hull); it is final up to its last vertex."""
+
+    vertices: Tuple[Tuple[int, Union[int, Fraction]], ...]
+
+    @property
+    def certified_upto(self) -> int:
+        return self.vertices[-1][0]
+
+    @cached_property
+    def slopes(self) -> Tuple[Tuple[Fraction, int], ...]:
+        """(slope, width) per segment."""
+        return tuple(segments(self.vertices))
 
     def to_json_dict(self) -> dict:
         return {
@@ -72,13 +102,6 @@ def _hull_vertices(points: Sequence[Tuple[int, ExtRat]]) -> List[Tuple[int, ExtR
     return hull
 
 
-def _segments(vertices: Sequence[Tuple[int, ExtRat]]) -> Tuple[Tuple[Fraction, int], ...]:
-    out = []
-    for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
-        out.append((Fraction(y1 - y0, x1 - x0), x1 - x0))
-    return tuple(out)
-
-
 def lower_convex_hull(points: Sequence[Tuple[int, ExtRat]]) -> NewtonPolygon:
     """Lower hull of integer-indexed extended-rational points.
 
@@ -92,8 +115,7 @@ def lower_convex_hull(points: Sequence[Tuple[int, ExtRat]]) -> NewtonPolygon:
     finite.sort()
     if any(a[0] == b[0] for a, b in zip(finite, finite[1:])):
         raise ValueError("x-values must be distinct")
-    verts = _hull_vertices(finite)
-    return NewtonPolygon(tuple(verts), _segments(verts), verts[-1][0])
+    return NewtonPolygon(tuple(_hull_vertices(finite)))
 
 
 def _future_safe(
@@ -168,43 +190,32 @@ def np_of_ghost(
     window_end = n_max + buffer
 
     ev = ghost.evaluator(ctx, w)
-    hull = lower_convex_hull([(n, ev.value(n)) for n in range(window_end + 1)])
-    verts = hull.vertices
-    certified = None
+    verts = lower_convex_hull([(n, ev.value(n)) for n in range(window_end + 1)]).vertices
     for i in range(len(verts) - 1, -1, -1):
         vx, vy = verts[i]
         if vx < n_max:
             break  # nothing below n_max can satisfy the caller
-        slope_in = hull.slopes[i - 1][0] if i >= 1 else None
-        if slope_in is None or _future_safe(ctx, w, vx, vy, slope_in, window_end):
-            certified = (vx, i)
-            break
-    if certified is None:
-        achieved = max((x for x, _ in verts if x < n_max), default=-1)
-        raise CertificationError(n_max, achieved, buffer)
-    # report only the final prefix: vertices and segments up to the
-    # certified vertex survive any extension of the window
-    upto = certified[1]
-    return NewtonPolygon(verts[: upto + 1], hull.slopes[:upto], certified[0])
+        if i == 0 or _future_safe(
+            ctx, w, vx, vy, Fraction(vy - verts[i - 1][1], vx - verts[i - 1][0]), window_end
+        ):
+            # report only the final prefix: the vertices up to the
+            # certified one survive any extension of the window
+            return NewtonPolygon(verts[: i + 1])
+    achieved = max((x for x, _ in verts if x < n_max), default=-1)
+    raise CertificationError(n_max, achieved, buffer)
 
 
 def np_of_ghost_auto(
-    ctx: GhostContext,
-    w: WeightPoint,
-    n_max: int,
-    buffer: int | None = None,
-    retries: int = 4,
+    ctx: GhostContext, w: WeightPoint, n_max: int, buffer: int | None = None
 ) -> Tuple[NewtonPolygon, int]:
-    """np_of_ghost with automatic buffer doubling; returns (polygon, buffer)."""
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
+    """np_of_ghost with up to RETRIES buffer doublings; returns (polygon, buffer)."""
     if buffer is None:
         buffer = 2 * ctx.p + 8
-    for attempt in range(retries + 1):
+    for attempt in range(RETRIES + 1):
         try:
             return np_of_ghost(ctx, w, n_max, buffer), buffer
         except CertificationError:
-            if attempt == retries:
+            if attempt == RETRIES:
                 raise
             buffer = max(1, 2 * buffer)  # a zero buffer must grow too
 
@@ -213,7 +224,8 @@ def is_vertex(np: NewtonPolygon, n: int) -> bool:
     """Whether x = n is a vertex; n must lie in the certified range."""
     if n > np.certified_upto:
         raise ValueError(f"x = {n} is beyond certified_upto = {np.certified_upto}")
-    return any(x == n for x, _ in np.vertices)
+    i = bisect_left(np.vertices, (n,))  # the first vertex with x >= n
+    return np.vertices[i][0] == n
 
 
 def slope_at(np: NewtonPolygon, i: int) -> Fraction:
@@ -225,9 +237,5 @@ def slope_at(np: NewtonPolygon, i: int) -> Fraction:
     x_first = np.vertices[0][0]
     if i <= x_first:
         raise ValueError(f"slope {i} precedes the first hull point x = {x_first}")
-    pos = x_first
-    for s, width in np.slopes:
-        pos += width
-        if i <= pos:
-            return s
-    raise ValueError(f"slope {i} is beyond the computed window")
+    # the segment over [i - 1, i] ends at the first vertex with x >= i
+    return np.slopes[bisect_left(np.vertices, (i,)) - 1][0]

@@ -101,13 +101,9 @@ class DeltaProfile:
     def segments(self, start: Optional[int] = None) -> Iterator[Tuple[Fraction, int]]:
         """(slope, width) of each hull segment, left to right; from offset
         ``start`` on, the segment that contains it cut at ``start``."""
-        top = self.top
-        start = -top if start is None else start
-        vs = self.vertices
-        i = max(bisect_right(vs, start) - 1, 0)
-        for x0, x1 in zip(vs[i:], vs[i + 1 :]):
-            slope = Fraction(self.raw[x1 + top] - self.raw[x0 + top], x1 - x0)
-            yield slope, x1 - max(x0, start)
+        top, vs = self.top, self.vertices
+        i = 0 if start is None else max(bisect_right(vs, start) - 1, 0)
+        return newton.segments(((x, self.raw[x + top]) for x in vs[i:]), start)
 
     def to_json_dict(self) -> dict:
         offsets = range(-self.top, self.top + 1)
@@ -230,12 +226,7 @@ def _in_lattice(x: Fraction, gamma: Optional[Fraction]) -> bool:
     return scaled.numerator % gcd(gamma.numerator, d) == 0
 
 
-def vertex_theorem_check(
-    ctx: GhostContext,
-    w: WeightPoint,
-    n_max: int,
-    buffer: int | None = None,
-) -> dict:
+def vertex_theorem_check(ctx: GhostContext, w: WeightPoint, n_max: int) -> dict:
     """Vertices of the Newton polygon versus near-Steinberg membership.
 
     For every n <= n_max the point (n, v_p(g_n(w))) must be a vertex
@@ -245,7 +236,7 @@ def vertex_theorem_check(
     to a ghost zero appearing in the range (for a classical point the
     omitted-coefficient profile is checked to be a straight line instead).
     """
-    np_, buffer_used = newton.np_of_ghost_auto(ctx, w, n_max, buffer)
+    np_, buffer_used = newton.np_of_ghost_auto(ctx, w, n_max)
     ranges = near_steinberg_ranges(ctx, w, n_max)
     nested, nest_witness = check_nested(ranges)
     mismatches = []
@@ -310,7 +301,7 @@ def _check_range_slope(
         # infinite coordinates and carries the straight line itself.)
         pts = [(n, ev.omitted(n)) for n in range(r.lo, r.hi + 1)]
         hull = newton.lower_convex_hull(pts)
-        if len(hull.slopes) != 1:
+        if len(hull.vertices) != 2:
             violations.append({"range": r, "reason": "omitted hull is not straight"})
         else:
             slope = hull.slopes[0][0]
@@ -319,25 +310,18 @@ def _check_range_slope(
                     {"range": r, "reason": "omitted slope class", "slope": slope}
                 )
         return violations
-    seg_slopes = {
-        s for i, (s, _) in enumerate(np_.slopes) if _segment_meets(np_, i, r)
-    }
-    if len(seg_slopes) != 1:
+    # the polygon covers [lo, hi], so it is one segment there exactly when
+    # no vertex lies strictly inside
+    if any(r.lo < x < r.hi for x, _ in np_.vertices):
         violations.append({"range": r, "reason": "polygon not straight over range"})
         return violations
-    slope = next(iter(seg_slopes))
+    slope = newton.slope_at(np_, r.hi)
     gamma = None if w.r is INF else _range_gamma(ctx, w, r)
     if not _in_lattice(slope - a, gamma):
         violations.append(
             {"range": r, "reason": "slope class", "slope": slope, "gamma": gamma}
         )
     return violations
-
-
-def _segment_meets(np_: newton.NewtonPolygon, i: int, r: NearSteinbergRange) -> bool:
-    x0 = np_.vertices[i][0]
-    x1 = np_.vertices[i + 1][0]
-    return x0 < r.hi and x1 > r.lo
 
 
 def delta_vertex_check(ctx: GhostContext, k0: int, ell: int) -> dict:

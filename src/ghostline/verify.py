@@ -13,6 +13,7 @@ regardless of scheduling.
 
 from __future__ import annotations
 
+import inspect
 import os
 import random
 import time
@@ -300,12 +301,7 @@ def check_integrality(ctx: GhostContext, k0: int) -> CheckReport:
     di = dims.d_iw(ctx, k0)
     witnesses = []
     if di >= 1:
-        np_ = _np_at_classical(ctx, k0, di)
-        pos = np_.vertices[0][0]
-        for s, w in np_.slopes:
-            pos += w
-            if pos > np_.certified_upto:
-                break
+        for s, w in _np_at_classical(ctx, k0, di).slopes:
             if not steinberg.slope_class_ok(ctx, s, w):
                 witnesses.append({"k0": k0, "slope": format_rational(s), "width": w})
     return _report("integrality", {**_ctx_params(ctx), "k0": k0}, witnesses, t0)
@@ -442,31 +438,28 @@ def check_delta_estimates(
 
 
 def _k_prime_candidates(ctx: GhostContext, k: int, ell: int) -> List[int]:
-    """Weights k' != k whose rank boundaries d_ur or d_iw - d_ur fall inside
-    the open width-ell window around d_iw(k)/2, or whose own middle index
-    lies within ell of it (closed)."""
+    """Weights k' != k, in increasing order, with d_ur or d_iw - d_ur
+    strictly within ell of h = d_iw(k)/2, or with |d_iw/2 - h| <= ell.
+
+    Both ranks are nondecreasing in k_bullet, so the three conditions hold
+    on the k_bullet windows (k_max(h - ell), k_max(h + ell - 1)],
+    [k_min(h - ell), k_min(h + ell - 1)) and [kb - ell, kb + ell].  They are
+    not ``dims.zero_window``s: those bound the zeros of one g_n, these bound
+    d_ur and d_iw - d_ur themselves.
+    """
     kb = ctx.bullet(k)
-    half_iw = dims.d_iw_of_bullet(ctx, kb) // 2
-    superset = set()
-    lo1 = dims.k_min_bullet(ctx, half_iw - ell)
-    hi1 = dims.k_min_bullet(ctx, half_iw + ell - 1)
-    superset.update(range(max(lo1, 0), hi1))
-    lo2 = dims.k_max_bullet(ctx, half_iw - ell)
-    hi2 = dims.k_max_bullet(ctx, half_iw + ell - 1)
-    superset.update(range(max(lo2 + 1, 0), hi2 + 1))
-    superset.update(range(max(kb - ell, 0), kb + ell + 1))
-    superset.discard(kb)
-    out = []
-    for kb2 in sorted(superset):
-        du2 = dims.d_ur_of_bullet(ctx, kb2)
-        di2 = dims.d_iw_of_bullet(ctx, kb2)
-        hits = (
-            half_iw - ell < du2 < half_iw + ell
-            or half_iw - ell < di2 - du2 < half_iw + ell
-            or abs(di2 // 2 - half_iw) <= ell
-        )
-        if hits:
-            out.append(ctx.weight_of_bullet(kb2))
+    h = dims.d_iw_of_bullet(ctx, kb) // 2
+    windows = [
+        range(dims.k_max_bullet(ctx, h - ell) + 1, dims.k_max_bullet(ctx, h + ell - 1) + 1),
+        range(dims.k_min_bullet(ctx, h - ell), dims.k_min_bullet(ctx, h + ell - 1)),
+        range(kb - ell, kb + ell + 1),
+    ]
+    out, nxt = [], 0  # nxt: the least k_bullet not yet visited
+    for win in sorted(windows, key=lambda win: win.start):
+        for kb2 in range(max(win.start, nxt), win.stop):
+            if kb2 != kb:
+                out.append(ctx.weight_of_bullet(kb2))
+        nxt = max(nxt, win.stop)
     return out
 
 
@@ -691,10 +684,21 @@ SUITES: Dict[str, Callable[..., CheckReport]] = {
 }
 
 
-def run_suite(name: str, ctx: GhostContext, **bounds) -> CheckReport:
+def _suite(name: str) -> Callable[..., CheckReport]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    return SUITES[name](ctx, **bounds)
+    return SUITES[name]
+
+
+def suite_bounds(name: str) -> Tuple[str, ...]:
+    """The bounds a suite reads: the parameters of its function that have
+    defaults (every suite also swallows the bounds of the others)."""
+    params = inspect.signature(_suite(name)).parameters.values()
+    return tuple(prm.name for prm in params if prm.default is not prm.empty)
+
+
+def run_suite(name: str, ctx: GhostContext, **bounds) -> CheckReport:
+    return _suite(name)(ctx, **bounds)
 
 
 # ------------------------------------------------------------ grid runner
@@ -734,8 +738,7 @@ def run_grid(
     """
     bounds = bounds or {}
     for name in suites:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}")
+        _suite(name)  # raises on an unknown name
     tasks = [
         (p, a, s_eps, tuple(suites), bounds)
         for p in ps

@@ -199,6 +199,40 @@ class TestExitCodes:
         assert code == 1 and json.loads(out)["status"] == "fail"
 
 
+class TestBoundFlags:
+    P7 = ("--p", "7", "--a", "2", "--seps", "4")
+
+    def test_verify_rejects_a_bound_the_suite_does_not_read(self, capsys):
+        code, out, err = run(capsys, "verify", *self.P7, "--suite", "halo",
+                             "--k-bullet-max", "5")
+        assert (code, out) == (2, "") and "--k-bullet-max" in err
+        code, out, err = run(capsys, "verify", *self.P7, "--suite", "ghost_duality",
+                             "--n-max", "3", "--points", "9")
+        assert (code, out) == (2, "") and "--n-max" in err
+
+    def test_verify_passes_the_bounds_it_reads(self, capsys):
+        code, out, _ = run(capsys, "verify", *self.P7, "--suite", "halo", "--n-max", "5")
+        assert code == 0 and json.loads(out)["params"]["n_max"] == 5
+
+    def test_scan_rejects_a_bound_no_selected_suite_reads(self, capsys):
+        code, out, err = run(capsys, "scan", "--p-list", "5", "--suites", "halo,theta",
+                             "--points", "1", "--workers", "1")
+        assert (code, out) == (2, "") and "--points" in err
+
+    def test_flags_come_from_the_suite_signatures(self, capsys, monkeypatch):
+        def depth_suite(ctx, depth=3, **_):
+            return CheckReport("depth_suite", {"depth": depth}, "pass", [], 0.0)
+
+        monkeypatch.setitem(verify.SUITES, "depth_suite", depth_suite)
+        assert verify.suite_bounds("depth_suite") == ("depth",)
+        assert verify.suite_bounds("vertex_theorem") == ("points", "n_max", "seed")
+        code, out, _ = run(capsys, "verify", *self.P7, "--suite", "depth_suite",
+                           "--depth", "7")
+        assert code == 0 and json.loads(out)["params"] == {"depth": 7}
+        code, _, err = run(capsys, "verify", *self.P7, "--suite", "halo", "--depth", "7")
+        assert code == 2 and "--depth" in err
+
+
 class TestScan:
     def test_scan_small(self, capsys):
         code, out, _ = run(capsys, "scan", "--p-list", "5", "--suites", "halo,nestedness",

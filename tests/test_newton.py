@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -80,6 +81,96 @@ def hull_value(np_, x):
         if x0 <= x <= x1:
             return y0 + Fraction(y1 - y0, x1 - x0) * (x - x0)
     raise AssertionError(f"x = {x} outside hull")
+
+
+def random_hull(rng):
+    """The hull of random points: the first x is often not 0, and runs of
+    collinear points (which are not vertices) are common."""
+    x0 = rng.choice((0, 0, rng.randint(1, 6)))
+    pts, y = [], Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+    slope = Fraction(rng.randint(-12, 0), rng.choice((1, 2)))
+    for x in range(x0, x0 + rng.randint(1, 30)):
+        if rng.random() < 0.3:
+            slope += Fraction(rng.randint(1, 4), rng.choice((1, 2, 3)))
+        if x > x0 and rng.random() < 0.1:
+            pts.append((x, INF))
+        else:
+            pts.append((x, y + rng.choice((0, 0, 0, Fraction(rng.randint(1, 5), 2)))))
+        y += slope
+    return newton.lower_convex_hull(pts)
+
+
+def is_vertex_walk(np_, n):
+    """``newton.is_vertex`` as a linear walk over the vertices, the oracle."""
+    if n > np_.certified_upto:
+        raise ValueError(n)
+    return any(x == n for x, _ in np_.vertices)
+
+
+def slope_at_walk(np_, i):
+    """``newton.slope_at`` as a linear walk over the segments, the oracle."""
+    if i < 1 or i > np_.certified_upto or i <= np_.vertices[0][0]:
+        raise ValueError(i)
+    pos = np_.vertices[0][0]
+    for s, width in np_.slopes:
+        pos += width
+        if i <= pos:
+            return s
+    raise ValueError(i)
+
+
+class TestVertexStorage:
+    def test_hull_stores_vertices_only(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            hull = random_hull(rng)
+            assert "slopes" not in vars(hull)
+            assert hull.certified_upto == hull.vertices[-1][0]
+            slopes = hull.slopes
+            assert hull.slopes is slopes and vars(hull)["slopes"] is slopes
+        assert [f.name for f in dataclasses.fields(newton.NewtonPolygon)] == ["vertices"]
+
+    def test_certified_polygon_is_a_vertex_prefix(self):
+        np_ = newton.np_of_ghost(C4, Perturbed(18, Fraction(4)), 8, buffer=22)
+        assert "slopes" not in vars(np_)
+        assert np_.certified_upto == np_.vertices[-1][0] >= 8
+        ev = ghost.evaluator(C4, Perturbed(18, Fraction(4)))
+        window = newton.lower_convex_hull([(n, ev.value(n)) for n in range(8 + 22 + 1)])
+        assert window.vertices[: len(np_.vertices)] == np_.vertices
+        assert window.slopes[: len(np_.slopes)] == np_.slopes
+
+    def test_queries_match_linear_walk(self):
+        rng = random.Random(17)
+        seen_offset_start = seen_collinear = 0
+        for _ in range(400):
+            hull = random_hull(rng)
+            x_first, last = hull.vertices[0][0], hull.certified_upto
+            seen_offset_start += x_first != 0
+            seen_collinear += any(w > 1 for _, w in hull.slopes)
+            for n in range(x_first - 2, last + 2):
+                for query, walk in ((newton.is_vertex, is_vertex_walk),
+                                    (newton.slope_at, slope_at_walk)):
+                    try:
+                        want = walk(hull, n)
+                    except ValueError:
+                        with pytest.raises(ValueError):
+                            query(hull, n)
+                    else:
+                        assert query(hull, n) == want, (hull, n)
+        assert seen_offset_start >= 50 and seen_collinear >= 100
+
+    def test_segments_from_a_start(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            hull = random_hull(rng)
+            x_first, last = hull.vertices[0][0], hull.certified_upto
+            per_unit = {i: slope_at_walk(hull, i) for i in range(x_first + 1, last + 1)}
+            for start in range(x_first - 2, last + 2):
+                segs = list(newton.segments(hull.vertices, start))
+                assert all(width > 0 for _, width in segs)
+                got = [s for s, width in segs for _ in range(width)]
+                assert got == [per_unit[i] for i in sorted(per_unit) if i > start]
+            assert tuple(newton.segments(hull.vertices)) == hull.slopes
 
 
 class TestGhostPolygon:
@@ -199,10 +290,6 @@ class TestPolygonAgainstFactoredOracle:
         assert fast.slopes == slow.slopes
         assert fast.certified_upto == slow.certified_upto
         assert fast_buffer == slow_buffer
-
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ValueError):
-            newton.np_of_ghost_auto(C4, Classical(18), 5, retries=-1)
 
 
 def _future_safe_fraction(ctx, w, vx, vy, slope_in, window_end, max_steps=100_000):

@@ -15,6 +15,7 @@ from ghostline.weight_space import (
     new_context,
     vp_point_to_weight,
 )
+from test_newton import random_hull
 
 C0 = new_context(7, 2, 0)
 C4 = new_context(7, 2, 4)
@@ -322,6 +323,47 @@ class TestNested:
                           Fraction(rng.randint(1, 18), rng.choice((1, 2))))
             ok, _ = steinberg.check_nested(steinberg.near_steinberg_ranges(ctx, w, 16))
             assert ok
+
+
+def slope_set_check(ctx, w, r, np_):
+    """The polygon half of ``_check_range_slope`` by the set of slopes of
+    the segments that meet (lo, hi), as it once read, kept as the oracle."""
+    seg_slopes = {
+        s for (s, _), (x0, _), (x1, _) in zip(np_.slopes, np_.vertices, np_.vertices[1:])
+        if x0 < r.hi and x1 > r.lo
+    }
+    if len(seg_slopes) != 1:
+        return [{"range": r, "reason": "polygon not straight over range"}]
+    slope = next(iter(seg_slopes))
+    gamma = steinberg._range_gamma(ctx, w, r)
+    if not steinberg._in_lattice(slope - Fraction(ctx.a, 2), gamma):
+        return [{"range": r, "reason": "slope class", "slope": slope, "gamma": gamma}]
+    return []
+
+
+class TestRangeStraightness:
+    def test_no_inner_vertex_matches_slope_set(self):
+        # a range over which the polygon has no vertex strictly inside is
+        # straight, with the slope of the segment ending at hi
+        rng = random.Random(53)
+        reasons = []
+        while len(reasons) < 600:
+            hull = random_hull(rng)
+            x_first, last = hull.vertices[0][0], hull.certified_upto
+            if last - x_first < 2:
+                continue
+            p = rng.choice((5, 7, 11, 13))
+            ctx = new_context(p, rng.randint(1, p - 4), rng.randint(0, p - 2))
+            w = Perturbed(ctx.weight_of_bullet(rng.randint(0, 12)),
+                          Fraction(rng.randint(1, 20), rng.choice((1, 2, 3))))
+            lo = rng.randint(x_first, last - 2)
+            hi = rng.randint(lo + 2, last)
+            r = steinberg.NearSteinbergRange(ctx.weight_of_bullet(0), (hi - lo) // 2, lo, hi)
+            got = steinberg._check_range_slope(ctx, w, r, hull)
+            assert got == slope_set_check(ctx, w, r, hull), (hull, r)
+            reasons.append(got[0]["reason"] if got else "ok")
+        assert min(reasons.count(x) for x in
+                   ("ok", "slope class", "polygon not straight over range")) >= 25
 
 
 class TestVertexTheorem:

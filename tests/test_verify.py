@@ -112,6 +112,44 @@ class TestDeltaEstimates:
             assert verify.check_delta_estimates(ctx, ctx.weight_of_bullet(kb), True).ok
 
 
+def k_prime_brute(ctx, k, ell):
+    """The weights k' != k with d_ur(k') or d_iw(k') - d_ur(k') strictly
+    within ell of h = d_iw(k)/2, or with |d_iw(k')/2 - h| <= ell, found by
+    testing every k_bullet up to a bound."""
+    kb = ctx.bullet(k)
+    h = dims.d_iw_of_bullet(ctx, kb) // 2
+    # past the bound each floor term of d_ur is at least ceil((h + ell)/2),
+    # so d_ur > h + ell and d_iw - d_ur >= d_ur; and |kb2 - kb| > ell
+    bound = max(ctx.t1, ctx.t2) + (ctx.p + 1) * ((h + ell + 1) // 2) + kb + ell
+    out = []
+    for kb2 in range(0, bound + 1):
+        du = dims.d_ur_of_bullet(ctx, kb2)
+        di = dims.d_iw_of_bullet(ctx, kb2)
+        if kb2 != kb and (h - ell < du < h + ell or h - ell < di - du < h + ell
+                          or abs(di // 2 - h) <= ell):
+            out.append(ctx.weight_of_bullet(kb2))
+    return out
+
+
+class TestKPrimeCandidates:
+    def test_matches_brute_force(self):
+        rng = random.Random(71)
+        cases = split = 0
+        for p in (5, 7, 11, 13):
+            for _ in range(3):
+                ctx = new_context(p, rng.randint(1, p - 4), rng.randint(0, p - 2))
+                for kb in sorted(rng.sample(range(0, 61), 8)):
+                    k = ctx.weight_of_bullet(kb)
+                    for ell in range(1, dims.d_new(ctx, k) // 2 + 1):
+                        got = verify._k_prime_candidates(ctx, k, ell)
+                        assert got == k_prime_brute(ctx, k, ell), (ctx, k, ell)
+                        cases += 1
+                        bullets = [ctx.bullet(k2) for k2 in got]
+                        split += any(b2 - b1 > 1 + (b1 < kb < b2)
+                                     for b1, b2 in zip(bullets, bullets[1:]))
+        assert cases >= 500 and split >= 50  # unions of windows with gaps
+
+
 def _fraction_delta_estimates(ctx, k, with_k_prime=False):
     """The estimate checks in plain Fraction arithmetic on dict lookups, as
     the oracle for the doubled-integer checks; returns the witnesses."""
