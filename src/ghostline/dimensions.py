@@ -14,6 +14,10 @@ is the unique index with n = d_iw/2, k_max_bullet(n) the largest with
 d_ur <= n, and k_min_bullet(n) the smallest with d_iw - d_ur > n.  Between
 the last two lie the zeros of the n-th ghost coefficient (``zero_window``).
 
+The jump windows of index n, the three ends (k_min_bullet(n),
+k_mid_bullet(n), k_max_bullet(n)) that every jump evaluator reads, are
+tabulated once per context by ``jump_windows``.
+
 Two independent oracles guard the closed forms: a power-basis count for
 d_iw, and a Jordan-Holder recursion in the Grothendieck group of
 GL_2(F_p)-representations for d_ur.
@@ -21,9 +25,14 @@ GL_2(F_p)-representations for d_ur.
 
 from __future__ import annotations
 
-from typing import Iterator
+from functools import lru_cache
+from typing import Iterator, List, Tuple
 
 from .weight_space import GhostContext
+
+#: Indices n whose jump windows ``jump_windows`` keeps per context; the
+#: windows of larger n are computed on each call.
+WINDOW_TABLE_MAX = 4096
 
 
 def d_iw(ctx: GhostContext, k: int) -> int:
@@ -85,6 +94,31 @@ def zero_window(ctx: GhostContext, n: int) -> range:
     """The k_bullet >= 0 with d_ur < n < d_iw - d_ur, i.e. the weights whose
     points w_k are the zeros of the n-th ghost coefficient."""
     return range(max(k_min_bullet(ctx, n), 0), k_max_bullet(ctx, n - 1) + 1)
+
+
+def _jump_window(ctx: GhostContext, n: int) -> Tuple[int, int, int]:
+    return k_min_bullet(ctx, n), k_mid_bullet(ctx, n), k_max_bullet(ctx, n)
+
+
+@lru_cache(maxsize=32)
+def _window_table(ctx: GhostContext) -> List[Tuple[int, int, int]]:
+    return []
+
+
+def jump_windows(ctx: GhostContext, start: int, stop: int) -> List[Tuple[int, int, int]]:
+    """(k_min_bullet(n), k_mid_bullet(n), k_max_bullet(n)) for n in
+    range(start, stop), start >= 0.
+
+    The ends are tabulated per context on first use, for n below
+    WINDOW_TABLE_MAX and for the 32 most recent contexts, so the jump
+    evaluators of one context share them.
+    """
+    table = _window_table(ctx)
+    for n in range(len(table), min(stop, WINDOW_TABLE_MAX)):
+        table.append(_jump_window(ctx, n))
+    out = table[start:stop]
+    out.extend(_jump_window(ctx, n) for n in range(max(start, len(table)), stop))
+    return out
 
 
 def power_basis_degrees(ctx: GhostContext) -> Iterator[int]:

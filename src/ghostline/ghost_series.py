@@ -20,14 +20,22 @@ from w_k for k != k0 and at distance r from w_k0:
 * ``Perturbed(k0, r)`` has the finite radius r;
 * ``Boundary(t)`` has no base weight, and every distance is r = t.
 
-The jump of the k0-omitted sum from n to n+1 (``increment_at``) is the sum
-of the distance over the k_bullet window whose multiplicities rise at n,
-minus the sum over the window whose multiplicities fall; ``value`` adds
-m_n(k0) * r back.  Each window sum counts levels: min(r, 1 + vp(x)) is the
-number of levels l < floor(r) with p^l | x, plus frac(r) if p^floor(r) | x,
-and level l counts one residue class of k_bullet modulo p^l.  Whole
-profiles thus cost O(n) window sums of O(log) integer steps each.  deg g_n
-is the profile at a point at distance 1 from every w_k (``degree_fast``).
+The jump of the k0-omitted sum from n to n+1 is the sum of the distance
+over the k_bullet window whose multiplicities rise at n, minus the sum
+over the window whose multiplicities fall; ``value`` adds m_n(k0) * r
+back.  Each window sum counts levels: min(r, 1 + vp(x)) is the number of
+levels l < floor(r) with p^l | x, plus frac(r) if p^floor(r) | x, and
+level l counts one residue class of k_bullet modulo p^l.
+
+``jumps`` returns the jumps for a range of n in one integer loop, and an
+evaluator grows by one ``jumps`` call (``increment_at`` is the call for a
+single n).  Two tables feed that loop: the window ends of each n, which
+depend on the context alone and are shared by all of its evaluators
+(``dims.jump_windows``), and the evaluator's own level table of pairs
+(p^l, residue of level l), which depends on k0 alone and deepens when a
+window first reaches a weight that needs a further level.  Whole profiles
+thus cost O(n) window sums of O(log) integer steps each.  deg g_n is the
+profile at a point at distance 1 from every w_k (``degree_evaluator``).
 
 The factored evaluation ``eval_vp`` stays as the independent slow route
 that tests compare against; no library path calls it.
@@ -38,7 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Tuple
+from itertools import accumulate
+from typing import Iterable, List, Optional, Tuple
 
 from . import dimensions as dims
 from .valuation import INF, ExtRat
@@ -157,56 +166,106 @@ def eval_vp_omit(
 
 
 def _level_sum(
-    ctx: GhostContext, kb_lo: int, kb_hi: int, k0: Optional[int], whole: Optional[int]
+    kb_lo: int, kb_hi: int, k0b: int, levels: Optional[List[Tuple[int, int]]],
+    whole: Optional[int],
 ) -> Tuple[int, int]:
     """Sum of min(r, 1 + vp(k - k0)) over the weights k != k0 with k_bullet
     in [max(kb_lo, 0), kb_hi], as (full, top) with sum full + frac(r)*top.
 
     whole = floor(r), None for r = INF.  Level l < whole adds 1 and level
-    whole adds frac(r) for each k with p^l | k - k0.  Since
-    k - k0 = (k_eps - k0) + (p-1)*k_bullet and rho_l = (p^l - 1)/(p - 1)
-    is -(p-1)^(-1) mod p^l, level l counts the k_bullet congruent to
-    (k_eps - k0)*rho_l mod p^l.  The solution sets are nested, so the first
-    level holding no k != k0 ends the sum.  With no base weight (k0 None)
-    every distance is min(r, 1).
+    whole adds frac(r) for each k with p^l | k - k0, and those k are the
+    k_bullet congruent to the level-l residue of k0 modulo p^l, read from
+    ``levels[l - 1] = (p^l, residue)`` (see ``_deepen``).  k0b is the
+    k_bullet of k0 when k0 lies on the class, else -1.  The solution sets
+    are nested, so the first level holding no k != k0 ends the sum.  With
+    no base weight (levels None) every distance is min(r, 1).
     """
     kb_lo = max(kb_lo, 0)
     if kb_lo > kb_hi:
         return 0, 0
     count = kb_hi - kb_lo + 1
-    if k0 is None:
+    if levels is None:
         return (count, 0) if whole else (0, count)
-    p = ctx.p
-    offset = ctx.k_eps - k0
-    k0b, off_class = divmod(-offset, p - 1)
-    has_k0 = not off_class and kb_lo <= k0b <= kb_hi
+    has_k0 = kb_lo <= k0b <= kb_hi
     count -= has_k0
-    full = level = rho = 0
-    pl = 1
+    full = level = 0
     while count and level != whole:
         full += count
+        pl, res = levels[level]
         level += 1
-        rho += pl
-        pl *= p
-        res = offset * rho % pl
         count = (kb_hi - res) // pl - (kb_lo - 1 - res) // pl - has_k0
     return full, count
+
+
+def _deepen(
+    ctx: GhostContext, k0: int, whole: Optional[int], levels: List[Tuple[int, int]], kb_max: int
+) -> None:
+    """Extend ``levels`` until it covers every window with k_bullet <= kb_max.
+
+    Since k - k0 = (k_eps - k0) + (p-1)*k_bullet and rho_l = (p^l - 1)/(p - 1)
+    is -(p-1)^(-1) mod p^l, the level-l residue is (k_eps - k0)*rho_l mod
+    p^l.  Level l holds no k != k0 once p^l > |k - k0| for every k in the
+    windows, and ``_level_sum`` never reads past level whole, so the table
+    stops at either.
+    """
+    p, offset = ctx.p, ctx.k_eps - k0
+    bound = abs(offset) + (p - 1) * max(kb_max, 0)
+    pl = p ** len(levels)
+    while len(levels) != whole and pl <= bound:
+        pl *= p
+        levels.append((pl, offset * ((pl - 1) // (p - 1)) % pl))
+
+
+def jumps(
+    ctx: GhostContext,
+    k0: Optional[int],
+    whole: Optional[int],
+    start: int,
+    stop: int,
+    levels: Optional[List[Tuple[int, int]]] = None,
+) -> Tuple[List[int], List[int]]:
+    """Jumps (full, top) of the k0-omitted valuation from g_n to g_{n+1}
+    for n in range(start, stop), as two lists in the parts of
+    ``_level_sum``; whole = floor(r), None at w_k0 itself.
+
+    The weights whose multiplicity rises at n have k_bullet in
+    (k_mid_bullet(n), k_max_bullet(n)], those whose multiplicity falls in
+    [k_min_bullet(n), k_mid_bullet(n)]; the window ends come from the
+    per-context table of ``dims.jump_windows``.  ``levels`` is the level
+    table of k0, extended in place when a window first needs a deeper
+    level (a fresh table by default; unused without a base weight).
+    """
+    windows = dims.jump_windows(ctx, start, stop)
+    k0b = -1
+    if k0 is None:
+        levels = None
+    else:
+        quot, off_class = divmod(k0 - ctx.k_eps, ctx.p - 1)
+        if not off_class:
+            k0b = quot
+        levels = [] if levels is None else levels
+        if windows:
+            # window ends are nondecreasing in n: the last window reaches furthest
+            _deepen(ctx, k0, whole, levels, max(windows[-1]))
+    full, top = [], []
+    for kmin, kmid, kmax in windows:
+        rise_full, rise_top = _level_sum(kmid + 1, kmax, k0b, levels, whole)
+        fall_full, fall_top = _level_sum(kmin, kmid, k0b, levels, whole)
+        full.append(rise_full - fall_full)
+        top.append(rise_top - fall_top)
+    return full, top
 
 
 def increment_at(
     ctx: GhostContext, n: int, k0: Optional[int], whole: Optional[int] = None
 ) -> Tuple[int, int]:
-    """Jump (full, top) of the k0-omitted valuation from g_n to g_{n+1}, in
-    the parts of ``_level_sum``; whole = floor(r), None at w_k0 itself.
+    """The jump (full, top) from g_n to g_{n+1}: ``jumps`` at the one index n."""
+    (full,), (top,) = jumps(ctx, k0, whole, n, n + 1)
+    return full, top
 
-    The weights whose multiplicity rises at n have k_bullet in
-    (k_mid_bullet(n), k_max_bullet(n)], those whose multiplicity falls in
-    [k_min_bullet(n), k_mid_bullet(n)].
-    """
-    kmid = dims.k_mid_bullet(ctx, n)
-    rise = _level_sum(ctx, kmid + 1, dims.k_max_bullet(ctx, n), k0, whole)
-    fall = _level_sum(ctx, dims.k_min_bullet(ctx, n), kmid, k0, whole)
-    return rise[0] - fall[0], rise[1] - fall[1]
+
+#: Indices an evaluator adds at least when a read runs past its values.
+GROW_STEP = 32
 
 
 class JumpEvaluator:
@@ -214,9 +273,11 @@ class JumpEvaluator:
     k0 (None for none) and radius r (INF at w_k0 itself).
 
     Accumulates the jumps of the k0-omitted sum from v_p(g_0) = 0, keeping
-    its integer part and its frac(r) part apart.  k0 may be any integer, on
-    or off the ghost zero class; only a k0 >= 2 on the class is a zero of
-    some coefficients, and only there does m_n(k0) * r enter ``value``.
+    its integer part and its frac(r) part apart; each growth is one
+    ``jumps`` call, which extends the evaluator's level table of k0.  k0
+    may be any integer, on or off the ghost zero class; only a k0 >= 2 on
+    the class is a zero of some coefficients, and only there does m_n(k0) *
+    r enter ``value``.
     """
 
     def __init__(self, ctx: GhostContext, k0: Optional[int], r: ExtRat):
@@ -231,15 +292,21 @@ class JumpEvaluator:
         if k0 is not None and k0 >= 2 and ctx.on_disk(k0):
             kb = ctx.bullet(k0)
             self._ranks = (dims.d_ur_of_bullet(ctx, kb), dims.d_iw_of_bullet(ctx, kb))
+        self._levels: List[Tuple[int, int]] = []  # (p^l, level-l residue of k0)
         self._full = [0]
         self._top = [0]
 
-    def _grow(self, n: int) -> None:
+    def grow(self, n: int) -> None:
+        """Make the values up to index n available, in one ``jumps`` call."""
         full, top = self._full, self._top
-        while len(full) <= n:
-            jump_full, jump_top = increment_at(self.ctx, len(full) - 1, self.k0, self.whole)
-            full.append(full[-1] + jump_full)
-            top.append(top[-1] + jump_top)
+        if n < len(full):
+            return
+        jump_full, jump_top = jumps(
+            self.ctx, self.k0, self.whole, len(full) - 1, n, self._levels
+        )
+        # each list restarts from its last total, which accumulate re-emits
+        full.extend(accumulate(jump_full, initial=full.pop()))
+        top.extend(accumulate(jump_top, initial=top.pop()))
 
     def multiplicity_k0(self, n: int) -> int:
         return _multiplicity(n, *self._ranks) if self._ranks else 0
@@ -247,7 +314,9 @@ class JumpEvaluator:
     def omitted(self, n: int) -> ExtRat:
         """v_p(g_{n, hat k0}(w)), always finite."""
         if n >= len(self._full):
-            self._grow(n)
+            # readers that step one index at a time (certification) then pay
+            # one ``jumps`` call per GROW_STEP indices
+            self.grow(max(n, len(self._full) - 1 + GROW_STEP))
         if not self.frac:
             return self._full[n]
         return self._full[n] + self.frac * self._top[n]
@@ -280,11 +349,15 @@ def evaluator(ctx: GhostContext, w: WeightPoint) -> JumpEvaluator:
     return _point_evaluator(ctx, w.k0, w.r)
 
 
-def degree_fast(ctx: GhostContext, n: int) -> int:
-    """deg g_n, the profile at a point at distance 1 from every w_k (no
-    base weight, so nothing is omitted).
+def degree_evaluator(ctx: GhostContext) -> JumpEvaluator:
+    """The evaluator at a point at distance 1 from every w_k (no base
+    weight, so nothing is omitted): its ``omitted(n)`` is deg g_n."""
+    return _point_evaluator(ctx, None, 1)
 
-    Agrees with degree() everywhere (cross-checked in the test suite); used
-    on hot paths such as the Newton-polygon certification.
+
+def degree_fast(ctx: GhostContext, n: int) -> int:
+    """deg g_n from ``degree_evaluator``.
+
+    Agrees with degree() everywhere (cross-checked in the test suite).
     """
-    return _point_evaluator(ctx, None, 1).omitted(n)
+    return degree_evaluator(ctx).omitted(n)

@@ -4,7 +4,8 @@ Hull arithmetic is exact and cross-multiplied on the values as given:
 integer profiles (every classical point) stay ``int``; points at +infinity
 are skipped.  Vertices are strict: collinear interior points are not
 vertices, so a straight stretch has vertices only at its ends.  A polygon
-is stored as its vertices; ``segments`` reads its slopes off them.
+is stored as its vertices; ``segments`` reads its slopes off them, and
+``unit_slopes`` lists them once per unit of width for bulk readers.
 
 A ghost Newton polygon is an infinite object, so a finite computation must
 certify its prefix.  The certificate rests on two facts: every factor of a
@@ -144,6 +145,7 @@ def _future_safe(
     """
     c = min_factor_valuation(w)
     exact = ghost.evaluator(ctx, w).value if w.r is INF else None
+    degree = ghost.degree_evaluator(ctx).omitted
     d = lcm(vy.denominator, slope_in.denominator, c.denominator)
     y0 = vy.numerator * (d // vy.denominator)
     slope = slope_in.numerator * (d // slope_in.denominator)
@@ -151,9 +153,9 @@ def _future_safe(
     m = window_end + 1
     line = y0 + slope * (m - vx)  # D times the line at m
     for _ in range(max_steps):
-        deg = ghost.degree_fast(ctx, m)
+        deg = degree(m)
         if cd * deg > line:
-            inc = ghost.degree_fast(ctx, m + 1) - deg
+            inc = degree(m + 1) - deg
             if cd * inc >= slope:
                 # the floor now rises at least as fast as the line, forever
                 return True
@@ -190,6 +192,7 @@ def np_of_ghost(
     window_end = n_max + buffer
 
     ev = ghost.evaluator(ctx, w)
+    ev.grow(window_end)
     verts = lower_convex_hull([(n, ev.value(n)) for n in range(window_end + 1)]).vertices
     for i in range(len(verts) - 1, -1, -1):
         vx, vy = verts[i]
@@ -239,3 +242,14 @@ def slope_at(np: NewtonPolygon, i: int) -> Fraction:
         raise ValueError(f"slope {i} precedes the first hull point x = {x_first}")
     # the segment over [i - 1, i] ends at the first vertex with x >= i
     return np.slopes[bisect_left(np.vertices, (i,)) - 1][0]
+
+
+def unit_slopes(np: NewtonPolygon) -> List[Fraction]:
+    """Every slope of a polygon that starts at x = 0, once per unit of
+    width: entry i - 1 is ``slope_at(np, i)`` for i = 1..certified_upto."""
+    if np.vertices[0][0] != 0:
+        raise ValueError(f"the polygon starts at x = {np.vertices[0][0]}, not at 0")
+    out: List[Fraction] = []
+    for s, width in np.slopes:
+        out += [s] * width
+    return out

@@ -120,6 +120,7 @@ def delta_profile(ctx: GhostContext, k: int) -> DeltaProfile:
     half_new = dims.d_new(ctx, k) // 2
     half_iw = dims.d_iw(ctx, k) // 2
     ev = ghost.classical_evaluator(ctx, k)
+    ev.grow(half_iw + half_new)
     steinberg_slope = Fraction(k - 2, 2)
     offsets = range(-half_new, half_new + 1)
     raw = tuple(ev.omitted(half_iw + l) - steinberg_slope * l for l in offsets)

@@ -118,10 +118,10 @@ def check_mid_slopes(ctx: GhostContext, k: int) -> CheckReport:
     du, di = dims.d_ur(ctx, k), dims.d_iw(ctx, k)
     witnesses = []
     if di - 2 * du >= 2:
-        np_ = _np_at_classical(ctx, k, di)
+        slopes = newton.unit_slopes(_np_at_classical(ctx, k, di))
         want = Fraction(k - 2, 2)
         for i in range(du + 1, di - du + 1):
-            got = newton.slope_at(np_, i)
+            got = slopes[i - 1]
             if got != want:
                 witnesses.append(
                     {"k": k, "slope_index": i,
@@ -195,10 +195,10 @@ def check_atkin_lehner(ctx: GhostContext, k0: int) -> CheckReport:
             witnesses.append({"k0": k0, "ell": ell, "lhs": lhs, "rhs": rhs,
                               "reason": "jump identity"})
     if not on_class and d >= 1:
-        np1 = _np_at_classical(ctx, k0, d)
-        np2 = _np_at_classical(ctx2, k0, d)
+        slopes1 = newton.unit_slopes(_np_at_classical(ctx, k0, d))
+        slopes2 = newton.unit_slopes(_np_at_classical(ctx2, k0, d))
         for ell in range(1, d + 1):
-            s = newton.slope_at(np1, ell) + newton.slope_at(np2, d - ell + 1)
+            s = slopes1[ell - 1] + slopes2[d - ell]
             if s != k0 - 1:
                 witnesses.append(
                     {"k0": k0, "ell": ell, "lhs": format_rational(s), "rhs": k0 - 1,
@@ -216,15 +216,15 @@ def check_p_stabilization(ctx: GhostContext, k0: int) -> CheckReport:
     du, di = dims.d_ur(ctx, k0), dims.d_iw(ctx, k0)
     witnesses = []
     if di >= 1:
-        np_ = _np_at_classical(ctx, k0, di)
+        slopes = newton.unit_slopes(_np_at_classical(ctx, k0, di))
         for ell in range(1, du + 1):
-            s = newton.slope_at(np_, ell) + newton.slope_at(np_, di - ell + 1)
+            s = slopes[ell - 1] + slopes[di - ell]
             if s != k0 - 1:
                 witnesses.append(
                     {"k0": k0, "ell": ell, "lhs": format_rational(s), "rhs": k0 - 1}
                 )
         for i in range(1, di + 1):
-            s = newton.slope_at(np_, i)
+            s = slopes[i - 1]
             if s > k0 - 1:
                 witnesses.append(
                     {"k0": k0, "slope_index": i, "lhs": format_rational(s),
@@ -248,9 +248,9 @@ def check_gouvea(ctx: GhostContext, k0: int) -> CheckReport:
         if bound > coarse:
             witnesses.append({"k0": k0, "lhs": bound, "rhs": coarse,
                               "reason": "sharp bound above floor bound"})
-        np_ = _np_at_classical(ctx, k0, dims.d_iw(ctx, k0))
+        slopes = newton.unit_slopes(_np_at_classical(ctx, k0, dims.d_iw(ctx, k0)))
         for i in range(1, du + 1):
-            s = newton.slope_at(np_, i)
+            s = slopes[i - 1]
             if s > bound:
                 witnesses.append(
                     {"k0": k0, "slope_index": i, "lhs": format_rational(s), "rhs": bound}
@@ -266,10 +266,11 @@ def check_halo(ctx: GhostContext, t: Fraction, n_max: int) -> CheckReport:
     t0 = time.perf_counter()
     t = Fraction(t)
     np_, _ = newton.np_of_ghost_auto(ctx, Boundary(t), n_max)
+    slopes = newton.unit_slopes(np_)
     witnesses = []
     prev = None
     for i in range(1, n_max + 1):
-        got = newton.slope_at(np_, i)
+        got = slopes[i - 1]
         want = t * (ghost.degree_fast(ctx, i) - ghost.degree_fast(ctx, i - 1))
         if got != want:
             witnesses.append({"n": i, "lhs": format_rational(got),
@@ -595,53 +596,53 @@ def _sweep_weights(ctx: GhostContext, k_bullet_max: int):
     return [ctx.weight_of_bullet(kb) for kb in range(0, k_bullet_max + 1)]
 
 
-def suite_ghost_duality(ctx, k_bullet_max=200, **_):
+def suite_ghost_duality(ctx, k_bullet_max=200):
     return check_ghost_duality(ctx, k_bullet_max)
 
 
-def suite_mid_slopes(ctx, k_bullet_max=200, **_):
+def suite_mid_slopes(ctx, k_bullet_max=200):
     t0 = time.perf_counter()
     parts = [check_mid_slopes(ctx, k) for k in _sweep_weights(ctx, k_bullet_max)]
     return _merge("mid_slopes", {**_ctx_params(ctx), "k_bullet_max": k_bullet_max}, parts, t0)
 
 
-def suite_theta(ctx, k0_max=60, ell_max=5, **_):
+def suite_theta(ctx, k0_max=60, ell_max=5):
     t0 = time.perf_counter()
     parts = [check_theta(ctx, k0, ell_max) for k0 in range(2, k0_max + 1)]
     return _merge("theta", {**_ctx_params(ctx), "k0_max": k0_max, "ell_max": ell_max}, parts, t0)
 
 
-def suite_atkin_lehner(ctx, k0_max=60, **_):
+def suite_atkin_lehner(ctx, k0_max=60):
     t0 = time.perf_counter()
     parts = [check_atkin_lehner(ctx, k0) for k0 in range(2, k0_max + 1)]
     return _merge("atkin_lehner", {**_ctx_params(ctx), "k0_max": k0_max}, parts, t0)
 
 
-def suite_p_stabilization(ctx, k_bullet_max=200, **_):
+def suite_p_stabilization(ctx, k_bullet_max=200):
     t0 = time.perf_counter()
     parts = [check_p_stabilization(ctx, k) for k in _sweep_weights(ctx, k_bullet_max)]
     return _merge("p_stabilization", {**_ctx_params(ctx), "k_bullet_max": k_bullet_max}, parts, t0)
 
 
-def suite_gouvea(ctx, k_bullet_max=200, **_):
+def suite_gouvea(ctx, k_bullet_max=200):
     t0 = time.perf_counter()
     parts = [check_gouvea(ctx, k) for k in _sweep_weights(ctx, k_bullet_max)]
     return _merge("gouvea", {**_ctx_params(ctx), "k_bullet_max": k_bullet_max}, parts, t0)
 
 
-def suite_halo(ctx, n_max=24, **_):
+def suite_halo(ctx, n_max=24):
     t0 = time.perf_counter()
     parts = [check_halo(ctx, t, n_max) for t in (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4))]
     return _merge("halo", {**_ctx_params(ctx), "n_max": n_max}, parts, t0)
 
 
-def suite_integrality(ctx, k_bullet_max=200, **_):
+def suite_integrality(ctx, k_bullet_max=200):
     t0 = time.perf_counter()
     parts = [check_integrality(ctx, k) for k in _sweep_weights(ctx, k_bullet_max)]
     return _merge("integrality", {**_ctx_params(ctx), "k_bullet_max": k_bullet_max}, parts, t0)
 
 
-def suite_delta_estimates(ctx, k_bullet_max=200, k_prime_bullet_max=30, **_):
+def suite_delta_estimates(ctx, k_bullet_max=200, k_prime_bullet_max=30):
     t0 = time.perf_counter()
     parts = []
     for kb in range(0, k_bullet_max + 1):
@@ -656,15 +657,15 @@ def suite_delta_estimates(ctx, k_bullet_max=200, k_prime_bullet_max=30, **_):
     )
 
 
-def suite_vertex_theorem(ctx, points=3, n_max=14, seed=20817, **_):
+def suite_vertex_theorem(ctx, points=3, n_max=14, seed=20817):
     return check_vertex_theorem(ctx, points=points, n_max=n_max, seed=seed)
 
 
-def suite_nestedness(ctx, points=4, n_max=20, seed=60143, **_):
+def suite_nestedness(ctx, points=4, n_max=20, seed=60143):
     return check_nestedness(ctx, points=points, n_max=n_max, seed=seed)
 
 
-def suite_delta_vertices(ctx, k_bullet_max=40, **_):
+def suite_delta_vertices(ctx, k_bullet_max=40):
     return check_delta_vertices(ctx, k_bullet_max=k_bullet_max)
 
 
@@ -692,12 +693,17 @@ def _suite(name: str) -> Callable[..., CheckReport]:
 
 def suite_bounds(name: str) -> Tuple[str, ...]:
     """The bounds a suite reads: the parameters of its function that have
-    defaults (every suite also swallows the bounds of the others)."""
+    defaults."""
     params = inspect.signature(_suite(name)).parameters.values()
     return tuple(prm.name for prm in params if prm.default is not prm.empty)
 
 
 def run_suite(name: str, ctx: GhostContext, **bounds) -> CheckReport:
+    """Run one suite; a bound that the suite does not read is an error."""
+    read = suite_bounds(name)
+    unread = [b for b in bounds if b not in read]
+    if unread:
+        raise ValueError(f"suite {name!r} does not read the bound {unread[0]!r}")
     return _suite(name)(ctx, **bounds)
 
 
@@ -720,9 +726,10 @@ def clamp_workers(requested: int, tasks: int, cpus: Optional[int]) -> int:
 
 
 def _grid_task(args) -> List[dict]:
-    p, a, s_eps, suites, bounds = args
+    """Run the suites on one triple; args = (p, a, s_eps, ((suite, bounds), ...))."""
+    p, a, s_eps, runs = args
     ctx = new_context(p, a, s_eps)
-    return [run_suite(name, ctx, **bounds).to_json_dict() for name in suites]
+    return [run_suite(name, ctx, **bounds).to_json_dict() for name, bounds in runs]
 
 
 def run_grid(
@@ -733,14 +740,21 @@ def run_grid(
 ) -> List[dict]:
     """Run suites over every (p, a, s_eps) with a in [1, p-4], all disks.
 
-    Tasks are partitioned per parameter triple so each worker reuses its
-    evaluator caches; the merged output is sorted by (p, a, s_eps, suite).
+    Each suite gets the bounds it reads (``suite_bounds``); a bound that no
+    selected suite reads is an error.  Tasks are partitioned per parameter
+    triple so each worker reuses its evaluator caches; the merged output is
+    sorted by (p, a, s_eps, suite).
     """
     bounds = bounds or {}
-    for name in suites:
-        _suite(name)  # raises on an unknown name
+    reads = {name: suite_bounds(name) for name in suites}  # raises on an unknown name
+    for b in bounds:
+        if not any(b in read for read in reads.values()):
+            raise ValueError(f"no selected suite reads the bound {b!r}")
+    runs = tuple(
+        (name, {b: val for b, val in bounds.items() if b in reads[name]}) for name in suites
+    )
     tasks = [
-        (p, a, s_eps, tuple(suites), bounds)
+        (p, a, s_eps, runs)
         for p in ps
         for a in range(1, p - 3)
         for s_eps in range(0, p - 1)

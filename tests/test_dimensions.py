@@ -225,3 +225,35 @@ class TestOracles:
             for kb in range(0, 120):
                 k = ctx.weight_of_bullet(kb)
                 assert dims.d_ur_jh_oracle(ctx, k) == dims.d_ur(ctx, k), (ctx, k)
+
+
+class TestJumpWindows:
+    @staticmethod
+    def direct(ctx, start, stop):
+        return [(dims.k_min_bullet(ctx, n), dims.k_mid_bullet(ctx, n), dims.k_max_bullet(ctx, n))
+                for n in range(start, stop)]
+
+    def test_matches_the_formulas(self):
+        rng = random.Random(17)
+        for ctx in contexts():
+            dims._window_table.cache_clear()
+            for _ in range(6):
+                start = rng.randint(0, 200)
+                stop = start + rng.randint(0, 120)
+                assert dims.jump_windows(ctx, start, stop) == self.direct(ctx, start, stop)
+
+    def test_past_the_table_bound(self, monkeypatch):
+        monkeypatch.setattr(dims, "WINDOW_TABLE_MAX", 50)
+        dims._window_table.cache_clear()
+        ctx = new_context(11, 5, 7)
+        for start, stop in ((0, 30), (20, 80), (45, 55), (60, 90), (0, 120)):
+            assert dims.jump_windows(ctx, start, stop) == self.direct(ctx, start, stop)
+        assert len(dims._window_table(ctx)) == 50
+        dims._window_table.cache_clear()
+
+    def test_window_ends_are_nondecreasing(self):
+        # the jump evaluator sizes its level table from the last window
+        for ctx in contexts():
+            ends = self.direct(ctx, 0, 400)
+            for prev, nxt in zip(ends, ends[1:]):
+                assert all(a <= b for a, b in zip(prev, nxt)), ctx

@@ -285,7 +285,12 @@ class TestLevelSum:
     @staticmethod
     def level_sum(ctx, kb_lo, kb_hi, k0, r):
         whole = None if r is INF else r.numerator // r.denominator
-        full, top = ghost._level_sum(ctx, kb_lo, kb_hi, k0, whole)
+        levels = k0b = None
+        if k0 is not None:
+            k0b = ctx.bullet(k0) if ctx.on_disk(k0) else -1
+            levels = []
+            ghost._deepen(ctx, k0, whole, levels, kb_hi)
+        full, top = ghost._level_sum(kb_lo, kb_hi, k0b, levels, whole)
         return full if r is INF else full + (r - whole) * top
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -386,3 +391,72 @@ class TestJson:
     def test_coefficient_serialisation(self):
         d = ghost.coefficient(C4, 2).to_json_dict()
         assert d == {"n": 2, "factors": [[12, 1], [18, 1], [24, 1], [30, 1]]}
+
+
+class TestGrowthLoop:
+    """Evaluators grown by ``jumps`` against single-n ``increment_at`` and
+    against the factored ``eval_vp``, to n = 300."""
+
+    PRIMES = (5, 7, 11, 13)
+    N = 300
+
+    @staticmethod
+    def points(ctx):
+        on = ctx.weight_of_bullet(20)
+        off = ctx.weight_of_bullet(9) + 1
+        return [
+            Classical(on), Classical(off), Classical(ctx.weight_of_bullet(-1)), Classical(1),
+            Perturbed(on, Fraction(4)), Perturbed(ctx.weight_of_bullet(3), Fraction(7, 2)),
+            Perturbed(off, Fraction(10, 3)), Perturbed(0, Fraction(5, 2)),
+            Boundary(Fraction(1, 2)), Boundary(Fraction(2, 3)),
+        ]
+
+    @staticmethod
+    def fresh(ctx, w):
+        return ghost.JumpEvaluator(ctx, w.k0, w.r)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_matches_single_steps_and_factored(self, p):
+        rng = random.Random(700 + p)
+        ctx = new_context(p, rng.randint(1, p - 4), rng.randint(0, p - 2))
+        for w in self.points(ctx):
+            ev = self.fresh(ctx, w)
+            ev.grow(self.N)
+            full, top = [0], [0]
+            for n in range(self.N):
+                jump_full, jump_top = ghost.increment_at(ctx, n, ev.k0, ev.whole)
+                full.append(full[-1] + jump_full)
+                top.append(top[-1] + jump_top)
+            assert (ev._full, ev._top) == (full, top), (ctx, w)
+            for n in [*range(0, self.N, 4), self.N]:
+                assert ev.value(n) == ghost.eval_vp(ctx, n, w), (ctx, w, n)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_growth_in_stages(self, p):
+        ctx = new_context(p, 1, p - 2)
+        for w in self.points(ctx):
+            once, staged = self.fresh(ctx, w), self.fresh(ctx, w)
+            once.grow(self.N)
+            staged.grow(40)
+            staged.grow(self.N)
+            assert (staged._full, staged._top) == (once._full, once._top), (ctx, w)
+
+    def test_reads_past_the_end_grow_by_a_step(self):
+        ev = self.fresh(C4, Classical(18))
+        ev.grow(10)
+        ev.omitted(11)
+        assert len(ev._full) == 11 + ghost.GROW_STEP
+        ev.omitted(200)
+        assert len(ev._full) == 201
+
+    def test_level_table_deepens_with_the_windows(self):
+        ctx = new_context(5, 1, 2)
+        ev = self.fresh(ctx, Classical(ctx.weight_of_bullet(3)))
+        ev.grow(5)
+        shallow = list(ev._levels)
+        ev.grow(300)
+        assert ev._levels[: len(shallow)] == shallow and len(ev._levels) > len(shallow)
+        # a radius caps the table at floor(r) levels
+        ev = self.fresh(ctx, Perturbed(ctx.weight_of_bullet(3), Fraction(5, 2)))
+        ev.grow(300)
+        assert len(ev._levels) == 2

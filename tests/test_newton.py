@@ -172,6 +172,23 @@ class TestVertexStorage:
                 assert got == [per_unit[i] for i in sorted(per_unit) if i > start]
             assert tuple(newton.segments(hull.vertices)) == hull.slopes
 
+    def test_unit_slopes_match_slope_at(self):
+        rng = random.Random(41)
+        seen_zero_start = 0
+        for _ in range(300):
+            hull = random_hull(rng)
+            if hull.vertices[0][0] != 0:
+                with pytest.raises(ValueError):
+                    newton.unit_slopes(hull)
+                continue
+            seen_zero_start += 1
+            want = [slope_at_walk(hull, i) for i in range(1, hull.certified_upto + 1)]
+            assert newton.unit_slopes(hull) == want, hull
+        assert seen_zero_start >= 50
+        np_, _ = newton.np_of_ghost_auto(C4, Classical(66), 20)
+        assert newton.unit_slopes(np_) == [
+            newton.slope_at(np_, i) for i in range(1, np_.certified_upto + 1)]
+
 
 class TestGhostPolygon:
     def test_regime_straight_line(self):
@@ -263,9 +280,14 @@ class _FactoredEvaluator:
 
     def __init__(self, ctx, w):
         self.ctx, self.w = ctx, w
+        self.values = []
+
+    def grow(self, n):
+        self.values += [ghost.eval_vp(self.ctx, m, self.w) for m in range(len(self.values), n + 1)]
 
     def value(self, n):
-        return ghost.eval_vp(self.ctx, n, self.w)
+        self.grow(n)
+        return self.values[n]
 
 
 class TestPolygonAgainstFactoredOracle:

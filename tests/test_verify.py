@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 from fractions import Fraction
@@ -332,6 +333,17 @@ class TestReports:
         rep = verify.run_suite("halo", C0, n_max=10)
         json.dumps(rep.to_json_dict())
 
+    def test_unread_bound_rejected(self):
+        with pytest.raises(ValueError, match="'halo'.*'k_bullet_max'"):
+            verify.run_suite("halo", new_context(7, 2, 4), k_bullet_max=5)
+        with pytest.raises(ValueError, match="'ghost_duality'.*'n_max'"):
+            verify.run_suite("ghost_duality", C0, k_bullet_max=5, n_max=3)
+
+    def test_no_suite_swallows_bounds(self):
+        for name, fn in verify.SUITES.items():
+            kinds = {prm.kind for prm in inspect.signature(fn).parameters.values()}
+            assert inspect.Parameter.VAR_KEYWORD not in kinds, name
+
 
 class TestGrid:
     def test_small_grid_sequential(self):
@@ -342,6 +354,27 @@ class TestGrid:
         keys = [(r["params"]["p"], r["params"]["a"], r["params"]["s_eps"], r["name"])
                 for r in reports]
         assert keys == sorted(keys)
+
+    def test_each_suite_gets_only_its_bounds(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(verify, "run_suite",
+                            lambda name, ctx, **bounds: seen.append((name, bounds)) or
+                            verify.CheckReport(name, verify._ctx_params(ctx), "pass", [], 0.0))
+        verify.run_grid([5], ["ghost_duality", "halo"],
+                        {"k_bullet_max": 12, "n_max": 8}, workers=1)
+        assert {(name, tuple(b.items())) for name, b in seen} == {
+            ("ghost_duality", (("k_bullet_max", 12),)), ("halo", (("n_max", 8),))}
+
+    def test_unread_bound_rejected(self):
+        with pytest.raises(ValueError, match="'points'"):
+            verify.run_grid([5], ["halo", "theta"], {"points": 1}, workers=1)
+
+    def test_tasks_start_with_the_triple(self, monkeypatch):
+        # perfbench's sampled grid filters the tasks on args[:3]
+        tasks = []
+        monkeypatch.setattr(verify, "_grid_task", lambda args: tasks.append(args) or [])
+        verify.run_grid([5], ["halo"], {"n_max": 4}, workers=1)
+        assert sorted(t[:3] for t in tasks) == [(5, 1, s) for s in range(4)]
 
     def test_parallel_matches_sequential(self, monkeypatch):
         # run_grid caps the pool at the core count; pretend to have two so
