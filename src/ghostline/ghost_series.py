@@ -23,9 +23,10 @@ from w_k for k != k0 and at distance r from w_k0:
 The jump of the k0-omitted sum from n to n+1 is the sum of the distance
 over the k_bullet window whose multiplicities rise at n, minus the sum
 over the window whose multiplicities fall; ``value`` adds m_n(k0) * r
-back.  Each window sum counts levels: min(r, 1 + vp(x)) is the number of
-levels l < floor(r) with p^l | x, plus frac(r) if p^floor(r) | x, and
-level l counts one residue class of k_bullet modulo p^l.
+back.  Each window sum counts levels in units of 1/D, for D the denominator
+of r (1 at INF), so it is an integer: D * min(r, 1 + vp(x)) is D per level
+l < floor(r) with p^l | x, plus D * frac(r) if p^floor(r) | x, and level l
+counts one residue class of k_bullet modulo p^l.
 
 ``jumps`` returns the jumps for a range of n in one integer loop, and an
 evaluator grows by one ``jumps`` call (``increment_at`` is the call for a
@@ -165,36 +166,45 @@ def eval_vp_omit(
     return total
 
 
+def _radius_parts(r: ExtRat) -> Tuple[Optional[int], int, int]:
+    """(floor(r), D, D*frac(r)) for the denominator D of r; (None, 1, 0) at INF."""
+    if r is INF:
+        return None, 1, 0
+    num, den = r.as_integer_ratio()
+    whole, rem = divmod(num, den)
+    return whole, den, rem
+
+
 def _level_sum(
     kb_lo: int, kb_hi: int, k0b: int, levels: Optional[List[Tuple[int, int]]],
-    whole: Optional[int],
-) -> Tuple[int, int]:
-    """Sum of min(r, 1 + vp(k - k0)) over the weights k != k0 with k_bullet
-    in [max(kb_lo, 0), kb_hi], as (full, top) with sum full + frac(r)*top.
+    whole: Optional[int], den: int, rem: int,
+) -> int:
+    """D times the sum of min(r, 1 + vp(k - k0)) over the weights k != k0
+    with k_bullet in [max(kb_lo, 0), kb_hi]; (whole, den, rem) = _radius_parts(r).
 
-    whole = floor(r), None for r = INF.  Level l < whole adds 1 and level
-    whole adds frac(r) for each k with p^l | k - k0, and those k are the
-    k_bullet congruent to the level-l residue of k0 modulo p^l, read from
-    ``levels[l - 1] = (p^l, residue)`` (see ``_deepen``).  k0b is the
-    k_bullet of k0 when k0 lies on the class, else -1.  The solution sets
-    are nested, so the first level holding no k != k0 ends the sum.  With
-    no base weight (levels None) every distance is min(r, 1).
+    Level l < whole adds D and level whole adds D*frac(r) for each k with
+    p^l | k - k0, and those k are the k_bullet congruent to the level-l
+    residue of k0 modulo p^l, read from ``levels[l - 1] = (p^l, residue)``
+    (see ``_deepen``).  k0b is the k_bullet of k0 when k0 lies on the
+    class, else -1.  The solution sets are nested, so the first level
+    holding no k != k0 ends the sum.  With no base weight (levels None)
+    every distance is min(r, 1).
     """
     kb_lo = max(kb_lo, 0)
     if kb_lo > kb_hi:
-        return 0, 0
+        return 0
     count = kb_hi - kb_lo + 1
     if levels is None:
-        return (count, 0) if whole else (0, count)
+        return count * (den if whole else rem)
     has_k0 = kb_lo <= k0b <= kb_hi
     count -= has_k0
-    full = level = 0
+    total = level = 0
     while count and level != whole:
-        full += count
+        total += count
         pl, res = levels[level]
         level += 1
         count = (kb_hi - res) // pl - (kb_lo - 1 - res) // pl - has_k0
-    return full, count
+    return den * total + rem * count
 
 
 def _deepen(
@@ -219,14 +229,13 @@ def _deepen(
 def jumps(
     ctx: GhostContext,
     k0: Optional[int],
-    whole: Optional[int],
+    r: ExtRat,
     start: int,
     stop: int,
     levels: Optional[List[Tuple[int, int]]] = None,
-) -> Tuple[List[int], List[int]]:
-    """Jumps (full, top) of the k0-omitted valuation from g_n to g_{n+1}
-    for n in range(start, stop), as two lists in the parts of
-    ``_level_sum``; whole = floor(r), None at w_k0 itself.
+) -> List[int]:
+    """D times the jumps of the k0-omitted valuation from g_n to g_{n+1}
+    for n in range(start, stop), at radius r with denominator D (1 at INF).
 
     The weights whose multiplicity rises at n have k_bullet in
     (k_mid_bullet(n), k_max_bullet(n)], those whose multiplicity falls in
@@ -235,6 +244,7 @@ def jumps(
     table of k0, extended in place when a window first needs a deeper
     level (a fresh table by default; unused without a base weight).
     """
+    whole, den, rem = _radius_parts(r)
     windows = dims.jump_windows(ctx, start, stop)
     k0b = -1
     if k0 is None:
@@ -247,21 +257,18 @@ def jumps(
         if windows:
             # window ends are nondecreasing in n: the last window reaches furthest
             _deepen(ctx, k0, whole, levels, max(windows[-1]))
-    full, top = [], []
-    for kmin, kmid, kmax in windows:
-        rise_full, rise_top = _level_sum(kmid + 1, kmax, k0b, levels, whole)
-        fall_full, fall_top = _level_sum(kmin, kmid, k0b, levels, whole)
-        full.append(rise_full - fall_full)
-        top.append(rise_top - fall_top)
-    return full, top
+    return [
+        _level_sum(kmid + 1, kmax, k0b, levels, whole, den, rem)
+        - _level_sum(kmin, kmid, k0b, levels, whole, den, rem)
+        for kmin, kmid, kmax in windows
+    ]
 
 
-def increment_at(
-    ctx: GhostContext, n: int, k0: Optional[int], whole: Optional[int] = None
-) -> Tuple[int, int]:
-    """The jump (full, top) from g_n to g_{n+1}: ``jumps`` at the one index n."""
-    (full,), (top,) = jumps(ctx, k0, whole, n, n + 1)
-    return full, top
+def increment_at(ctx: GhostContext, n: int, k0: Optional[int], r: ExtRat = INF) -> ExtRat:
+    """The jump from g_n to g_{n+1}: ``jumps`` at the one index n, over D."""
+    (jump,) = jumps(ctx, k0, r, n, n + 1)
+    den = _radius_parts(r)[1]
+    return jump if den == 1 else Fraction(jump, den)
 
 
 #: Indices an evaluator adds at least when a read runs past its values.
@@ -272,54 +279,46 @@ class JumpEvaluator:
     """Valuation profile n -> v_p(g_n(w)) at the point w with base weight
     k0 (None for none) and radius r (INF at w_k0 itself).
 
-    Accumulates the jumps of the k0-omitted sum from v_p(g_0) = 0, keeping
-    its integer part and its frac(r) part apart; each growth is one
-    ``jumps`` call, which extends the evaluator's level table of k0.  k0
-    may be any integer, on or off the ghost zero class; only a k0 >= 2 on
-    the class is a zero of some coefficients, and only there does m_n(k0) *
-    r enter ``value``.
+    Keeps one integer list, D * v_p(g_{n, hat k0}(w)) for the denominator D
+    of r (1 at INF and at integral r), accumulated from v_p(g_0) = 0; each
+    growth is one ``jumps`` call, which extends the evaluator's level table
+    of k0.  k0 may be any integer, on or off the ghost zero class; only a
+    k0 >= 2 on the class is a zero of some coefficients, and only there
+    does m_n(k0) * r enter ``value``.
     """
 
     def __init__(self, ctx: GhostContext, k0: Optional[int], r: ExtRat):
         self.ctx = ctx
         self.k0 = k0
-        if r is INF:
-            self.whole, self.frac, self.r = None, 0, INF
-        else:
-            self.whole, self.frac = divmod(Fraction(r), 1)
-            self.r = r if self.frac else self.whole  # integral radii keep int profiles
+        whole, self.den, _ = _radius_parts(r)
+        self.r = whole if self.den == 1 and r is not INF else r  # int at integral r
         self._ranks = None  # (d_ur, d_iw) of k0 when it is a ghost zero weight
         if k0 is not None and k0 >= 2 and ctx.on_disk(k0):
             kb = ctx.bullet(k0)
             self._ranks = (dims.d_ur_of_bullet(ctx, kb), dims.d_iw_of_bullet(ctx, kb))
         self._levels: List[Tuple[int, int]] = []  # (p^l, level-l residue of k0)
-        self._full = [0]
-        self._top = [0]
+        self._scaled = [0]  # D * v_p(g_{n, hat k0}(w))
 
     def grow(self, n: int) -> None:
         """Make the values up to index n available, in one ``jumps`` call."""
-        full, top = self._full, self._top
-        if n < len(full):
+        scaled = self._scaled
+        if n < len(scaled):
             return
-        jump_full, jump_top = jumps(
-            self.ctx, self.k0, self.whole, len(full) - 1, n, self._levels
-        )
-        # each list restarts from its last total, which accumulate re-emits
-        full.extend(accumulate(jump_full, initial=full.pop()))
-        top.extend(accumulate(jump_top, initial=top.pop()))
+        steps = jumps(self.ctx, self.k0, self.r, len(scaled) - 1, n, self._levels)
+        # the list restarts from its last total, which accumulate re-emits
+        scaled.extend(accumulate(steps, initial=scaled.pop()))
 
     def multiplicity_k0(self, n: int) -> int:
         return _multiplicity(n, *self._ranks) if self._ranks else 0
 
     def omitted(self, n: int) -> ExtRat:
         """v_p(g_{n, hat k0}(w)), always finite."""
-        if n >= len(self._full):
+        if n >= len(self._scaled):
             # readers that step one index at a time (certification) then pay
             # one ``jumps`` call per GROW_STEP indices
-            self.grow(max(n, len(self._full) - 1 + GROW_STEP))
-        if not self.frac:
-            return self._full[n]
-        return self._full[n] + self.frac * self._top[n]
+            self.grow(max(n, len(self._scaled) - 1 + GROW_STEP))
+        x = self._scaled[n]
+        return x if self.den == 1 else Fraction(x, self.den)
 
     def value(self, n: int) -> ExtRat:
         """v_p(g_n(w)); INF at the indices where w = w_k0 is a zero."""

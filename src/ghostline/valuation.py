@@ -10,6 +10,7 @@ of zero and is absorbing for addition and maximal for every comparison.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 
@@ -94,7 +95,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=64)
 def _check_prime(p: int) -> None:
+    """Raise unless p is prime.  A prime is tested once; a non-prime raises
+    on every call, since ``lru_cache`` keeps no call that raised."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
 
@@ -126,11 +130,7 @@ def digit_sum(m: int, p: int) -> int:
     _check_prime(p)
     if m < 0:
         raise ValueError(f"digit_sum requires m >= 0, got {m}")
-    total = 0
-    while m:
-        m, r = divmod(m, p)
-        total += r
-    return total
+    return _digit_sum_unchecked(m, p)
 
 
 def _digit_sum_unchecked(m: int, p: int) -> int:

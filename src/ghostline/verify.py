@@ -33,6 +33,7 @@ from .weight_space import (
     GhostContext,
     Perturbed,
     WeightPoint,
+    check_p,
     format_point,
     format_rational,
     new_context,
@@ -79,8 +80,9 @@ def _ctx_params(ctx: GhostContext) -> dict:
 
 
 @lru_cache(maxsize=2048)
-def _np_at_classical(ctx: GhostContext, k0: int, n_max: int) -> newton.NewtonPolygon:
-    np_, _ = newton.np_of_ghost_auto(ctx, Classical(k0), n_max)
+def _np_at_classical(ctx: GhostContext, k0: int) -> newton.NewtonPolygon:
+    """The polygon at w_k0 to the classical rank d_iw(k0)."""
+    np_, _ = newton.np_of_ghost_auto(ctx, Classical(k0), dims.d_iw(ctx, k0))
     return np_
 
 
@@ -118,7 +120,7 @@ def check_mid_slopes(ctx: GhostContext, k: int) -> CheckReport:
     du, di = dims.d_ur(ctx, k), dims.d_iw(ctx, k)
     witnesses = []
     if di - 2 * du >= 2:
-        slopes = newton.unit_slopes(_np_at_classical(ctx, k, di))
+        slopes = newton.unit_slopes(_np_at_classical(ctx, k))
         want = Fraction(k - 2, 2)
         for i in range(du + 1, di - du + 1):
             got = slopes[i - 1]
@@ -195,8 +197,8 @@ def check_atkin_lehner(ctx: GhostContext, k0: int) -> CheckReport:
             witnesses.append({"k0": k0, "ell": ell, "lhs": lhs, "rhs": rhs,
                               "reason": "jump identity"})
     if not on_class and d >= 1:
-        slopes1 = newton.unit_slopes(_np_at_classical(ctx, k0, d))
-        slopes2 = newton.unit_slopes(_np_at_classical(ctx2, k0, d))
+        slopes1 = newton.unit_slopes(_np_at_classical(ctx, k0))
+        slopes2 = newton.unit_slopes(_np_at_classical(ctx2, k0))
         for ell in range(1, d + 1):
             s = slopes1[ell - 1] + slopes2[d - ell]
             if s != k0 - 1:
@@ -216,7 +218,7 @@ def check_p_stabilization(ctx: GhostContext, k0: int) -> CheckReport:
     du, di = dims.d_ur(ctx, k0), dims.d_iw(ctx, k0)
     witnesses = []
     if di >= 1:
-        slopes = newton.unit_slopes(_np_at_classical(ctx, k0, di))
+        slopes = newton.unit_slopes(_np_at_classical(ctx, k0))
         for ell in range(1, du + 1):
             s = slopes[ell - 1] + slopes[di - ell]
             if s != k0 - 1:
@@ -248,7 +250,7 @@ def check_gouvea(ctx: GhostContext, k0: int) -> CheckReport:
         if bound > coarse:
             witnesses.append({"k0": k0, "lhs": bound, "rhs": coarse,
                               "reason": "sharp bound above floor bound"})
-        slopes = newton.unit_slopes(_np_at_classical(ctx, k0, dims.d_iw(ctx, k0)))
+        slopes = newton.unit_slopes(_np_at_classical(ctx, k0))
         for i in range(1, du + 1):
             s = slopes[i - 1]
             if s > bound:
@@ -302,7 +304,7 @@ def check_integrality(ctx: GhostContext, k0: int) -> CheckReport:
     di = dims.d_iw(ctx, k0)
     witnesses = []
     if di >= 1:
-        for s, w in _np_at_classical(ctx, k0, di).slopes:
+        for s, w in _np_at_classical(ctx, k0).slopes:
             if not steinberg.slope_class_ok(ctx, s, w):
                 witnesses.append({"k0": k0, "slope": format_rational(s), "width": w})
     return _report("integrality", {**_ctx_params(ctx), "k0": k0}, witnesses, t0)
@@ -741,10 +743,20 @@ def run_grid(
     """Run suites over every (p, a, s_eps) with a in [1, p-4], all disks.
 
     Each suite gets the bounds it reads (``suite_bounds``); a bound that no
-    selected suite reads is an error.  Tasks are partitioned per parameter
-    triple so each worker reuses its evaluator caches; the merged output is
-    sorted by (p, a, s_eps, suite).
+    selected suite reads is an error, and so are an empty prime or suite
+    list, a prime or suite named twice, and a p that ``new_context``
+    rejects.  Tasks are partitioned per parameter triple so each worker
+    reuses its evaluator caches; the merged output is sorted by
+    (p, a, s_eps, suite).
     """
+    for kind, names in (("prime", ps), ("suite", suites)):
+        if not names:
+            raise ValueError(f"the {kind} list is empty")
+        twice = [x for i, x in enumerate(names) if x in names[:i]]
+        if twice:
+            raise ValueError(f"{kind} {twice[0]!r} is named twice")
+    for p in ps:
+        check_p(p)
     bounds = bounds or {}
     reads = {name: suite_bounds(name) for name in suites}  # raises on an unknown name
     for b in bounds:

@@ -70,13 +70,18 @@ class GhostContext:
         return self.k_eps + (self.p - 1) * k_bullet
 
 
+def check_p(p: int) -> None:
+    """Raise ValueError unless p is a prime >= 5."""
+    if not is_prime(p) or p < 5:
+        raise ValueError(f"p must be a prime >= 5, got p = {p}")
+
+
 def new_context(p: int, a: int, s_eps: int) -> GhostContext:
     """Validate (p, a, s_eps) and compute every derived constant.
 
     Requires p prime >= 5, 1 <= a <= p-4 (genericity), 0 <= s_eps <= p-2.
     """
-    if not is_prime(p) or p < 5:
-        raise ValueError(f"p must be a prime >= 5, got p = {p}")
+    check_p(p)
     if not 1 <= a <= p - 4:
         raise ValueError(f"a must satisfy 1 <= a <= p-4 = {p - 4}, got a = {a}")
     if not 0 <= s_eps <= p - 2:

@@ -234,6 +234,18 @@ class TestBoundFlags:
 
 
 class TestScan:
+    @pytest.mark.parametrize("p_list, suites, message", [
+        ("4", "halo", "got p = 4"),
+        ("2,3", "halo", "got p = 2"),
+        ("6", "halo", "got p = 6"),
+        ("5,5", "halo", "prime 5 is named twice"),
+        ("5", "halo,halo", "suite 'halo' is named twice"),
+    ])
+    def test_scan_rejects_an_empty_or_repeated_grid(self, capsys, p_list, suites, message):
+        code, out, err = run(capsys, "scan", "--p-list", p_list, "--suites", suites,
+                             "--workers", "1")
+        assert (code, out) == (2, "") and message in err
+
     def test_scan_small(self, capsys):
         code, out, _ = run(capsys, "scan", "--p-list", "5", "--suites", "halo,nestedness",
                            "--n-max", "8", "--points", "1", "--workers", "2")

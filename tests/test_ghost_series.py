@@ -208,11 +208,11 @@ class TestEvaluation:
     def test_increment_oracle_example(self):
         # jump of the 18-omitted valuation from n=3 to n=4; the profile
         # normalisation peels off (k-2)/2 = 8, leaving the gap 11 - 8 = 3
-        assert ghost.increment_at(C4, 3, 18) == (19 - 8, 0) == (11, 0)
+        assert ghost.increment_at(C4, 3, 18) == 19 - 8 == 11
 
     def test_increment_oracle_empty_ranges(self):
         ctx = new_context(7, 2, 0)  # k_max_bullet(0) < 0: nothing moves at n=0
-        assert ghost.increment_at(ctx, 0, 4) == (0, 0)
+        assert ghost.increment_at(ctx, 0, 4) == 0
 
     def test_increment_oracle_matches_direct(self):
         rng = random.Random(99)
@@ -224,7 +224,7 @@ class TestEvaluation:
             direct = ghost.eval_vp_omit(ctx, n + 1, Classical(k0), {k0}) - ghost.eval_vp_omit(
                 ctx, n, Classical(k0), {k0}
             )
-            assert ghost.increment_at(ctx, n, k0) == (direct, 0)
+            assert ghost.increment_at(ctx, n, k0) == direct
 
     def test_second_difference_formula(self):
         # second difference of omitted valuations against the window form:
@@ -284,14 +284,18 @@ class TestLevelSum:
 
     @staticmethod
     def level_sum(ctx, kb_lo, kb_hi, k0, r):
-        whole = None if r is INF else r.numerator // r.denominator
+        """The scaled sum and D, the denominator of r (1 at INF)."""
+        if r is INF:
+            whole, den, rem = None, 1, 0
+        else:
+            whole, den = r.numerator // r.denominator, r.denominator
+            rem = r.numerator - whole * den
         levels = k0b = None
         if k0 is not None:
             k0b = ctx.bullet(k0) if ctx.on_disk(k0) else -1
             levels = []
             ghost._deepen(ctx, k0, whole, levels, kb_hi)
-        full, top = ghost._level_sum(kb_lo, kb_hi, k0b, levels, whole)
-        return full if r is INF else full + (r - whole) * top
+        return ghost._level_sum(kb_lo, kb_hi, k0b, levels, whole, den, rem), den
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_matches_direct_sum(self, p):
@@ -320,7 +324,8 @@ class TestLevelSum:
             holds_k0 = k0 is not None and ctx.on_disk(k0) and max(kb_lo, 0) <= ctx.bullet(k0) <= kb_hi
             seen.add((shape, r is INF, kb_lo < 0, holds_k0))
             want = self.direct(ctx, kb_lo, kb_hi, k0, r)
-            assert self.level_sum(ctx, kb_lo, kb_hi, k0, r) == want, (ctx, kb_lo, kb_hi, k0, r)
+            scaled, den = self.level_sum(ctx, kb_lo, kb_hi, k0, r)
+            assert type(scaled) is int and scaled == den * want, (ctx, kb_lo, kb_hi, k0, r)
         assert ("on", True, False, True) in seen and ("on", False, True, True) in seen
         assert {s for s, *_ in seen} == {"on", "off", "small", "none"}
 
@@ -387,6 +392,51 @@ class TestPointEvaluator:
         assert ghost.evaluator(C4, Classical(18)) is ghost.classical_evaluator(C4, 18)
 
 
+class TestIncrementAtPoints:
+    """Single jumps at perturbed and boundary points against differences of
+    the factored ``eval_vp_omit``, and their types: an int when the radius
+    is INF or integral, a Fraction otherwise."""
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_matches_omitted_differences(self, p):
+        rng = random.Random(900 + p)
+        seen = set()
+        for _ in range(60):
+            ctx = new_context(p, rng.randint(1, p - 4), rng.randint(0, p - 2))
+            shape = rng.choice(("on", "off", "small", "boundary"))
+            den = rng.choice((1, 2, 3))
+            if shape == "boundary":
+                k0, r = None, Fraction(rng.randint(1, 3 * den), 3 * den + 1)
+                w = Boundary(r)
+            else:
+                if shape == "on":
+                    k0 = ctx.weight_of_bullet(rng.randint(0, 40))
+                elif shape == "off":
+                    k0 = ctx.weight_of_bullet(rng.randint(0, 40)) + rng.randint(1, p - 2)
+                else:
+                    k0 = rng.choice((ctx.weight_of_bullet(-1), 0, 1, -7))
+                r = Fraction(rng.randint(1, 8 * den), den)
+                w = Perturbed(k0, r)
+            omit = () if k0 is None else (k0,)
+            n = rng.randint(0, 40)
+            direct = ghost.eval_vp_omit(ctx, n + 1, w, omit) - ghost.eval_vp_omit(ctx, n, w, omit)
+            got = ghost.increment_at(ctx, n, k0, r)
+            assert got == direct, (ctx, w, n)
+            assert type(got) is (int if r.denominator == 1 else Fraction), (ctx, w, n)
+            seen.add((shape, r.denominator))
+        assert {s for s, _ in seen} == {"on", "off", "small", "boundary"}
+        assert {d for s, d in seen if s != "boundary"} == {1, 2, 3}
+
+    def test_value_types(self):
+        ctx = new_context(7, 2, 4)
+        for w in (Classical(18), Perturbed(18, Fraction(4)), Perturbed(18, Fraction(7, 2)),
+                  Boundary(Fraction(1, 2))):
+            ev = ghost.JumpEvaluator(ctx, w.k0, w.r)
+            want = int if w.r is INF or w.r.denominator == 1 else Fraction
+            for n in range(0, 30):
+                assert type(ev.omitted(n)) is want, (w, n)
+
+
 class TestJson:
     def test_coefficient_serialisation(self):
         d = ghost.coefficient(C4, 2).to_json_dict()
@@ -422,12 +472,10 @@ class TestGrowthLoop:
         for w in self.points(ctx):
             ev = self.fresh(ctx, w)
             ev.grow(self.N)
-            full, top = [0], [0]
+            scaled = [0]
             for n in range(self.N):
-                jump_full, jump_top = ghost.increment_at(ctx, n, ev.k0, ev.whole)
-                full.append(full[-1] + jump_full)
-                top.append(top[-1] + jump_top)
-            assert (ev._full, ev._top) == (full, top), (ctx, w)
+                scaled.append(scaled[-1] + ev.den * ghost.increment_at(ctx, n, ev.k0, w.r))
+            assert ev._scaled == scaled, (ctx, w)
             for n in [*range(0, self.N, 4), self.N]:
                 assert ev.value(n) == ghost.eval_vp(ctx, n, w), (ctx, w, n)
 
@@ -439,15 +487,15 @@ class TestGrowthLoop:
             once.grow(self.N)
             staged.grow(40)
             staged.grow(self.N)
-            assert (staged._full, staged._top) == (once._full, once._top), (ctx, w)
+            assert staged._scaled == once._scaled, (ctx, w)
 
     def test_reads_past_the_end_grow_by_a_step(self):
         ev = self.fresh(C4, Classical(18))
         ev.grow(10)
         ev.omitted(11)
-        assert len(ev._full) == 11 + ghost.GROW_STEP
+        assert len(ev._scaled) == 11 + ghost.GROW_STEP
         ev.omitted(200)
-        assert len(ev._full) == 201
+        assert len(ev._scaled) == 201
 
     def test_level_table_deepens_with_the_windows(self):
         ctx = new_context(5, 1, 2)

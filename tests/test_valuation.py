@@ -39,6 +39,26 @@ class TestVpInt:
         with pytest.raises(ValueError):
             vp_int(10, 6)
 
+    def test_composite_rejected_on_every_call(self):
+        # the prime check is memoized, but a raising call is never cached
+        for _ in range(3):
+            with pytest.raises(ValueError, match="p = 9 is not prime"):
+                vp_int(27, 9)
+            with pytest.raises(ValueError, match="p = 1 is not prime"):
+                digit_sum(3, 1)
+
+    def test_prime_check_is_memoized(self, monkeypatch):
+        from ghostline import valuation
+
+        valuation._check_prime.cache_clear()
+        calls = []
+        real = valuation.is_prime
+        monkeypatch.setattr(valuation, "is_prime", lambda n: calls.append(n) or real(n))
+        for m in range(1, 50):
+            vp_int(m, 7)
+        assert calls == [7]
+        assert valuation._check_prime.cache_info().maxsize is not None
+
     @given(st.integers(-(10**12), 10**12), st.sampled_from(PRIMES))
     def test_matches_brute(self, m, p):
         assert vp_int(m, p) == brute_vp(m, p)

@@ -36,7 +36,7 @@ class TestMidSlopes:
     def test_slopes_value(self):
         from ghostline import newton
 
-        np_ = verify._np_at_classical(C0, 22, 8)
+        np_ = verify._np_at_classical(C0, 22)
         assert all(newton.slope_at(np_, i) == 10 for i in range(2, 8))
 
 
@@ -375,6 +375,25 @@ class TestGrid:
         monkeypatch.setattr(verify, "_grid_task", lambda args: tasks.append(args) or [])
         verify.run_grid([5], ["halo"], {"n_max": 4}, workers=1)
         assert sorted(t[:3] for t in tasks) == [(5, 1, s) for s in range(4)]
+
+    @pytest.mark.parametrize("ps, suites, match", [
+        ([], ["halo"], "the prime list is empty"),
+        ([5], [], "the suite list is empty"),
+        ([4], ["halo"], "p must be a prime >= 5, got p = 4"),
+        ([2, 3], ["halo"], "got p = 2"),
+        ([5, 6], ["halo"], "p must be a prime >= 5, got p = 6"),
+        ([5, 5], ["halo"], "prime 5 is named twice"),
+        ([5, 7, 5], ["halo"], "prime 5 is named twice"),
+        ([5], ["halo", "halo"], "suite 'halo' is named twice"),
+    ])
+    def test_rejects_a_grid_that_passes_over_nothing_or_repeats(
+        self, monkeypatch, ps, suites, match
+    ):
+        tasks = []
+        monkeypatch.setattr(verify, "_grid_task", lambda args: tasks.append(args) or [])
+        with pytest.raises(ValueError, match=match):
+            verify.run_grid(ps, suites, workers=1)
+        assert tasks == []
 
     def test_parallel_matches_sequential(self, monkeypatch):
         # run_grid caps the pool at the core count; pretend to have two so
