@@ -6,6 +6,10 @@ output; rationals are always emitted as "num/den" strings and +infinity as
 
 Exit codes: 0 success, 1 failed verification, 2 parameter errors,
 3 Newton-polygon certification failure after retries.
+
+Each command imports only the modules it runs: ``steinberg`` is loaded by
+``delta`` and ``ns``, and ``verify`` by ``verify`` and ``scan`` (and by the
+parser when it may have to describe those two).
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ from typing import List, Optional, Tuple
 from . import dimensions as dims
 from . import ghost_series as ghost
 from . import newton
-from . import steinberg
-from . import verify
 from .weight_space import GhostContext, WeightPoint, new_context, parse_point
 
 EXIT_OK = 0
@@ -92,6 +94,8 @@ def _payload_np(args) -> dict:
 
 
 def _payload_delta(args) -> dict:
+    from . import steinberg
+
     ctx = _context(args)
     if not ctx.on_disk(args.k) or args.k < 2:
         raise ParameterError(
@@ -101,6 +105,8 @@ def _payload_delta(args) -> dict:
 
 
 def _payload_ns(args) -> dict:
+    from . import steinberg
+
     ctx, point = _point_query(args)
     ranges = steinberg.near_steinberg_ranges(ctx, point, args.nmax)
     nested, witness = steinberg.check_nested(ranges)
@@ -117,11 +123,15 @@ def _payload_ns(args) -> dict:
 
 def _bound_names(suites) -> List[str]:
     """The bounds the suites read, each once, from their signatures."""
+    from . import verify
+
     return list(dict.fromkeys(b for name in suites for b in verify.suite_bounds(name)))
 
 
 def _bounds_from(args, suites) -> dict:
     """The bound flags given, each of which one of the suites must read."""
+    from . import verify
+
     bounds = {b: getattr(args, b) for b in _bound_names(verify.SUITES)}
     read = _bound_names(suites)
     for b, val in bounds.items():
@@ -131,14 +141,18 @@ def _bounds_from(args, suites) -> dict:
 
 
 def _payload_verify(args) -> dict:
+    from . import verify
+
     ctx = _context(args)
     report = verify.run_suite(args.suite, ctx, **_bounds_from(args, [args.suite]))
     return report.to_json_dict()
 
 
 def _payload_scan(args) -> dict:
+    from . import verify
+
     ps = [int(x) for x in args.p_list.split(",")]
-    suites = args.suites.split(",") if args.suites else sorted(verify.SUITES)
+    suites = sorted(verify.SUITES) if args.suites is None else args.suites.split(",")
     reports = verify.run_grid(ps, suites, _bounds_from(args, suites), workers=args.workers)
     failed = sum(1 for r in reports if r["status"] != "pass")
     return {"suites": suites, "p_list": ps, "failed": failed, "reports": reports}
@@ -186,7 +200,14 @@ def render(payload: dict, fmt: str) -> str:
 # -------------------------------------------------------------- argparse
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of ``ghostline``, for argv whose first entry is ``command``.
+
+    The ``verify`` and ``scan`` subparsers take their ``--suite`` choices and
+    bound flags from ``verify``.  When ``command`` names another subcommand
+    they are never consulted, so ``verify`` is not imported and they get no
+    suite names or bound flags.
+    """
     parser = argparse.ArgumentParser(
         prog="ghostline",
         description="Exact ghost-series computations: dimensions, coefficients, "
@@ -233,10 +254,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nmax", type=int, required=True)
     sp.set_defaults(payload=_payload_ns)
 
+    suites: List[str] = []
+    bounds: List[str] = []
+    if command not in sub.choices:  # the commands above never consult these two
+        from . import verify
+
+        suites, bounds = sorted(verify.SUITES), _bound_names(verify.SUITES)
+
     sp = sub.add_parser("verify", help="run one verification suite")
     common(sp)
-    sp.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
-    for bound in _bound_names(verify.SUITES):
+    sp.add_argument("--suite", required=True, choices=suites)
+    for bound in bounds:
         sp.add_argument("--" + bound.replace("_", "-"), type=int)
     sp.set_defaults(payload=_payload_verify)
 
@@ -246,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--workers", type=int, default=None,
                     help="worker processes (default GHOSTLINE_WORKERS or cpu count; "
                          "capped at the task and cpu counts)")
-    for bound in _bound_names(verify.SUITES):
+    for bound in bounds:
         sp.add_argument("--" + bound.replace("_", "-"), type=int)
     sp.add_argument("--format", choices=("json", "csv", "table"), default="json")
     sp.add_argument("--out", default=None)
@@ -256,7 +284,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -170,6 +170,8 @@ def _radius_parts(r: ExtRat) -> Tuple[Optional[int], int, int]:
     """(floor(r), D, D*frac(r)) for the denominator D of r; (None, 1, 0) at INF."""
     if r is INF:
         return None, 1, 0
+    if r <= 0:
+        raise ValueError(f"radius must be positive, got {r}")
     num, den = r.as_integer_ratio()
     whole, rem = divmod(num, den)
     return whole, den, rem

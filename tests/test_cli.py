@@ -21,6 +21,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def source_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(ghostline.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestGhostCommand:
     def test_golden_json(self, capsys):
         code, out, _ = run(capsys, "ghost", "--p", "7", "--a", "2", "--seps", "4",
@@ -64,13 +72,11 @@ class TestOptimisedMode:
 
     @staticmethod
     def _plain_and_optimised(*argv):
-        env = dict(os.environ)
-        src = str(Path(ghostline.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         outs = []
         for flags in ([], ["-O"]):
             proc = subprocess.run([sys.executable, *flags, "-m", "ghostline.cli", *argv],
-                                  env=env, capture_output=True, text=True, timeout=120)
+                                  env=source_env(), capture_output=True, text=True,
+                                  timeout=120)
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
@@ -240,6 +246,7 @@ class TestScan:
         ("6", "halo", "got p = 6"),
         ("5,5", "halo", "prime 5 is named twice"),
         ("5", "halo,halo", "suite 'halo' is named twice"),
+        ("5", "", "unknown suite ''"),
     ])
     def test_scan_rejects_an_empty_or_repeated_grid(self, capsys, p_list, suites, message):
         code, out, err = run(capsys, "scan", "--p-list", p_list, "--suites", suites,
@@ -253,3 +260,60 @@ class TestScan:
         d = json.loads(out)
         assert d["failed"] == 0
         assert len(d["reports"]) == 8  # one a-value, four disks, two suites
+
+
+class TestLazyImports:
+    """Each command loads only the ghostline modules it runs, and the parser
+    still reads ``verify`` wherever it describes the verify and scan commands."""
+
+    P7 = ("--p", "7", "--a", "2", "--seps", "4")
+    CORE = {"ghostline", "ghostline.cli", "ghostline.dimensions", "ghostline.ghost_series",
+            "ghostline.newton", "ghostline.valuation", "ghostline.weight_space"}
+    COMMANDS = ("dims", "ghost", "np", "delta", "ns", "verify", "scan")
+    LOADED = (
+        "import contextlib, io, json, sys\n"
+        "from ghostline import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules\n"
+        "                               if m.partition('.')[0] == 'ghostline')]))\n"
+    )
+
+    @pytest.mark.parametrize("argv, extra", [
+        (("np", *P7, "--point", "perturbed:18:4/1", "--nmax", "5"), set()),
+        (("ghost", *P7, "--n", "3"), set()),
+        (("dims", "--p", "7", "--a", "2", "--kmax", "14"), set()),
+        (("ns", *P7, "--point", "perturbed:18:7/1", "--nmax", "6"), {"ghostline.steinberg"}),
+        (("delta", *P7, "--k", "18"), {"ghostline.steinberg"}),
+    ], ids=["np", "ghost", "dims", "ns", "delta"])
+    def test_each_command_loads_only_its_modules(self, argv, extra):
+        proc = subprocess.run([sys.executable, "-c", self.LOADED, *argv], env=source_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = json.loads(proc.stdout)
+        assert code == 0
+        assert set(loaded) == self.CORE | extra
+
+    def test_verify_help_lists_every_suite_and_bound(self, capsys):
+        code, out, _ = run(capsys, "verify", "--help")
+        assert code == 0
+        for name in verify.SUITES:
+            assert name in out
+        for bound in cli._bound_names(verify.SUITES):
+            assert "--" + bound.replace("_", "-") in out
+
+    def test_scan_help_lists_every_bound(self, capsys, monkeypatch):
+        # argv=None reads sys.argv, as the console script does
+        monkeypatch.setattr(sys, "argv", ["ghostline", "scan", "--help"])
+        code = cli.main()
+        out = capsys.readouterr().out
+        assert code == 0 and "--suites" in out
+        for bound in cli._bound_names(verify.SUITES):
+            assert "--" + bound.replace("_", "-") in out
+
+    @pytest.mark.parametrize("argv", [("bogus",), ("--help",), ()])
+    def test_top_level_lists_all_seven_commands(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == (0 if argv == ("--help",) else 2)
+        for command in self.COMMANDS:
+            assert command in out + err

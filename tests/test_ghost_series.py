@@ -436,6 +436,16 @@ class TestIncrementAtPoints:
             for n in range(0, 30):
                 assert type(ev.omitted(n)) is want, (w, n)
 
+    @pytest.mark.parametrize("r", [0, Fraction(-1, 2), -3], ids=["0", "-1/2", "-3"])
+    def test_rejects_a_radius_that_is_not_positive(self, r):
+        for k0 in (18, None):
+            with pytest.raises(ValueError, match="radius must be positive"):
+                ghost.increment_at(C4, 3, k0, r)
+            with pytest.raises(ValueError, match="radius must be positive"):
+                ghost.jumps(C4, k0, r, 0, 5)
+            with pytest.raises(ValueError, match="radius must be positive"):
+                ghost.JumpEvaluator(C4, k0, r)
+
 
 class TestJson:
     def test_coefficient_serialisation(self):
