@@ -113,6 +113,8 @@ def jump_windows(ctx: GhostContext, start: int, stop: int) -> List[Tuple[int, in
     WINDOW_TABLE_MAX and for the 32 most recent contexts, so the jump
     evaluators of one context share them.
     """
+    if start < 0:
+        raise ValueError(f"start must be >= 0, got {start}")
     table = _window_table(ctx)
     for n in range(len(table), min(stop, WINDOW_TABLE_MAX)):
         table.append(_jump_window(ctx, n))

@@ -23,20 +23,26 @@ from w_k for k != k0 and at distance r from w_k0:
 The jump of the k0-omitted sum from n to n+1 is the sum of the distance
 over the k_bullet window whose multiplicities rise at n, minus the sum
 over the window whose multiplicities fall; ``value`` adds m_n(k0) * r
-back.  Each window sum counts levels in units of 1/D, for D the denominator
-of r (1 at INF), so it is an integer: D * min(r, 1 + vp(x)) is D per level
-l < floor(r) with p^l | x, plus D * frac(r) if p^floor(r) | x, and level l
-counts one residue class of k_bullet modulo p^l.
+back.  Distances count levels in units of 1/D, for D the denominator of r
+(1 at INF), so every sum is an integer: D * min(r, 1 + vp(x)) is D per
+level l < floor(r) with p^l | x, plus D * frac(r) if p^floor(r) | x, and
+level l holds one residue class of k_bullet modulo p^l.
 
-``jumps`` returns the jumps for a range of n in one integer loop, and an
-evaluator grows by one ``jumps`` call (``increment_at`` is the call for a
-single n).  Two tables feed that loop: the window ends of each n, which
-depend on the context alone and are shared by all of its evaluators
-(``dims.jump_windows``), and the evaluator's own level table of pairs
-(p^l, residue of level l), which depends on k0 alone and deepens when a
-window first reaches a weight that needs a further level.  Whole profiles
-thus cost O(n) window sums of O(log) integer steps each.  deg g_n is the
-profile at a point at distance 1 from every w_k (``degree_evaluator``).
+One kernel serves every point kind.  With P(x) the scaled sum of the
+distances over 0 <= k_bullet < x, the jump at n is P(C) - 2*P(B) + P(A)
+at the three window ends A <= B <= C of n, which never decrease in n.  So
+an evaluator keeps one cursor (x, P(x)) per end, O(1) state besides its
+profile, and grows by moving the cursors forward: the distances of a new
+stretch of k_bullet are one list of the base distance, raised level by
+level with strided slices, and one ``accumulate`` turns them into the
+prefix sums that the new jumps read.  The window ends come from a
+per-context table shared by all evaluators (``dims.jump_windows``), the
+levels from the evaluator's table of pairs (p^l, residue of level l),
+which depends on k0 alone.  A profile to n thus costs O(n) list steps,
+most of them inside ``accumulate``.  ``jumps`` runs the kernel over a
+range of n (``increment_at`` at one n), and ``values`` reads a stretch of
+a profile in bulk.  deg g_n is the profile at a point at distance 1 from
+every w_k (``degree_evaluator``).
 
 The factored evaluation ``eval_vp`` stays as the independent slow route
 that tests compare against; no library path calls it.
@@ -177,48 +183,15 @@ def _radius_parts(r: ExtRat) -> Tuple[Optional[int], int, int]:
     return whole, den, rem
 
 
-def _level_sum(
-    kb_lo: int, kb_hi: int, k0b: int, levels: Optional[List[Tuple[int, int]]],
-    whole: Optional[int], den: int, rem: int,
-) -> int:
-    """D times the sum of min(r, 1 + vp(k - k0)) over the weights k != k0
-    with k_bullet in [max(kb_lo, 0), kb_hi]; (whole, den, rem) = _radius_parts(r).
-
-    Level l < whole adds D and level whole adds D*frac(r) for each k with
-    p^l | k - k0, and those k are the k_bullet congruent to the level-l
-    residue of k0 modulo p^l, read from ``levels[l - 1] = (p^l, residue)``
-    (see ``_deepen``).  k0b is the k_bullet of k0 when k0 lies on the
-    class, else -1.  The solution sets are nested, so the first level
-    holding no k != k0 ends the sum.  With no base weight (levels None)
-    every distance is min(r, 1).
-    """
-    kb_lo = max(kb_lo, 0)
-    if kb_lo > kb_hi:
-        return 0
-    count = kb_hi - kb_lo + 1
-    if levels is None:
-        return count * (den if whole else rem)
-    has_k0 = kb_lo <= k0b <= kb_hi
-    count -= has_k0
-    total = level = 0
-    while count and level != whole:
-        total += count
-        pl, res = levels[level]
-        level += 1
-        count = (kb_hi - res) // pl - (kb_lo - 1 - res) // pl - has_k0
-    return den * total + rem * count
-
-
 def _deepen(
     ctx: GhostContext, k0: int, whole: Optional[int], levels: List[Tuple[int, int]], kb_max: int
 ) -> None:
-    """Extend ``levels`` until it covers every window with k_bullet <= kb_max.
+    """Extend ``levels`` until it covers every weight with k_bullet <= kb_max.
 
     Since k - k0 = (k_eps - k0) + (p-1)*k_bullet and rho_l = (p^l - 1)/(p - 1)
     is -(p-1)^(-1) mod p^l, the level-l residue is (k_eps - k0)*rho_l mod
-    p^l.  Level l holds no k != k0 once p^l > |k - k0| for every k in the
-    windows, and ``_level_sum`` never reads past level whole, so the table
-    stops at either.
+    p^l.  Level l holds no k != k0 once p^l > |k - k0| for every such k,
+    and no distance counts a level past whole, so the table stops at either.
     """
     p, offset = ctx.p, ctx.k_eps - k0
     bound = abs(offset) + (p - 1) * max(kb_max, 0)
@@ -234,36 +207,14 @@ def jumps(
     r: ExtRat,
     start: int,
     stop: int,
-    levels: Optional[List[Tuple[int, int]]] = None,
+    ev: Optional[JumpEvaluator] = None,
 ) -> List[int]:
     """D times the jumps of the k0-omitted valuation from g_n to g_{n+1}
-    for n in range(start, stop), at radius r with denominator D (1 at INF).
-
-    The weights whose multiplicity rises at n have k_bullet in
-    (k_mid_bullet(n), k_max_bullet(n)], those whose multiplicity falls in
-    [k_min_bullet(n), k_mid_bullet(n)]; the window ends come from the
-    per-context table of ``dims.jump_windows``.  ``levels`` is the level
-    table of k0, extended in place when a window first needs a deeper
-    level (a fresh table by default; unused without a base weight).
-    """
-    whole, den, rem = _radius_parts(r)
-    windows = dims.jump_windows(ctx, start, stop)
-    k0b = -1
-    if k0 is None:
-        levels = None
-    else:
-        quot, off_class = divmod(k0 - ctx.k_eps, ctx.p - 1)
-        if not off_class:
-            k0b = quot
-        levels = [] if levels is None else levels
-        if windows:
-            # window ends are nondecreasing in n: the last window reaches furthest
-            _deepen(ctx, k0, whole, levels, max(windows[-1]))
-    return [
-        _level_sum(kmid + 1, kmax, k0b, levels, whole, den, rem)
-        - _level_sum(kmin, kmid, k0b, levels, whole, den, rem)
-        for kmin, kmid, kmax in windows
-    ]
+    for n in range(start, stop), start >= 0, at radius r with denominator D
+    (1 at INF), by the kernel of ``ev``, the evaluator of (k0, r) whose
+    cursors the call moves forward (a fresh one by default, whose prefix
+    sums start from k_bullet 0)."""
+    return (JumpEvaluator(ctx, k0, r) if ev is None else ev)._jumps(start, stop)
 
 
 def increment_at(ctx: GhostContext, n: int, k0: Optional[int], r: ExtRat = INF) -> ExtRat:
@@ -277,36 +228,106 @@ def increment_at(ctx: GhostContext, n: int, k0: Optional[int], r: ExtRat = INF) 
 GROW_STEP = 32
 
 
+def _check_index(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"coefficient index must be >= 0, got {n}")
+
+
 class JumpEvaluator:
     """Valuation profile n -> v_p(g_n(w)) at the point w with base weight
     k0 (None for none) and radius r (INF at w_k0 itself).
 
     Keeps one integer list, D * v_p(g_{n, hat k0}(w)) for the denominator D
-    of r (1 at INF and at integral r), accumulated from v_p(g_0) = 0; each
-    growth is one ``jumps`` call, which extends the evaluator's level table
-    of k0.  k0 may be any integer, on or off the ghost zero class; only a
-    k0 >= 2 on the class is a zero of some coefficients, and only there
-    does m_n(k0) * r enter ``value``.
+    of r (1 at INF and at integral r), accumulated from v_p(g_0) = 0, and
+    grows it by ``jumps``.  The kernel state besides that list is O(1):
+    the level table of k0, and three cursors (x, P(x)) on the prefix sums
+
+        P(x) = D * sum of min(r, 1 + vp(k - k0)) over the weights k != k0
+               with 0 <= k_bullet < x                (0 for x <= 0),
+
+    one per window end, so that the jump at n is P(C) - 2*P(B) + P(A) for
+    A = k_min_bullet(n), B = k_mid_bullet(n) + 1 and C = k_max_bullet(n) + 1.
+    k0 may be any integer, on or off the ghost zero class; only a k0 >= 2
+    on the class is a zero of some coefficients, and only there does
+    m_n(k0) * r enter ``value``.
     """
 
     def __init__(self, ctx: GhostContext, k0: Optional[int], r: ExtRat):
         self.ctx = ctx
         self.k0 = k0
-        whole, self.den, _ = _radius_parts(r)
-        self.r = whole if self.den == 1 and r is not INF else r  # int at integral r
+        self._whole, self.den, self._rem = _radius_parts(r)
+        self.r = self._whole if self.den == 1 and r is not INF else r  # int at integral r
         self._ranks = None  # (d_ur, d_iw) of k0 when it is a ghost zero weight
-        if k0 is not None and k0 >= 2 and ctx.on_disk(k0):
-            kb = ctx.bullet(k0)
-            self._ranks = (dims.d_ur_of_bullet(ctx, kb), dims.d_iw_of_bullet(ctx, kb))
-        self._levels: List[Tuple[int, int]] = []  # (p^l, level-l residue of k0)
+        self._k0b = -1  # k_bullet of k0 when it lies on the class
+        self._levels: Optional[List[Tuple[int, int]]] = None  # (p^l, level-l residue of k0)
+        if k0 is not None:
+            quot, off_class = divmod(k0 - ctx.k_eps, ctx.p - 1)
+            if not off_class:
+                self._k0b = quot
+            self._levels = []
+            if k0 >= 2 and not off_class:
+                self._ranks = (dims.d_ur_of_bullet(ctx, quot), dims.d_iw_of_bullet(ctx, quot))
+        # (x, P(x)) for A, B and C; they start where P is 0, at or below every end
+        self._cursors = [(min(dims.k_min_bullet(ctx, 0), 0), 0)] * 3
         self._scaled = [0]  # D * v_p(g_{n, hat k0}(w))
+
+    def _stretch(self, x0: int, x1: int, initial: int) -> List[int]:
+        """[P(x) for x in range(x0, x1 + 1)], given initial = P(x0).
+
+        The distances of the k_bullet in [x0, x1) are one list of the base
+        distance D * min(r, 1), raised level by level: the k_bullet of level
+        l, those with p^l | k - k0, form one residue class modulo p^l, and
+        since the classes are nested, every entry of level l already holds
+        the same running total, so one strided slice sets them all.
+        """
+        if x1 < x0:
+            raise RuntimeError(f"window end {x1} fell below the cursor at {x0}")
+        whole, den, rem = self._whole, self.den, self._rem
+        lo = min(max(x0, 0), x1)  # no weight has k_bullet < 0
+        total = den if whole != 0 else rem
+        dist = [0] * (lo - x0) + [total] * (x1 - lo)
+        levels = self._levels
+        if levels is not None:
+            _deepen(self.ctx, self.k0, whole, levels, x1 - 1)
+            for level, (pl, res) in enumerate(levels, 1):
+                first = lo + (res - lo) % pl - x0
+                if first >= len(dist):
+                    break  # the deeper classes are subsets of this empty one
+                total += den if level != whole else rem
+                dist[first::pl] = [total] * len(range(first, len(dist), pl))
+            if x0 <= self._k0b < x1:
+                dist[self._k0b - x0] = 0
+        return list(accumulate(dist, initial=initial))
+
+    def _jumps(self, start: int, stop: int) -> List[int]:
+        """D times the jumps at n in range(start, stop), moving each cursor
+        forward over its new stretch of k_bullet.
+
+        A <= B <= C at every n, since d_ur <= d_iw/2: d_iw is 2n at k_bullet
+        B - 1, so d_ur <= n there, and 2n + 2 at B, so d_iw - d_ur > n there.
+        Every window end is nondecreasing in n (``dims.jump_windows``), so
+        successive calls, each starting at or after the last index of the
+        previous one, only move the cursors forward.
+        """
+        windows = dims.jump_windows(self.ctx, start, stop)
+        if not windows:
+            return []
+        kmin, kmid, kmax = windows[-1]
+        (xa, pa), (xb, pb), (xc, pc) = self._cursors
+        sa = self._stretch(xa, kmin, pa)
+        sb = self._stretch(xb, kmid + 1, pb)
+        sc = self._stretch(xc, kmax + 1, pc)
+        self._cursors = [(kmin, sa[-1]), (kmid + 1, sb[-1]), (kmax + 1, sc[-1])]
+        # offsets fold the + 1 of B and C into the list index
+        xb, xc = xb - 1, xc - 1
+        return [sc[c - xc] - 2 * sb[b - xb] + sa[a - xa] for a, b, c in windows]
 
     def grow(self, n: int) -> None:
         """Make the values up to index n available, in one ``jumps`` call."""
         scaled = self._scaled
         if n < len(scaled):
             return
-        steps = jumps(self.ctx, self.k0, self.r, len(scaled) - 1, n, self._levels)
+        steps = jumps(self.ctx, self.k0, self.r, len(scaled) - 1, n, self)
         # the list restarts from its last total, which accumulate re-emits
         scaled.extend(accumulate(steps, initial=scaled.pop()))
 
@@ -319,6 +340,8 @@ class JumpEvaluator:
             # readers that step one index at a time (certification) then pay
             # one ``jumps`` call per GROW_STEP indices
             self.grow(max(n, len(self._scaled) - 1 + GROW_STEP))
+        elif n < 0:
+            _check_index(n)
         x = self._scaled[n]
         return x if self.den == 1 else Fraction(x, self.den)
 
@@ -326,6 +349,24 @@ class JumpEvaluator:
         """v_p(g_n(w)); INF at the indices where w = w_k0 is a zero."""
         m = self.multiplicity_k0(n)
         return self.omitted(n) + m * self.r if m else self.omitted(n)
+
+    def values(self, start: int, stop: int) -> List[ExtRat]:
+        """``value(n)`` for n in range(start, stop), read in bulk."""
+        _check_index(start)
+        self.grow(stop - 1)
+        out = self._scaled[start:stop]
+        if self.den != 1:
+            out = [Fraction(x, self.den) for x in out]
+        if self._ranks:
+            du, di = self._ranks
+            zeros = range(max(start, du + 1), min(stop, di - du))  # the n with m_n(k0) > 0
+            if self.r is INF:
+                for n in zeros:
+                    out[n - start] = INF
+            else:
+                for n in zeros:
+                    out[n - start] += _multiplicity(n, du, di) * self.r
+        return out
 
 
 @lru_cache(maxsize=512)

@@ -179,11 +179,12 @@ def np_of_ghost(
     """Certified Newton polygon prefix of the ghost series at the point w.
 
     Hull of (n, v_p(g_n(w))) over the window n in [0, n_max + buffer],
-    with the values taken from the jump evaluator of w (O(1) amortised per
-    index at every kind of point); certified_upto is the largest windowed
-    vertex whose trailing segment no future point can undercut.  Raises
-    CertificationError when that falls short of n_max (callers retry with a
-    doubled buffer, which extends the same cached evaluator).
+    with the values read in bulk from the jump evaluator of w (O(1)
+    amortised per index at every kind of point); certified_upto is the
+    largest windowed vertex whose trailing segment no future point can
+    undercut.  Raises CertificationError when that falls short of n_max
+    (callers retry with a doubled buffer, which extends the same cached
+    evaluator).
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -191,9 +192,8 @@ def np_of_ghost(
         raise ValueError(f"buffer must be >= 0, got {buffer}")
     window_end = n_max + buffer
 
-    ev = ghost.evaluator(ctx, w)
-    ev.grow(window_end)
-    verts = lower_convex_hull([(n, ev.value(n)) for n in range(window_end + 1)]).vertices
+    values = ghost.evaluator(ctx, w).values(0, window_end + 1)
+    verts = lower_convex_hull(list(enumerate(values))).vertices
     for i in range(len(verts) - 1, -1, -1):
         vx, vy = verts[i]
         if vx < n_max:

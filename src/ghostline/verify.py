@@ -120,15 +120,18 @@ def check_mid_slopes(ctx: GhostContext, k: int) -> CheckReport:
     du, di = dims.d_ur(ctx, k), dims.d_iw(ctx, k)
     witnesses = []
     if di - 2 * du >= 2:
-        slopes = newton.unit_slopes(_np_at_classical(ctx, k))
+        np_ = _np_at_classical(ctx, k)
         want = Fraction(k - 2, 2)
-        for i in range(du + 1, di - du + 1):
-            got = slopes[i - 1]
-            if got != want:
-                witnesses.append(
-                    {"k": k, "slope_index": i,
-                     "lhs": format_rational(got), "rhs": format_rational(want)}
-                )
+        # hull slopes never decrease, so equal ends leave no other slope between them
+        if not newton.slope_at(np_, du + 1) == want == newton.slope_at(np_, di - du):
+            slopes = newton.unit_slopes(np_)
+            for i in range(du + 1, di - du + 1):
+                got = slopes[i - 1]
+                if got != want:
+                    witnesses.append(
+                        {"k": k, "slope_index": i,
+                         "lhs": format_rational(got), "rhs": format_rational(want)}
+                    )
     return _report("mid_slopes", {**_ctx_params(ctx), "k": k}, witnesses, t0)
 
 
@@ -218,20 +221,23 @@ def check_p_stabilization(ctx: GhostContext, k0: int) -> CheckReport:
     du, di = dims.d_ur(ctx, k0), dims.d_iw(ctx, k0)
     witnesses = []
     if di >= 1:
-        slopes = newton.unit_slopes(_np_at_classical(ctx, k0))
+        np_ = _np_at_classical(ctx, k0)
+        slopes = newton.unit_slopes(np_)
         for ell in range(1, du + 1):
             s = slopes[ell - 1] + slopes[di - ell]
             if s != k0 - 1:
                 witnesses.append(
                     {"k0": k0, "ell": ell, "lhs": format_rational(s), "rhs": k0 - 1}
                 )
-        for i in range(1, di + 1):
-            s = slopes[i - 1]
-            if s > k0 - 1:
-                witnesses.append(
-                    {"k0": k0, "slope_index": i, "lhs": format_rational(s),
-                     "rhs": k0 - 1, "reason": "slope above k0-1"}
-                )
+        # hull slopes never decrease, so the last one is the largest
+        if newton.slope_at(np_, di) > k0 - 1:
+            for i in range(1, di + 1):
+                s = slopes[i - 1]
+                if s > k0 - 1:
+                    witnesses.append(
+                        {"k0": k0, "slope_index": i, "lhs": format_rational(s),
+                         "rhs": k0 - 1, "reason": "slope above k0-1"}
+                    )
     return _report("p_stabilization", {**_ctx_params(ctx), "k0": k0}, witnesses, t0)
 
 
@@ -250,13 +256,16 @@ def check_gouvea(ctx: GhostContext, k0: int) -> CheckReport:
         if bound > coarse:
             witnesses.append({"k0": k0, "lhs": bound, "rhs": coarse,
                               "reason": "sharp bound above floor bound"})
-        slopes = newton.unit_slopes(_np_at_classical(ctx, k0))
-        for i in range(1, du + 1):
-            s = slopes[i - 1]
-            if s > bound:
-                witnesses.append(
-                    {"k0": k0, "slope_index": i, "lhs": format_rational(s), "rhs": bound}
-                )
+        np_ = _np_at_classical(ctx, k0)
+        # hull slopes never decrease, so slope du is the largest of them
+        if newton.slope_at(np_, du) > bound:
+            slopes = newton.unit_slopes(np_)
+            for i in range(1, du + 1):
+                s = slopes[i - 1]
+                if s > bound:
+                    witnesses.append(
+                        {"k0": k0, "slope_index": i, "lhs": format_rational(s), "rhs": bound}
+                    )
     return _report("gouvea", {**_ctx_params(ctx), "k0": k0}, witnesses, t0)
 
 

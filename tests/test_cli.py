@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -98,6 +99,30 @@ class TestOptimisedMode:
                                         "--k", "1507")
         assert len(out["raw"]) == len(out["hull"]) > 20
         assert out["raw"] != out["hull"]  # a profile with offsets off its hull
+
+
+class TestGoldenDigests:
+    """SHA-256 of the stdout of large queries, recorded before the
+    running-prefix jump kernel replaced the per-level window sums: the
+    bytes must not move with the engine behind them."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("delta", "--p", "13", "--a", "5", "--seps", "7", "--k", "36009"),  # k_bullet 3000
+         "957c536359eb64de9ff5a16447c7644b08fcf2cd4a9e5e5a940773bd50811108"),
+        (("ns", "--p", "13", "--a", "5", "--seps", "7", "--point", "classical:489",
+          "--nmax", "56"),
+         "e12f8f7baf36379691d6178cc7cb6f9c299e56e322eb7d47199eccf58cf6ae77"),
+        (("ns", "--p", "13", "--a", "3", "--seps", "2", "--point", "perturbed:549:21/2",
+          "--nmax", "56"),
+         "e3284e92a2031e153703c4cb81869063c36811c19a436e423eb35ea50b5f2761"),
+        (("np", "--p", "13", "--a", "5", "--seps", "7", "--point", "perturbed:369:7/2",
+          "--nmax", "100"),
+         "8bcf2fa467098eebd98de519f83dea12036be2ea51fcf74213d121b67524d361"),
+    ], ids=["delta", "ns-classical", "ns-perturbed", "np-perturbed"])
+    def test_output_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestDimsCommand:

@@ -269,7 +269,7 @@ class TestEvaluation:
 
 
 class TestLevelSum:
-    """The level-count window sum against the direct sum of the distances."""
+    """The running-prefix window sum against the direct sum of the distances."""
 
     @staticmethod
     def direct(ctx, kb_lo, kb_hi, k0, r):
@@ -284,18 +284,11 @@ class TestLevelSum:
 
     @staticmethod
     def level_sum(ctx, kb_lo, kb_hi, k0, r):
-        """The scaled sum and D, the denominator of r (1 at INF)."""
-        if r is INF:
-            whole, den, rem = None, 1, 0
-        else:
-            whole, den = r.numerator // r.denominator, r.denominator
-            rem = r.numerator - whole * den
-        levels = k0b = None
-        if k0 is not None:
-            k0b = ctx.bullet(k0) if ctx.on_disk(k0) else -1
-            levels = []
-            ghost._deepen(ctx, k0, whole, levels, kb_hi)
-        return ghost._level_sum(kb_lo, kb_hi, k0b, levels, whole, den, rem), den
+        """The scaled sum, the last prefix of a stretch that starts at 0 on
+        kb_lo, and D, the denominator of r (1 at INF)."""
+        ev = ghost.JumpEvaluator(ctx, k0, r)
+        stretch = ev._stretch(kb_lo, max(kb_hi + 1, kb_lo), 0)
+        return stretch[-1], ev.den
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_matches_direct_sum(self, p):
@@ -499,6 +492,48 @@ class TestGrowthLoop:
             staged.grow(self.N)
             assert staged._scaled == once._scaled, (ctx, w)
 
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_growth_order_does_not_change_results(self, p):
+        # every point shape, grown by random stages: one index at a time
+        # (checked against ``increment_at``), reads past the end that grow
+        # by GROW_STEP, bulk reads and large grows
+        rng = random.Random(1100 + p)
+        ctx = new_context(p, rng.randint(1, p - 4), rng.randint(0, p - 2))
+        shapes = [(w.k0, w.r) for w in self.points(ctx)]
+        shapes += [(-7, Fraction(5, 3)), (ctx.weight_of_bullet(-3), Fraction(8)), (None, 1)]
+        kinds = set()
+        for k0, r in shapes:
+            once = ghost.JumpEvaluator(ctx, k0, r)
+            once.grow(self.N)
+            staged = ghost.JumpEvaluator(ctx, k0, r)
+            while len(staged._scaled) <= self.N:
+                top = len(staged._scaled) - 1
+                kind = rng.choices(("one", "read", "bulk", "large"), (4, 3, 2, 1))[0]
+                kinds.add(kind)
+                if kind == "one":
+                    staged.grow(top + 1)
+                    step = staged._scaled[top + 1] - staged._scaled[top]
+                    assert step == staged.den * ghost.increment_at(ctx, top, k0, r), (k0, r, top)
+                elif kind == "read":
+                    staged.omitted(top + rng.randint(1, 3))
+                elif kind == "bulk":
+                    start = rng.randint(0, top)
+                    assert staged.values(start, top + 9) == [staged.value(n)
+                                                             for n in range(start, top + 9)]
+                else:
+                    staged.grow(top + rng.randint(20, 90))
+            assert staged._scaled[: self.N + 1] == once._scaled, (ctx, k0, r)
+            for n in range(0, self.N + 1, 23):
+                if k0 is None and r == 1:  # the degree evaluator
+                    want = ghost.degree(ctx, n)
+                elif k0 is None:
+                    want = ghost.eval_vp(ctx, n, Boundary(r))
+                else:
+                    w = Classical(k0) if r is INF else Perturbed(k0, r)
+                    want = ghost.eval_vp(ctx, n, w)
+                assert once.value(n) == want, (ctx, k0, r, n)
+        assert kinds == {"one", "read", "bulk", "large"}
+
     def test_reads_past_the_end_grow_by_a_step(self):
         ev = self.fresh(C4, Classical(18))
         ev.grow(10)
@@ -506,6 +541,25 @@ class TestGrowthLoop:
         assert len(ev._scaled) == 11 + ghost.GROW_STEP
         ev.omitted(200)
         assert len(ev._scaled) == 201
+
+    def test_rejects_a_negative_index(self):
+        # (13, 5, 7) at k_bullet 3: omitted(-1) used to read omitted(20)
+        ctx = new_context(13, 5, 7)
+        ev = self.fresh(ctx, Classical(ctx.weight_of_bullet(3)))
+        ev.grow(20)
+        for read in (ev.omitted, ev.value, lambda n: ev.values(n, 3),
+                     lambda n: ghost.degree_fast(C4, n)):
+            for n in (-1, -2):
+                with pytest.raises(ValueError, match="must be >= 0"):
+                    read(n)
+
+    def test_rejects_a_negative_start(self):
+        with pytest.raises(ValueError, match="start must be >= 0"):
+            dims.jump_windows(C4, -3, 2)
+        with pytest.raises(ValueError, match="start must be >= 0"):
+            ghost.jumps(C4, None, 1, -2, 3)
+        with pytest.raises(ValueError, match="start must be >= 0"):
+            ghost.increment_at(C4, -1, None)
 
     def test_level_table_deepens_with_the_windows(self):
         ctx = new_context(5, 1, 2)

@@ -280,14 +280,18 @@ class _FactoredEvaluator:
 
     def __init__(self, ctx, w):
         self.ctx, self.w = ctx, w
-        self.values = []
+        self.known = []
 
     def grow(self, n):
-        self.values += [ghost.eval_vp(self.ctx, m, self.w) for m in range(len(self.values), n + 1)]
+        self.known += [ghost.eval_vp(self.ctx, m, self.w) for m in range(len(self.known), n + 1)]
 
     def value(self, n):
         self.grow(n)
-        return self.values[n]
+        return self.known[n]
+
+    def values(self, start, stop):
+        self.grow(stop - 1)
+        return self.known[start:stop]
 
 
 class TestPolygonAgainstFactoredOracle:

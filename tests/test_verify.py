@@ -88,6 +88,131 @@ class TestGouvea:
         assert verify.check_gouvea(ctx, 10).ok
 
 
+def _per_index_witnesses(ctx, name, k):
+    """The witnesses of ``mid_slopes``, ``p_stabilization`` or ``gouvea`` at
+    the weight k, from a walk over every slope index of the polygon that
+    ``verify._np_at_classical`` gives (the route without end tests)."""
+    du, di = dims.d_ur(ctx, k), dims.d_iw(ctx, k)
+    out = []
+    if name == "mid_slopes":
+        if di - 2 * du >= 2:
+            slopes = newton.unit_slopes(verify._np_at_classical(ctx, k))
+            want = Fraction(k - 2, 2)
+            for i in range(du + 1, di - du + 1):
+                if slopes[i - 1] != want:
+                    out.append({"k": k, "slope_index": i, "lhs": format_rational(slopes[i - 1]),
+                                "rhs": format_rational(want)})
+    elif name == "p_stabilization":
+        if di >= 1:
+            slopes = newton.unit_slopes(verify._np_at_classical(ctx, k))
+            for ell in range(1, du + 1):
+                s = slopes[ell - 1] + slopes[di - ell]
+                if s != k - 1:
+                    out.append({"k0": k, "ell": ell, "lhs": format_rational(s), "rhs": k - 1})
+            for i in range(1, di + 1):
+                if slopes[i - 1] > k - 1:
+                    out.append({"k0": k, "slope_index": i,
+                                "lhs": format_rational(slopes[i - 1]), "rhs": k - 1,
+                                "reason": "slope above k0-1"})
+    elif du >= 1:
+        p = ctx.p
+        bound = (p - 1) // 2 * (du - 1) - ctx.delta_eps + ctx.beta(du - 1)
+        coarse = (k - 1 - min(ctx.a + 1, p - 2 - ctx.a)) // (p + 1)
+        if bound > coarse:
+            out.append({"k0": k, "lhs": bound, "rhs": coarse,
+                        "reason": "sharp bound above floor bound"})
+        slopes = newton.unit_slopes(verify._np_at_classical(ctx, k))
+        for i in range(1, du + 1):
+            if slopes[i - 1] > bound:
+                out.append({"k0": k, "slope_index": i, "lhs": format_rational(slopes[i - 1]),
+                            "rhs": bound})
+    return out
+
+
+def _bent(np_, x_bend, c):
+    """The polygon with c added to every slope right of x = x_bend (made a
+    vertex first if it is not one); still convex for c > 0."""
+    verts = list(np_.vertices)
+    if x_bend not in [x for x, _ in verts]:
+        i = next(i for i, (x, _) in enumerate(verts) if x > x_bend)
+        (x0, y0), (x1, y1) = verts[i - 1], verts[i]
+        verts.insert(i, (x_bend, y0 + Fraction(y1 - y0, x1 - x0) * (x_bend - x0)))
+    return newton.NewtonPolygon(tuple((x, y + c * max(x - x_bend, 0)) for x, y in verts))
+
+
+class TestSlopeSuitesOracle:
+    """``mid_slopes``, ``p_stabilization`` and ``gouvea`` test the slopes at
+    the ends of their index ranges and walk every index only when that test
+    fails; on doctored polygons their witnesses must be exactly those of
+    the walk over every index."""
+
+    SUITES = {"mid_slopes": verify.check_mid_slopes,
+              "p_stabilization": verify.check_p_stabilization,
+              "gouvea": verify.check_gouvea}
+    CASES = ((new_context(7, 2, 4), 20), (new_context(11, 5, 7), 33), (new_context(13, 3, 2), 41))
+
+    def check(self, ctx, k):
+        seen = {}
+        for name, check in self.SUITES.items():
+            got = check(ctx, k)
+            want = _per_index_witnesses(ctx, name, k)
+            assert got.witnesses == want, (name, ctx, k)
+            seen[name] = got.witnesses
+        return seen
+
+    def test_real_polygons(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            p = rng.choice((5, 7, 11, 13))
+            ctx = new_context(p, rng.randint(1, p - 4), rng.randint(0, p - 2))
+            k = ctx.weight_of_bullet(rng.randint(0, 80))
+            assert all(not wits for wits in self.check(ctx, k).values())
+
+    def doctor(self, monkeypatch, bend):
+        real = verify._np_at_classical
+        monkeypatch.setattr(verify, "_np_at_classical", lambda c, kk: bend(c, kk, real(c, kk)))
+
+    def test_kink_inside_the_mid_range(self, monkeypatch):
+        def bend(ctx, k, np_):
+            du, di = dims.d_ur(ctx, k), dims.d_iw(ctx, k)
+            return _bent(np_, (du + di - du) // 2, 1)
+
+        self.doctor(monkeypatch, bend)
+        for ctx, kb in self.CASES:
+            k = ctx.weight_of_bullet(kb)
+            du, di = dims.d_ur(ctx, k), dims.d_iw(ctx, k)
+            wits = self.check(ctx, k)["mid_slopes"]
+            # the slopes right of the kink, up to d_iw - d_ur
+            assert [w["slope_index"] for w in wits] == list(range(di // 2 + 1, di - du + 1))
+
+    def test_last_slope_above_k0_minus_1(self, monkeypatch):
+        def bend(ctx, k, np_):
+            di = dims.d_iw(ctx, k)
+            return _bent(np_, di - 1, k)
+
+        self.doctor(monkeypatch, bend)
+        for ctx, kb in self.CASES:
+            k = ctx.weight_of_bullet(kb)
+            di = dims.d_iw(ctx, k)
+            wits = self.check(ctx, k)["p_stabilization"]
+            above = [w for w in wits if w.get("reason") == "slope above k0-1"]
+            assert [w["slope_index"] for w in above] == [di]
+            assert len(wits) == 2  # and the pair (1, d_iw) no longer sums to k0 - 1
+
+    def test_old_form_slope_above_the_gouvea_bound(self, monkeypatch):
+        def bend(ctx, k, np_):
+            du = dims.d_ur(ctx, k)
+            return _bent(np_, du - 1, k)
+
+        self.doctor(monkeypatch, bend)
+        for ctx, kb in self.CASES:
+            k = ctx.weight_of_bullet(kb)
+            du = dims.d_ur(ctx, k)
+            assert du >= 2
+            wits = self.check(ctx, k)["gouvea"]
+            assert [w["slope_index"] for w in wits] == [du]
+
+
 class TestHalo:
     def test_suite(self):
         assert verify.check_halo(C0, Fraction(1, 2), 15).ok
