@@ -302,8 +302,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     text = render(payload, args.format)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARAMS
     else:
         print(text)
 

@@ -25,10 +25,9 @@ GL_2(F_p)-representations for d_ur.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator, List, Tuple
 
-from .weight_space import GhostContext
+from .weight_space import GhostContext, context_cache
 
 #: Indices n whose jump windows ``jump_windows`` keeps per context; the
 #: windows of larger n are computed on each call.
@@ -100,7 +99,7 @@ def _jump_window(ctx: GhostContext, n: int) -> Tuple[int, int, int]:
     return k_min_bullet(ctx, n), k_mid_bullet(ctx, n), k_max_bullet(ctx, n)
 
 
-@lru_cache(maxsize=32)
+@context_cache(maxsize=32)
 def _window_table(ctx: GhostContext) -> List[Tuple[int, int, int]]:
     return []
 

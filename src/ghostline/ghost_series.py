@@ -52,13 +52,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, List, Optional, Tuple
 
 from . import dimensions as dims
 from .valuation import INF, ExtRat
-from .weight_space import GhostContext, WeightPoint, vp_point_to_weight
+from .weight_space import GhostContext, WeightPoint, context_cache, vp_point_to_weight
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,7 +90,7 @@ def multiplicity(ctx: GhostContext, n: int, k: int) -> int:
     return _multiplicity(n, dims.d_ur(ctx, k), dims.d_iw(ctx, k))
 
 
-@lru_cache(maxsize=4096)
+@context_cache(maxsize=4096)
 def coefficient(ctx: GhostContext, n: int) -> GhostCoefficient:
     """The complete factored n-th coefficient, over ``dims.zero_window(n)``."""
     if n < 0:
@@ -369,12 +368,12 @@ class JumpEvaluator:
         return out
 
 
-@lru_cache(maxsize=512)
+@context_cache(maxsize=512)
 def classical_evaluator(ctx: GhostContext, k0: int) -> JumpEvaluator:
     return JumpEvaluator(ctx, k0, INF)
 
 
-@lru_cache(maxsize=512)
+@context_cache(maxsize=512)
 def _point_evaluator(ctx: GhostContext, k0: Optional[int], r: ExtRat) -> JumpEvaluator:
     return JumpEvaluator(ctx, k0, r)
 

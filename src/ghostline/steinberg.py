@@ -30,7 +30,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -42,6 +41,7 @@ from .weight_space import (
     Classical,
     GhostContext,
     WeightPoint,
+    context_cache,
     format_rational,
     vp_point_to_weight,
 )
@@ -114,7 +114,7 @@ class DeltaProfile:
         }
 
 
-@lru_cache(maxsize=4096)
+@context_cache(maxsize=4096)
 def delta_profile(ctx: GhostContext, k: int) -> DeltaProfile:
     """Raw profile values and their lower hull, offsets in [-d_new/2, d_new/2]."""
     half_new = dims.d_new(ctx, k) // 2

@@ -34,6 +34,8 @@ from .weight_space import (
     Perturbed,
     WeightPoint,
     check_p,
+    clear_context_caches,
+    context_cache,
     format_point,
     format_rational,
     new_context,
@@ -79,7 +81,7 @@ def _ctx_params(ctx: GhostContext) -> dict:
     return {"p": ctx.p, "a": ctx.a, "s_eps": ctx.s_eps}
 
 
-@lru_cache(maxsize=2048)
+@context_cache(maxsize=2048)
 def _np_at_classical(ctx: GhostContext, k0: int) -> newton.NewtonPolygon:
     """The polygon at w_k0 to the classical rank d_iw(k0)."""
     np_, _ = newton.np_of_ghost_auto(ctx, Classical(k0), dims.d_iw(ctx, k0))
@@ -709,12 +711,25 @@ def suite_bounds(name: str) -> Tuple[str, ...]:
     return tuple(prm.name for prm in params if prm.default is not prm.empty)
 
 
+#: The least value of each bound at which its suite still checks something.
+_BOUND_MIN = {"k_bullet_max": 0, "k_prime_bullet_max": 0, "k0_max": 2,
+              "ell_max": 0, "n_max": 1, "points": 1}
+
+
+def _check_bounds(bounds: dict) -> None:
+    for b, val in bounds.items():
+        if b in _BOUND_MIN and val < _BOUND_MIN[b]:
+            raise ValueError(f"{b} must be >= {_BOUND_MIN[b]}, got {val}")
+
+
 def run_suite(name: str, ctx: GhostContext, **bounds) -> CheckReport:
-    """Run one suite; a bound that the suite does not read is an error."""
+    """Run one suite; a bound that the suite does not read is an error, and
+    so is one that leaves the suite nothing to check."""
     read = suite_bounds(name)
     unread = [b for b in bounds if b not in read]
     if unread:
         raise ValueError(f"suite {name!r} does not read the bound {unread[0]!r}")
+    _check_bounds(bounds)
     return _suite(name)(ctx, **bounds)
 
 
@@ -737,8 +752,14 @@ def clamp_workers(requested: int, tasks: int, cpus: Optional[int]) -> int:
 
 
 def _grid_task(args) -> List[dict]:
-    """Run the suites on one triple; args = (p, a, s_eps, ((suite, bounds), ...))."""
+    """Run the suites on one triple; args = (p, a, s_eps, ((suite, bounds), ...)).
+
+    The per-context caches are emptied first, so a worker holds one
+    triple's evaluators, profiles and polygons, and the hit counts of the
+    last task stay readable after it.
+    """
     p, a, s_eps, runs = args
+    clear_context_caches()
     ctx = new_context(p, a, s_eps)
     return [run_suite(name, ctx, **bounds).to_json_dict() for name, bounds in runs]
 
@@ -752,11 +773,11 @@ def run_grid(
     """Run suites over every (p, a, s_eps) with a in [1, p-4], all disks.
 
     Each suite gets the bounds it reads (``suite_bounds``); a bound that no
-    selected suite reads is an error, and so are an empty prime or suite
-    list, a prime or suite named twice, and a p that ``new_context``
-    rejects.  Tasks are partitioned per parameter triple so each worker
-    reuses its evaluator caches; the merged output is sorted by
-    (p, a, s_eps, suite).
+    selected suite reads is an error, and so are a bound that leaves its
+    suite nothing to check, an empty prime or suite list, a prime or suite
+    named twice, and a p that ``new_context`` rejects.  There is one task
+    per parameter triple, which starts from empty per-context caches; the
+    merged output is sorted by (p, a, s_eps, suite).
     """
     for kind, names in (("prime", ps), ("suite", suites)):
         if not names:
@@ -771,6 +792,7 @@ def run_grid(
     for b in bounds:
         if not any(b in read for read in reads.values()):
             raise ValueError(f"no selected suite reads the bound {b!r}")
+    _check_bounds(bounds)
     runs = tuple(
         (name, {b: val for b, val in bounds.items() if b in reads[name]}) for name in suites
     )

@@ -23,13 +23,17 @@ in those two attributes:
 For a ``Perturbed`` point the profile is the generic one even when r ties
 with the classical distance; non-generic loci are expressed by re-basing
 the perturbation at another classical weight.
+
+The module also owns every cache keyed by a context (``context_cache``),
+so that one call, ``clear_context_caches``, releases them all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from functools import lru_cache
+from typing import Callable, List, Union
 
 from .valuation import INF, ExtRat, is_prime, vp_int
 
@@ -68,6 +72,32 @@ class GhostContext:
 
     def weight_of_bullet(self, k_bullet: int) -> int:
         return self.k_eps + (self.p - 1) * k_bullet
+
+
+#: The caches made by ``context_cache``, in definition order.
+_CONTEXT_CACHES: List[Callable] = []
+
+
+def context_cache(maxsize: int):
+    """``functools.lru_cache(maxsize)`` for a function keyed by a context.
+
+    The wrapper is recorded, so ``clear_context_caches`` empties it even
+    where a module attribute has since been rebound to another function.
+    """
+
+    def decorate(fn):
+        cached = lru_cache(maxsize=maxsize)(fn)
+        _CONTEXT_CACHES.append(cached)
+        return cached
+
+    return decorate
+
+
+def clear_context_caches() -> None:
+    """Empty every ``context_cache``: the evaluators, profiles, polygons and
+    window tables of every context seen so far, with their hit counts."""
+    for cached in _CONTEXT_CACHES:
+        cached.cache_clear()
 
 
 def check_p(p: int) -> None:
@@ -184,6 +214,8 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
 

@@ -206,6 +206,15 @@ class TestFormats:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["n"] == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("np", "--p", "7", "--a", "2", "--seps", "4", "--point", "boundary:1/2", "--nmax", "4"),
+        ("scan", "--p-list", "5", "--suites", "halo", "--n-max", "4", "--workers", "1"),
+    ])
+    def test_unwritable_out_file(self, tmp_path, capsys, argv):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert (code, out) == (2, "") and err.startswith("error: ") and str(target) in err
+
 
 class TestExitCodes:
     def test_param_errors(self, capsys):
@@ -213,6 +222,10 @@ class TestExitCodes:
         assert run(capsys, "ghost", "--p", "7", "--a", "2", "--seps", "9", "--n", "1")[0] == 2
         assert run(capsys, "np", "--p", "7", "--a", "2", "--seps", "0",
                    "--point", "orbit:3", "--nmax", "4")[0] == 2
+        for point in ("perturbed:18:1/0", "boundary:1/0"):
+            code, out, err = run(capsys, "np", "--p", "7", "--a", "2", "--seps", "4",
+                                 "--point", point, "--nmax", "5")
+            assert (code, out) == (2, "") and "bad weight point" in err
         assert run(capsys, "dims", "--p", "7", "--a", "2")[0] == 2  # missing kmax
 
     def test_verify_pass_and_fail(self, capsys, monkeypatch):
@@ -240,6 +253,18 @@ class TestBoundFlags:
         code, out, err = run(capsys, "verify", *self.P7, "--suite", "ghost_duality",
                              "--n-max", "3", "--points", "9")
         assert (code, out) == (2, "") and "--n-max" in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--suite", "mid_slopes", "--k-bullet-max", "-5"), "k_bullet_max must be >= 0"),
+        (("--suite", "theta", "--k0-max", "1"), "k0_max must be >= 2"),
+        (("--suite", "nestedness", "--points", "0"), "points must be >= 1"),
+    ])
+    def test_verify_rejects_a_bound_that_checks_nothing(self, capsys, flags, message):
+        code, out, err = run(capsys, "verify", *self.P7, *flags)
+        assert (code, out) == (2, "") and message in err
+        code, out, err = run(capsys, "scan", "--p-list", "5", "--suites", flags[1],
+                             *flags[2:], "--workers", "1")
+        assert (code, out) == (2, "") and message in err
 
     def test_verify_passes_the_bounds_it_reads(self, capsys):
         code, out, _ = run(capsys, "verify", *self.P7, "--suite", "halo", "--n-max", "5")

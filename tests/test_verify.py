@@ -1,13 +1,17 @@
+import importlib
 import inspect
 import json
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
+import ghostline
 from ghostline import dimensions as dims
 from ghostline import ghost_series as ghost
 from ghostline import newton, steinberg, verify
+from ghostline import weight_space as ws
 from ghostline.valuation import INF, ilog, max_vp_interval, vp_int
 from ghostline.weight_space import format_rational
 from ghostline.weight_space import new_context
@@ -464,6 +468,32 @@ class TestReports:
         with pytest.raises(ValueError, match="'ghost_duality'.*'n_max'"):
             verify.run_suite("ghost_duality", C0, k_bullet_max=5, n_max=3)
 
+    @pytest.mark.parametrize("suite, bounds, match", [
+        ("mid_slopes", {"k_bullet_max": -5}, "k_bullet_max must be >= 0, got -5"),
+        ("ghost_duality", {"k_bullet_max": -1}, "k_bullet_max must be >= 0, got -1"),
+        ("theta", {"k0_max": 1}, "k0_max must be >= 2, got 1"),
+        ("theta", {"ell_max": -1}, "ell_max must be >= 0, got -1"),
+        ("atkin_lehner", {"k0_max": 0}, "k0_max must be >= 2, got 0"),
+        ("halo", {"n_max": 0}, "n_max must be >= 1, got 0"),
+        ("nestedness", {"points": 0}, "points must be >= 1, got 0"),
+        ("vertex_theorem", {"points": -2}, "points must be >= 1, got -2"),
+        ("delta_estimates", {"k_prime_bullet_max": -1}, "k_prime_bullet_max must be >= 0"),
+    ])
+    def test_bound_that_checks_nothing_rejected(self, suite, bounds, match):
+        with pytest.raises(ValueError, match=match):
+            verify.run_suite(suite, C4, **bounds)
+
+    def test_least_bounds_still_check(self):
+        rep = verify.run_suite("theta", C4, k0_max=2, ell_max=0)
+        assert rep.ok and rep.params["k0_max"] == 2
+        assert verify.run_suite("ghost_duality", C4, k_bullet_max=0).ok
+        assert verify.run_suite("halo", C4, n_max=1).ok
+        assert verify.run_suite("nestedness", C4, points=1, n_max=1).ok
+
+    def test_every_bound_but_the_seed_has_a_least_value(self):
+        names = {b for name in verify.SUITES for b in verify.suite_bounds(name)}
+        assert names - {"seed"} == set(verify._BOUND_MIN)
+
     def test_no_suite_swallows_bounds(self):
         for name, fn in verify.SUITES.items():
             kinds = {prm.kind for prm in inspect.signature(fn).parameters.values()}
@@ -520,6 +550,14 @@ class TestGrid:
             verify.run_grid(ps, suites, workers=1)
         assert tasks == []
 
+    @pytest.mark.parametrize("bounds", [{"k_bullet_max": -1}, {"n_max": 0}])
+    def test_rejects_a_bound_that_checks_nothing_before_any_task(self, monkeypatch, bounds):
+        tasks = []
+        monkeypatch.setattr(verify, "_grid_task", lambda args: tasks.append(args) or [])
+        with pytest.raises(ValueError, match="must be >= "):
+            verify.run_grid([5], ["halo", "ghost_duality"], bounds, workers=1)
+        assert tasks == []
+
     def test_parallel_matches_sequential(self, monkeypatch):
         # run_grid caps the pool at the core count; pretend to have two so
         # the pool path runs on every host
@@ -547,3 +585,75 @@ class TestGrid:
         assert verify.clamp_workers(0, 200, 16) == 1
         assert verify.clamp_workers(-5, 0, None) == 1
         assert verify.clamp_workers(6, 200, None) == 1
+
+
+class TestContextCaches:
+    RUNS = (("ghost_duality", {"k_bullet_max": 6}), ("mid_slopes", {"k_bullet_max": 6}),
+            ("theta", {"k0_max": 6, "ell_max": 2}), ("halo", {"n_max": 6}),
+            ("delta_estimates", {"k_bullet_max": 4, "k_prime_bullet_max": 1}),
+            ("nestedness", {"points": 1, "n_max": 8}))
+    A, B = (5, 1, 0), (5, 1, 3)
+
+    @staticmethod
+    def cached_functions():
+        """(module attribute, lru_cache wrapper) of every cache in ghostline."""
+        for info in pkgutil.iter_modules(ghostline.__path__):
+            module = importlib.import_module(f"ghostline.{info.name}")
+            for attr, obj in vars(module).items():
+                if hasattr(obj, "cache_info"):
+                    yield f"{info.name}.{attr}", obj
+
+    @staticmethod
+    def infos():
+        return [c.cache_info() for c in ws._CONTEXT_CACHES]
+
+    def task(self, triple):
+        return verify._grid_task((*triple, self.RUNS))
+
+    def test_every_cache_keyed_by_a_context_is_registered(self):
+        seen = {}
+        for name, fn in self.cached_functions():
+            first = next(iter(inspect.signature(fn.__wrapped__).parameters))
+            registered = any(fn is c for c in ws._CONTEXT_CACHES)
+            assert registered == (first == "ctx"), name
+            seen[name] = registered
+        assert sum(seen.values()) == len(ws._CONTEXT_CACHES) == 6
+        assert not seen["verify._leq_3_log_ratio_sq"] and not seen["valuation._check_prime"]
+
+    def test_a_task_holds_only_its_own_triple(self):
+        ws.clear_context_caches()
+        b_alone = (self.task(self.B), self.infos())
+        self.task(self.A)
+        ghost.coefficient(new_context(*self.A), 3)  # the grid suites never fill this one
+        assert all(info.currsize > 0 for info in self.infos())
+        after_a = (self.task(self.B), self.infos())
+        for reports in (b_alone[0], after_a[0]):
+            for r in reports:
+                r.pop("elapsed")
+        assert after_a == b_alone
+
+    def test_release_reaches_caches_whose_attributes_were_rebound(self, monkeypatch):
+        # a tracer swaps module attributes for plain wrappers without cache_clear
+        for name, fn in self.cached_functions():
+            module, attr = name.split(".")
+
+            def plain(*args, _fn=fn, **kwargs):
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(importlib.import_module(f"ghostline.{module}"), attr, plain)
+        self.task(self.A)
+        assert any(info.currsize for info in self.infos())
+        assert not hasattr(steinberg.delta_profile, "cache_clear")
+        ws.clear_context_caches()
+        assert all(info.currsize == info.hits == info.misses == 0 for info in self.infos())
+
+    def test_a_lone_task_keeps_its_counts(self):
+        ws.clear_context_caches()
+        ghost.classical_evaluator(C4, 18)
+        self.task(self.A)
+        for fn in (ghost.classical_evaluator, steinberg.delta_profile, dims._window_table):
+            info = fn.cache_info()
+            assert info.hits > 0 and info.misses > 0, fn
+        misses = ghost.classical_evaluator.cache_info().misses
+        ghost.classical_evaluator(C4, 18)  # its entry went with the release
+        assert ghost.classical_evaluator.cache_info().misses == misses + 1

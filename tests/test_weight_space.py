@@ -201,10 +201,11 @@ class TestEncodings:
         assert parse_point(format_point(w)) == w
 
     @pytest.mark.parametrize(
-        "bad", ["classical", "perturbed:18", "boundary:3/2", "orbit:1", "classical:x"]
+        "bad", ["classical", "perturbed:18", "boundary:3/2", "orbit:1", "classical:x",
+                "perturbed:18:1/0", "boundary:1/0", "boundary:0/0"]
     )
     def test_rejects_garbage(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad weight point"):
             parse_point(bad)
 
     def test_rational_formatting(self):
