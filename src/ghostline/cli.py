@@ -9,15 +9,17 @@ Exit codes: 0 success, 1 failed verification, 2 parameter errors,
 
 Each command imports only the modules it runs: ``steinberg`` is loaded by
 ``delta`` and ``ns``, and ``verify`` by ``verify`` and ``scan`` (and by the
-parser when it may have to describe those two).
+parser when it may have to describe those two), and ``csv`` by ``--format
+csv``; no query imports ``dataclasses``, as the records are plain classes.
+An ``--out`` in a missing directory is refused before any work is done.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
+import os
 import sys
 from typing import List, Optional, Tuple
 
@@ -187,6 +189,8 @@ def render(payload: dict, fmt: str) -> str:
         return json.dumps(payload, indent=2)
     rows = _rows_for(payload)
     if fmt == "csv":
+        import csv
+
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerows(rows)
@@ -291,6 +295,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARAMS if exc.code not in (0, None) else 0
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        print(f"error: no directory for --out {args.out!r}", file=sys.stderr)
+        return EXIT_PARAMS
     try:
         payload = args.payload(args)
     except newton.CertificationError as exc:

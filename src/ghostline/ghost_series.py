@@ -50,18 +50,17 @@ that tests compare against; no library path calls it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, List, Optional, Tuple
 
 from . import dimensions as dims
 from .valuation import INF, ExtRat
-from .weight_space import GhostContext, WeightPoint, context_cache, vp_point_to_weight
+from .weight_space import GhostContext, WeightPoint, _Record, context_cache, vp_point_to_weight
 
 
-@dataclass(frozen=True, slots=True)
-class GhostCoefficient:
+class GhostCoefficient(_Record):
+    __slots__ = ("n", "factors")
     n: int
     factors: Tuple[Tuple[int, int], ...]  # (weight k, multiplicity), sorted by k
 

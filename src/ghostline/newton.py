@@ -21,7 +21,6 @@ are final up to X.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -29,7 +28,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import ghost_series as ghost
 from .valuation import INF, ExtRat
-from .weight_space import GhostContext, WeightPoint, format_rational, min_factor_valuation
+from .weight_space import GhostContext, WeightPoint, _Record, format_rational, min_factor_valuation
 
 
 class CertificationError(RuntimeError):
@@ -64,8 +63,7 @@ def segments(
         x0, y0 = x1, y1
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(_Record):
     """A lower hull, or a certified polygon prefix, by its strict vertices
     (y as given to the hull); it is final up to its last vertex."""
 

@@ -28,7 +28,6 @@ ranges of neighbouring weights.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -41,6 +40,7 @@ from .weight_space import (
     Classical,
     GhostContext,
     WeightPoint,
+    _Record,
     context_cache,
     format_rational,
     vp_point_to_weight,
@@ -59,8 +59,7 @@ def delta_prime(ctx: GhostContext, k: int, ell: int) -> Fraction:
     return prof.raw_value(ell)
 
 
-@dataclass(frozen=True)
-class DeltaProfile:
+class DeltaProfile(_Record):
     """The duality profile of one weight k and its lower convex hull.
 
     ``raw`` holds the profile values at the offsets -top..top in order (so
@@ -146,8 +145,7 @@ def l_max(ctx: GhostContext, w: WeightPoint, k: int) -> Optional[int]:
     return end or None
 
 
-@dataclass(frozen=True)
-class NearSteinbergRange:
+class NearSteinbergRange(_Record):
     k: int
     L: int
     lo: int  # open interval (lo, hi), centred at d_iw(k)/2

@@ -17,7 +17,6 @@ import inspect
 import os
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -33,6 +32,7 @@ from .weight_space import (
     GhostContext,
     Perturbed,
     WeightPoint,
+    _Record,
     check_p,
     clear_context_caches,
     context_cache,
@@ -42,14 +42,17 @@ from .weight_space import (
 )
 
 
-@dataclass
-class CheckReport:
+class CheckReport(_Record):
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None  # mutable
     name: str
     params: dict
     status: str  # "pass" | "fail"
     witnesses: List[dict]
     elapsed: float
-    meta: dict = field(default_factory=dict)
+    meta: dict
+
+    def __init__(self, name, params, status, witnesses, elapsed, meta=None):
+        super().__init__(name, params, status, witnesses, elapsed, {} if meta is None else meta)
 
     @property
     def ok(self) -> bool:
@@ -73,7 +76,7 @@ def _report(name, params, witnesses, t0, meta=None) -> CheckReport:
         status="pass" if not witnesses else "fail",
         witnesses=witnesses,
         elapsed=time.perf_counter() - t0,
-        meta=meta or {},
+        meta=meta,
     )
 
 

@@ -30,16 +30,50 @@ so that one call, ``clear_context_caches``, releases them all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Callable, List, Union
 
 from .valuation import INF, ExtRat, is_prime, vp_int
 
 
-@dataclass(frozen=True, slots=True)
-class GhostContext:
+class _Record:
+    """Base of the engine's records: a subclass's fields are its own
+    annotations, given to ``__init__`` in order; equality, hash and ``repr``
+    go by type and fields, and the fields are read-only."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        get = attrgetter(*cls._fields)  # a bare value, not a 1-tuple, for one field
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda rec: (get(rec),))
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r} of a frozen record")
+
+    __delattr__ = __setattr__
+
+
+class GhostContext(_Record):
+    __slots__ = ("p", "a", "s_eps", "k_eps", "delta_eps", "t1", "t2", "beta_even", "beta_odd")
     p: int
     a: int
     s_eps: int
@@ -138,8 +172,8 @@ def new_context(p: int, a: int, s_eps: int) -> GhostContext:
     return ctx
 
 
-@dataclass(frozen=True, slots=True)
-class Classical:
+class Classical(_Record):
+    __slots__ = ("k",)
     k: int
     r = INF
 
@@ -148,30 +182,30 @@ class Classical:
         return self.k
 
 
-@dataclass(frozen=True, slots=True)
-class Perturbed:
+class Perturbed(_Record):
+    __slots__ = ("k0", "r")
     k0: int
     r: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", Fraction(self.r))
+    def __init__(self, k0: int, r: Fraction):
+        super().__init__(k0, Fraction(r))
         if self.r <= 0:
             raise ValueError(f"perturbation radius must be positive, got {self.r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Boundary:
+class Boundary(_Record):
+    __slots__ = ("t",)
     t: Fraction
     k0 = None
+
+    def __init__(self, t: Fraction):
+        super().__init__(Fraction(t))
+        if not 0 < self.t < 1:
+            raise ValueError(f"boundary valuation must lie in (0,1), got {self.t}")
 
     @property
     def r(self) -> Fraction:
         return self.t
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", Fraction(self.t))
-        if not 0 < self.t < 1:
-            raise ValueError(f"boundary valuation must lie in (0,1), got {self.t}")
 
 
 WeightPoint = Union[Classical, Perturbed, Boundary]

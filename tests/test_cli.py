@@ -215,6 +215,16 @@ class TestFormats:
         code, out, err = run(capsys, *argv, "--out", str(target))
         assert (code, out) == (2, "") and err.startswith("error: ") and str(target) in err
 
+    def test_missing_out_directory_stops_before_the_work(self, tmp_path, capsys, monkeypatch):
+        def run_grid(*args, **kwargs):
+            raise AssertionError("the grid ran before --out was checked")
+
+        monkeypatch.setattr(verify, "run_grid", run_grid)
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "scan", "--p-list", "5", "--suites", "halo",
+                             "--n-max", "4", "--workers", "1", "--out", str(target))
+        assert (code, out) == (2, "") and err.startswith("error: ") and str(target) in err
+
 
 class TestExitCodes:
     def test_param_errors(self, capsys):
@@ -343,6 +353,31 @@ class TestLazyImports:
         code, loaded = json.loads(proc.stdout)
         assert code == 0
         assert set(loaded) == self.CORE | extra
+
+    def test_no_query_imports_dataclasses(self):
+        # -S keeps site's own imports out, so only the engine's count
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from ghostline import cli\n"
+            "seen = []\n"
+            "for argv in sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = cli.main(argv.split())\n"
+            "    seen.append([code, 'dataclasses' in sys.modules, 'csv' in sys.modules])\n"
+            "import ghostline.verify\n"
+            "seen.append([0, 'dataclasses' in sys.modules, 'csv' in sys.modules])\n"
+            "print(json.dumps(seen))\n"
+        )
+        queries = [" ".join(("np", *self.P7, "--point", "perturbed:18:4/1", "--nmax", "5")),
+                   " ".join(("ns", *self.P7, "--point", "perturbed:18:7/1", "--nmax", "6")),
+                   " ".join(("delta", *self.P7, "--k", "18"))]
+        proc = subprocess.run([sys.executable, "-S", "-c", script, *queries], env=source_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout)
+        assert [code for code, _, _ in seen] == [0, 0, 0, 0]
+        assert not any(loaded for _, loaded, _ in seen)
+        assert seen[0][2] is False  # a json-format np never loads csv
 
     def test_verify_help_lists_every_suite_and_bound(self, capsys):
         code, out, _ = run(capsys, "verify", "--help")

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -128,7 +127,7 @@ class TestVertexStorage:
             assert hull.certified_upto == hull.vertices[-1][0]
             slopes = hull.slopes
             assert hull.slopes is slopes and vars(hull)["slopes"] is slopes
-        assert [f.name for f in dataclasses.fields(newton.NewtonPolygon)] == ["vertices"]
+        assert list(newton.NewtonPolygon.__annotations__) == ["vertices"]
 
     def test_certified_polygon_is_a_vertex_prefix(self):
         np_ = newton.np_of_ghost(C4, Perturbed(18, Fraction(4)), 8, buffer=22)

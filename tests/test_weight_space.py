@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -6,11 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghostline import ghost_series as ghost
+from ghostline import newton, steinberg
 from ghostline.valuation import INF, vp_int
+from ghostline.verify import CheckReport
 from ghostline.weight_space import (
     Boundary,
     Classical,
     Perturbed,
+    _Record,
     format_point,
     format_rational,
     min_factor_valuation,
@@ -159,7 +161,7 @@ class TestPointModel:
         assert (w.k0, w.r) == (18, Fraction(5, 2))
 
     def test_fields_unchanged(self):
-        names = lambda cls: [(f.name, f.type) for f in dataclasses.fields(cls)]
+        names = lambda cls: list(cls.__annotations__.items())
         assert names(Classical) == [("k", "int")]
         assert names(Perturbed) == [("k0", "int"), ("r", "Fraction")]
         assert names(Boundary) == [("t", "Fraction")]
@@ -213,3 +215,75 @@ class TestEncodings:
         assert format_rational(7) == "7/1"
         assert format_rational(INF) == "inf"
         assert parse_rational("-5/10") == Fraction(-1, 2)
+
+
+#: A builder of each record class and the repr its frozen dataclass had.
+RECORDS = [
+    (lambda: new_context(7, 2, 4), "GhostContext(p=7, a=2, s_eps=4, k_eps=6, delta_eps=0, "
+                                   "t1=1, t2=5, beta_even=1, beta_odd=1)"),
+    (lambda: Classical(18), "Classical(k=18)"),
+    (lambda: Perturbed(18, Fraction(5, 2)), "Perturbed(k0=18, r=Fraction(5, 2))"),
+    (lambda: Boundary(Fraction(1, 3)), "Boundary(t=Fraction(1, 3))"),
+    (lambda: ghost.GhostCoefficient(2, ((12, 1), (18, 1))),
+     "GhostCoefficient(n=2, factors=((12, 1), (18, 1)))"),
+    (lambda: newton.NewtonPolygon(((0, 0), (2, Fraction(1, 2)))),
+     "NewtonPolygon(vertices=((0, 0), (2, Fraction(1, 2))))"),
+    (lambda: steinberg.DeltaProfile(18, (Fraction(1), Fraction(0), Fraction(1)), (-1, 1)),
+     "DeltaProfile(k=18, raw=(Fraction(1, 1), Fraction(0, 1), Fraction(1, 1)), "
+     "vertices=(-1, 1))"),
+    (lambda: steinberg.NearSteinbergRange(18, 2, 1, 5), "NearSteinbergRange(k=18, L=2, lo=1, hi=5)"),
+    (lambda: CheckReport("halo", {"p": 7}, "pass", [], 0.5),
+     "CheckReport(name='halo', params={'p': 7}, status='pass', witnesses=[], elapsed=0.5, "
+     "meta={})"),
+]
+SLOTTED = {"GhostContext", "Classical", "Perturbed", "Boundary", "GhostCoefficient"}
+
+
+class TestRecords:
+    """The record classes keep the equality, hashing, reprs, slots and
+    read-only fields they had as dataclasses."""
+
+    @pytest.mark.parametrize("build, text", RECORDS, ids=[t.partition("(")[0] for _, t in RECORDS])
+    def test_behaves_as_before(self, build, text):
+        a, b = build(), build()
+        fields = list(type(a).__annotations__)
+        values = tuple(getattr(a, f) for f in fields)
+        assert a is not b and a == b and not a != b
+        assert repr(a) == text
+        assert a != values and type(a)(*values) == a
+        assert hasattr(a, "__dict__") is (type(a).__name__ not in SLOTTED)
+        if isinstance(a, CheckReport):  # mutable, so unhashable
+            with pytest.raises(TypeError):
+                hash(a)
+            a.status = "fail"
+            assert a != b
+            return
+        assert hash(a) == hash(b)
+        for name, value in zip(fields, values):
+            with pytest.raises(AttributeError):
+                setattr(a, name, value)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        assert a == b
+
+    def test_other_kinds_or_values_differ(self):
+        class Twin(_Record):
+            __slots__ = ("k",)
+            k: int
+
+        assert Twin(18) != Classical(18) and Classical(18) != Twin(18)
+        assert Classical(18) != Perturbed(18, 1)
+        assert steinberg.NearSteinbergRange(18, 2, 1, 5) != steinberg.NearSteinbergRange(18, 2, 1, 6)
+
+    def test_points_coerce_their_radius(self):
+        assert type(Perturbed(18, 2).r) is Fraction and Perturbed(18, 2) == Perturbed(18, Fraction(2))
+        assert Boundary("1/3") == Boundary(Fraction(1, 3))
+        with pytest.raises(ValueError, match="must lie in"):
+            Boundary(1)
+
+    def test_check_reports_do_not_share_meta(self):
+        a = CheckReport("halo", {}, "pass", [], 0.0)
+        b = CheckReport("halo", {}, "pass", [], 0.0)
+        assert a.meta == {} and a.meta is not b.meta
+        a.meta["steps"] = 1
+        assert b.meta == {}
