@@ -124,7 +124,7 @@ def _payload_ns(args) -> dict:
 
 
 def _bound_names(suites) -> List[str]:
-    """The bounds the suites read, each once, from their signatures."""
+    """The bounds the suites read, each once, from the suite table."""
     from . import verify
 
     return list(dict.fromkeys(b for name in suites for b in verify.suite_bounds(name)))

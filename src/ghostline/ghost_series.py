@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, List, Optional, Tuple
+from typing import Collection, List, Optional, Tuple
 
 from . import dimensions as dims
 from .valuation import INF, ExtRat
@@ -143,22 +143,9 @@ def degree_increment_closed_form(ctx: GhostContext, n: int) -> int:
     return lambda_halo(ctx, n + 1) + corr
 
 
-def eval_vp(ctx: GhostContext, n: int, w: WeightPoint) -> ExtRat:
-    """v_p(g_n(w)) as an extended rational; INF iff w is a zero of g_n."""
-    total: ExtRat = 0
-    for k, m in coefficient(ctx, n).factors:
-        v = vp_point_to_weight(ctx, w, k)
-        if v is INF:
-            return INF
-        total += m * v
-    return total
-
-
-def eval_vp_omit(
-    ctx: GhostContext, n: int, w: WeightPoint, omit: Iterable[int]
-) -> ExtRat:
-    """Same sum with the factors at the omitted weights struck out."""
-    omit = frozenset(omit)
+def eval_vp(ctx: GhostContext, n: int, w: WeightPoint, omit: Collection[int] = ()) -> ExtRat:
+    """v_p(g_n(w)) as an extended rational, with the factors at the weights
+    in ``omit`` struck out; INF iff w is a zero of what remains."""
     total: ExtRat = 0
     for k, m in coefficient(ctx, n).factors:
         if k in omit:

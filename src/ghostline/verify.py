@@ -6,14 +6,15 @@ sweep parameters, and, on failure, self-contained witnesses carrying both
 sides of the violated (in)equality as exact rationals.  Identical
 parameters always produce identical reports; sweeps never loop open-ended.
 
-The grid runner at the bottom executes suites over all relevant
+The suite table ``SUITES`` names each suite with the bounds it reads, their
+defaults, and its runner; the CLI's bound flags are named after those
+bounds.  The grid runner at the bottom executes suites over all relevant
 (p, a, s_eps) triples with a worker pool; output order is canonical
 regardless of scheduling.
 """
 
 from __future__ import annotations
 
-import inspect
 import os
 import random
 import time
@@ -597,121 +598,63 @@ def check_delta_vertices(ctx: GhostContext, k_bullet_max: int) -> CheckReport:
     )
 
 
-# --------------------------------------------------------- suite wrappers
+# ------------------------------------------------------------ suite table
 
 
-def _merge(name: str, params: dict, parts: List[CheckReport], t0: float) -> CheckReport:
-    witnesses = []
-    for part in parts:
-        for wit in part.witnesses:
-            witnesses.append({**wit, "suite_params": part.params})
-    return _report(name, params, witnesses, t0)
-
-
-def _sweep_weights(ctx: GhostContext, k_bullet_max: int):
-    return [ctx.weight_of_bullet(kb) for kb in range(0, k_bullet_max + 1)]
-
-
-def suite_ghost_duality(ctx, k_bullet_max=200):
-    return check_ghost_duality(ctx, k_bullet_max)
-
-
-def suite_mid_slopes(ctx, k_bullet_max=200):
-    t0 = time.perf_counter()
-    parts = [check_mid_slopes(ctx, k) for k in _sweep_weights(ctx, k_bullet_max)]
-    return _merge("mid_slopes", {**_ctx_params(ctx), "k_bullet_max": k_bullet_max}, parts, t0)
-
-
-def suite_theta(ctx, k0_max=60, ell_max=5):
-    t0 = time.perf_counter()
-    parts = [check_theta(ctx, k0, ell_max) for k0 in range(2, k0_max + 1)]
-    return _merge("theta", {**_ctx_params(ctx), "k0_max": k0_max, "ell_max": ell_max}, parts, t0)
-
-
-def suite_atkin_lehner(ctx, k0_max=60):
-    t0 = time.perf_counter()
-    parts = [check_atkin_lehner(ctx, k0) for k0 in range(2, k0_max + 1)]
-    return _merge("atkin_lehner", {**_ctx_params(ctx), "k0_max": k0_max}, parts, t0)
-
-
-def suite_p_stabilization(ctx, k_bullet_max=200):
-    t0 = time.perf_counter()
-    parts = [check_p_stabilization(ctx, k) for k in _sweep_weights(ctx, k_bullet_max)]
-    return _merge("p_stabilization", {**_ctx_params(ctx), "k_bullet_max": k_bullet_max}, parts, t0)
-
-
-def suite_gouvea(ctx, k_bullet_max=200):
-    t0 = time.perf_counter()
-    parts = [check_gouvea(ctx, k) for k in _sweep_weights(ctx, k_bullet_max)]
-    return _merge("gouvea", {**_ctx_params(ctx), "k_bullet_max": k_bullet_max}, parts, t0)
-
-
-def suite_halo(ctx, n_max=24):
-    t0 = time.perf_counter()
-    parts = [check_halo(ctx, t, n_max) for t in (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4))]
-    return _merge("halo", {**_ctx_params(ctx), "n_max": n_max}, parts, t0)
-
-
-def suite_integrality(ctx, k_bullet_max=200):
-    t0 = time.perf_counter()
-    parts = [check_integrality(ctx, k) for k in _sweep_weights(ctx, k_bullet_max)]
-    return _merge("integrality", {**_ctx_params(ctx), "k_bullet_max": k_bullet_max}, parts, t0)
-
-
-def suite_delta_estimates(ctx, k_bullet_max=200, k_prime_bullet_max=30):
-    t0 = time.perf_counter()
-    parts = []
-    for kb in range(0, k_bullet_max + 1):
-        k = ctx.weight_of_bullet(kb)
-        parts.append(check_delta_estimates(ctx, k, with_k_prime=kb <= k_prime_bullet_max))
-    return _merge(
-        "delta_estimates",
-        {**_ctx_params(ctx), "k_bullet_max": k_bullet_max,
-         "k_prime_bullet_max": k_prime_bullet_max},
-        parts,
-        t0,
-    )
-
-
-def suite_vertex_theorem(ctx, points=3, n_max=14, seed=20817):
-    return check_vertex_theorem(ctx, points=points, n_max=n_max, seed=seed)
-
-
-def suite_nestedness(ctx, points=4, n_max=20, seed=60143):
-    return check_nestedness(ctx, points=points, n_max=n_max, seed=seed)
-
-
-def suite_delta_vertices(ctx, k_bullet_max=40):
-    return check_delta_vertices(ctx, k_bullet_max=k_bullet_max)
-
-
-SUITES: Dict[str, Callable[..., CheckReport]] = {
-    "ghost_duality": suite_ghost_duality,
-    "mid_slopes": suite_mid_slopes,
-    "theta": suite_theta,
-    "atkin_lehner": suite_atkin_lehner,
-    "p_stabilization": suite_p_stabilization,
-    "gouvea": suite_gouvea,
-    "halo": suite_halo,
-    "integrality": suite_integrality,
-    "delta_estimates": suite_delta_estimates,
-    "vertex_theorem": suite_vertex_theorem,
-    "nestedness": suite_nestedness,
-    "delta_vertices": suite_delta_vertices,
+#: Each suite's bounds, with their defaults in flag order, and its runner,
+#: which takes the context and every bound.  A runner that sweeps returns a
+#: list of reports, which ``run_suite`` merges into one.  Runners call the
+#: checks through this module's globals, so that a rebinding of a check (as
+#: a tracer does) reaches the suites too.
+SUITES: Dict[str, Tuple[Dict[str, int], Callable[..., object]]] = {
+    "ghost_duality": ({"k_bullet_max": 200},
+                      lambda ctx, k_bullet_max: check_ghost_duality(ctx, k_bullet_max)),
+    "mid_slopes": ({"k_bullet_max": 200},
+                   lambda ctx, k_bullet_max: [check_mid_slopes(ctx, ctx.weight_of_bullet(kb))
+                                              for kb in range(0, k_bullet_max + 1)]),
+    "theta": ({"k0_max": 60, "ell_max": 5},
+              lambda ctx, k0_max, ell_max: [check_theta(ctx, k0, ell_max)
+                                            for k0 in range(2, k0_max + 1)]),
+    "atkin_lehner": ({"k0_max": 60},
+                     lambda ctx, k0_max: [check_atkin_lehner(ctx, k0)
+                                          for k0 in range(2, k0_max + 1)]),
+    "p_stabilization": ({"k_bullet_max": 200},
+                        lambda ctx, k_bullet_max: [
+                            check_p_stabilization(ctx, ctx.weight_of_bullet(kb))
+                            for kb in range(0, k_bullet_max + 1)]),
+    "gouvea": ({"k_bullet_max": 200},
+               lambda ctx, k_bullet_max: [check_gouvea(ctx, ctx.weight_of_bullet(kb))
+                                          for kb in range(0, k_bullet_max + 1)]),
+    "halo": ({"n_max": 24},
+             lambda ctx, n_max: [check_halo(ctx, t, n_max)
+                                 for t in (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4))]),
+    "integrality": ({"k_bullet_max": 200},
+                    lambda ctx, k_bullet_max: [check_integrality(ctx, ctx.weight_of_bullet(kb))
+                                               for kb in range(0, k_bullet_max + 1)]),
+    "delta_estimates": ({"k_bullet_max": 200, "k_prime_bullet_max": 30},
+                        lambda ctx, k_bullet_max, k_prime_bullet_max: [
+                            check_delta_estimates(ctx, ctx.weight_of_bullet(kb),
+                                                  with_k_prime=kb <= k_prime_bullet_max)
+                            for kb in range(0, k_bullet_max + 1)]),
+    "vertex_theorem": ({"points": 3, "n_max": 14, "seed": 20817},
+                       lambda ctx, points, n_max, seed:
+                       check_vertex_theorem(ctx, points, n_max, seed)),
+    "nestedness": ({"points": 4, "n_max": 20, "seed": 60143},
+                   lambda ctx, points, n_max, seed: check_nestedness(ctx, points, n_max, seed)),
+    "delta_vertices": ({"k_bullet_max": 40},
+                       lambda ctx, k_bullet_max: check_delta_vertices(ctx, k_bullet_max)),
 }
 
 
-def _suite(name: str) -> Callable[..., CheckReport]:
+def _suite(name: str) -> Tuple[Dict[str, int], Callable[..., object]]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     return SUITES[name]
 
 
 def suite_bounds(name: str) -> Tuple[str, ...]:
-    """The bounds a suite reads: the parameters of its function that have
-    defaults."""
-    params = inspect.signature(_suite(name)).parameters.values()
-    return tuple(prm.name for prm in params if prm.default is not prm.empty)
+    """The bounds a suite reads, in flag order."""
+    return tuple(_suite(name)[0])
 
 
 #: The least value of each bound at which its suite still checks something.
@@ -726,14 +669,25 @@ def _check_bounds(bounds: dict) -> None:
 
 
 def run_suite(name: str, ctx: GhostContext, **bounds) -> CheckReport:
-    """Run one suite; a bound that the suite does not read is an error, and
-    so is one that leaves the suite nothing to check."""
-    read = suite_bounds(name)
-    unread = [b for b in bounds if b not in read]
+    """Run one suite, with its defaults for the bounds not given.
+
+    A bound that the suite does not read is an error, and so is one that
+    leaves the suite nothing to check.  A sweep's reports are merged into
+    one, whose params are the context and every bound, and whose witnesses
+    each carry the params of their own check as ``suite_params``.
+    """
+    defaults, runner = _suite(name)
+    unread = [b for b in bounds if b not in defaults]
     if unread:
         raise ValueError(f"suite {name!r} does not read the bound {unread[0]!r}")
     _check_bounds(bounds)
-    return _suite(name)(ctx, **bounds)
+    bounds = {b: bounds.get(b, default) for b, default in defaults.items()}
+    t0 = time.perf_counter()
+    out = runner(ctx, **bounds)
+    if isinstance(out, CheckReport):
+        return out
+    witnesses = [{**wit, "suite_params": part.params} for part in out for wit in part.witnesses]
+    return _report(name, {**_ctx_params(ctx), **bounds}, witnesses, t0)
 
 
 # ------------------------------------------------------------ grid runner
@@ -805,7 +759,9 @@ def run_grid(
         for a in range(1, p - 3)
         for s_eps in range(0, p - 1)
     ]
-    workers = clamp_workers(workers or worker_count(), len(tasks), os.cpu_count())
+    if workers is None:
+        workers = worker_count()
+    workers = clamp_workers(workers, len(tasks), os.cpu_count())
     if workers <= 1:
         nested = [_grid_task(t) for t in tasks]
     else:

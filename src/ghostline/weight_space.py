@@ -66,6 +66,9 @@ class _Record:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not __setattr__
+        return type(self), self._values(self)
+
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot set or delete {name!r} of a frozen record")
 

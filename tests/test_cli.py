@@ -243,11 +243,11 @@ class TestExitCodes:
                            "--suite", "ghost_duality", "--k-bullet-max", "12")
         assert code == 0 and json.loads(out)["status"] == "pass"
 
-        def always_fail(ctx, **_):
+        def always_fail(ctx):
             return CheckReport("always_fail", {}, "fail",
                                [{"lhs": 0, "rhs": 1}], 0.0)
 
-        monkeypatch.setitem(verify.SUITES, "always_fail", always_fail)
+        monkeypatch.setitem(verify.SUITES, "always_fail", ({}, always_fail))
         code, out, _ = run(capsys, "verify", "--p", "7", "--a", "2", "--seps", "4",
                            "--suite", "always_fail")
         assert code == 1 and json.loads(out)["status"] == "fail"
@@ -285,16 +285,18 @@ class TestBoundFlags:
                              "--points", "1", "--workers", "1")
         assert (code, out) == (2, "") and "--points" in err
 
-    def test_flags_come_from_the_suite_signatures(self, capsys, monkeypatch):
-        def depth_suite(ctx, depth=3, **_):
+    def test_flags_come_from_the_suite_table(self, capsys, monkeypatch):
+        def depth_suite(ctx, depth):
             return CheckReport("depth_suite", {"depth": depth}, "pass", [], 0.0)
 
-        monkeypatch.setitem(verify.SUITES, "depth_suite", depth_suite)
+        monkeypatch.setitem(verify.SUITES, "depth_suite", ({"depth": 3}, depth_suite))
         assert verify.suite_bounds("depth_suite") == ("depth",)
         assert verify.suite_bounds("vertex_theorem") == ("points", "n_max", "seed")
         code, out, _ = run(capsys, "verify", *self.P7, "--suite", "depth_suite",
                            "--depth", "7")
         assert code == 0 and json.loads(out)["params"] == {"depth": 7}
+        code, out, _ = run(capsys, "verify", *self.P7, "--suite", "depth_suite")
+        assert code == 0 and json.loads(out)["params"] == {"depth": 3}
         code, _, err = run(capsys, "verify", *self.P7, "--suite", "halo", "--depth", "7")
         assert code == 2 and "--depth" in err
 

@@ -199,11 +199,11 @@ class TestEvaluation:
         assert ghost.eval_vp(C4, 5, Classical(18)) == 33
 
     def test_omit_examples(self):
-        assert ghost.eval_vp_omit(C4, 3, Classical(18), {18}) == 8
-        assert ghost.eval_vp_omit(C4, 4, Classical(18), {18}) == 19
+        assert ghost.eval_vp(C4, 3, Classical(18), {18}) == 8
+        assert ghost.eval_vp(C4, 4, Classical(18), {18}) == 19
         for n in range(0, 10):
             w = Perturbed(24, Fraction(3, 2))
-            assert ghost.eval_vp_omit(C4, n, w, ()) == ghost.eval_vp(C4, n, w)
+            assert ghost.eval_vp(C4, n, w, ()) == ghost.eval_vp(C4, n, w)
 
     def test_increment_oracle_example(self):
         # jump of the 18-omitted valuation from n=3 to n=4; the profile
@@ -221,7 +221,7 @@ class TestEvaluation:
             ctx = new_context(p, a, rng.randint(0, p - 2))
             k0 = ctx.weight_of_bullet(rng.randint(0, 12))
             n = rng.randint(0, 24)
-            direct = ghost.eval_vp_omit(ctx, n + 1, Classical(k0), {k0}) - ghost.eval_vp_omit(
+            direct = ghost.eval_vp(ctx, n + 1, Classical(k0), {k0}) - ghost.eval_vp(
                 ctx, n, Classical(k0), {k0}
             )
             assert ghost.increment_at(ctx, n, k0) == direct
@@ -264,7 +264,7 @@ class TestEvaluation:
                     want = ghost.eval_vp(ctx, n, Classical(k0))
                     got = ev.value(n)
                     assert got == want, (ctx, k0, n)
-                    want_omit = ghost.eval_vp_omit(ctx, n, Classical(k0), {k0})
+                    want_omit = ghost.eval_vp(ctx, n, Classical(k0), {k0})
                     assert ev.omitted(n) == want_omit
 
 
@@ -387,8 +387,8 @@ class TestPointEvaluator:
 
 class TestIncrementAtPoints:
     """Single jumps at perturbed and boundary points against differences of
-    the factored ``eval_vp_omit``, and their types: an int when the radius
-    is INF or integral, a Fraction otherwise."""
+    the factored ``eval_vp`` with k0 omitted, and their types: an int when
+    the radius is INF or integral, a Fraction otherwise."""
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_matches_omitted_differences(self, p):
@@ -412,7 +412,7 @@ class TestIncrementAtPoints:
                 w = Perturbed(k0, r)
             omit = () if k0 is None else (k0,)
             n = rng.randint(0, 40)
-            direct = ghost.eval_vp_omit(ctx, n + 1, w, omit) - ghost.eval_vp_omit(ctx, n, w, omit)
+            direct = ghost.eval_vp(ctx, n + 1, w, omit) - ghost.eval_vp(ctx, n, w, omit)
             got = ghost.increment_at(ctx, n, k0, r)
             assert got == direct, (ctx, w, n)
             assert type(got) is (int if r.denominator == 1 else Fraction), (ctx, w, n)

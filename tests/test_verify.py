@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import inspect
 import json
@@ -495,9 +496,74 @@ class TestReports:
         assert names - {"seed"} == set(verify._BOUND_MIN)
 
     def test_no_suite_swallows_bounds(self):
-        for name, fn in verify.SUITES.items():
-            kinds = {prm.kind for prm in inspect.signature(fn).parameters.values()}
-            assert inspect.Parameter.VAR_KEYWORD not in kinds, name
+        for name, (defaults, runner) in verify.SUITES.items():
+            params = inspect.signature(runner).parameters
+            assert list(params) == ["ctx", *defaults], name
+            assert verify.suite_bounds(name) == tuple(defaults), name
+
+
+class TestSuiteDigests:
+    """SHA-256 of each suite's report, ``elapsed`` removed, at small bounds.
+
+    The digests were recorded when each suite was a function whose
+    signature held its bounds; the suite table must give the same bytes,
+    ``suite_params`` tags of a merged sweep's witnesses included.
+    """
+
+    BOUNDS = {"k_bullet_max": 6, "k0_max": 10, "ell_max": 2, "n_max": 6, "points": 1,
+              "k_prime_bullet_max": 2}
+    DIGESTS = {
+        (7, 2, 4): {
+            "ghost_duality": "e70aeb1d399914b737b5fe81747f1c8ca7413e77c7f258fcc44070886b8893b4",
+            "mid_slopes": "e6b21c09f7f7ea0f039461ed481592a109c2f662d316308fe8cb50416d6fe186",
+            "theta": "8deb24b7f5ab9b7bfdf2755156bd866a12c56a9497ea99c801dad9434a5967a2",
+            "atkin_lehner": "039a16e362fc38b7193670f4b917a091b974cbebb3de0823f051ac7c3b475462",
+            "p_stabilization": "0c00ae4b5aec1bd5b246b5814c16e43b534aff4bd8fd957b1f2f2b5f1cd6db91",
+            "gouvea": "02f38648a2069836a8391cdb6aba5a509d7445e3bffa7d12787104fe3417d678",
+            "halo": "2ba51de7307397269e728236cc240d76caf0ca9969cd5e7e9935c767e5a94fcd",
+            "integrality": "b2025f1fa5b9aef79d6e67271e5b6940077df19d6232ed3c37b74a19f9374cd3",
+            "delta_estimates": "5a144890f303b1259e7dc789ee8badebb60c7ff286186bea893735f252e9a1b3",
+            "vertex_theorem": "ea880c677b5e14701a3a4e86ed6722882a775159b1b4efd6ab63fb885e24f1d0",
+            "nestedness": "56eeaec9442b2ca78d824386ef590a4be82ef6ce831c8dd6fda78cd6f1289791",
+            "delta_vertices": "4ea39cfe55f216d12c4dd786d5bdcf6024909660b9534c0d14e5591dd76b1379",
+        },
+        (11, 3, 0): {
+            "ghost_duality": "cc5fb45a35354cb13588cc028c33ae09b8b4e3d30dd123e1bf3743fd325562db",
+            "mid_slopes": "b4f170879b180bd6298d4bb69636e8b03e3653bcdb7c735f84c1877d8be71120",
+            "theta": "bd887f2e7d84ffd484a7566f643167a12b20d0da970ed5c21bf20223f8d8bf88",
+            "atkin_lehner": "76575314769b7be3f23a702b948d8e41686f449eca410f2e77367508121c86df",
+            "p_stabilization": "9cb8394d7755e79fcca3d88f34a59ad1913f531125c2e4955789b38dc14075a3",
+            "gouvea": "ba854cbfcb2fda55b79db5ce0ebac07cdd3efcd78eaba4602a6b302628b9fc4f",
+            "halo": "684b4016eaaedb441b9c7d40877988b265c1fc25ae0e4e8e176a2ed7f466979b",
+            "integrality": "c2e37a5902b4cd2d40e43d1e0eac98621c079066ace91b47db1533685b5be22d",
+            "delta_estimates": "5b55ceb9c607099da583013bf44fd074189b805ac7781005114869d7cd8c7fb9",
+            "vertex_theorem": "2ab8bf5adcf3e06399c82130b094e1f19895dec0cfd0ea93b6853a64c627a0ed",
+            "nestedness": "599937f6fd7490fe32a470f3ed0bd8d853b457842d327bdd884d53676e6cb672",
+            "delta_vertices": "9793f53ea827c9ee04ea3c44e176df05a3f80e518d406a04603df4ca08974d37",
+        },
+    }
+
+    @staticmethod
+    def digest(rep):
+        out = rep.to_json_dict()
+        out.pop("elapsed")
+        return hashlib.sha256(json.dumps(out, indent=2).encode()).hexdigest()
+
+    @pytest.mark.parametrize("triple", list(DIGESTS))
+    def test_every_suite(self, triple):
+        ctx = new_context(*triple)
+        got = {}
+        for name in verify.SUITES:
+            bounds = {b: v for b, v in self.BOUNDS.items() if b in verify.suite_bounds(name)}
+            got[name] = self.digest(verify.run_suite(name, ctx, **bounds))
+        assert got == self.DIGESTS[triple]
+
+    def test_failing_sweep_tags_its_witnesses(self, monkeypatch):
+        monkeypatch.setattr(steinberg, "slope_class_ok", lambda ctx, s, w: False)
+        rep = verify.run_suite("integrality", C4, k_bullet_max=3)
+        assert not rep.ok and len(rep.witnesses) == 92
+        assert rep.witnesses[0]["suite_params"] == {"p": 7, "a": 2, "s_eps": 4, "k0": 6}
+        assert self.digest(rep) == "bb1f86d61a2dc76ba03d8c9f9a7d81d68ed62d225ce56d1252bb2944900cd4b2"
 
 
 class TestGrid:
@@ -585,6 +651,17 @@ class TestGrid:
         assert verify.clamp_workers(0, 200, 16) == 1
         assert verify.clamp_workers(-5, 0, None) == 1
         assert verify.clamp_workers(6, 200, None) == 1
+
+    def test_zero_workers_means_one(self, monkeypatch):
+        # workers=0 is clamped to one worker, not read as "one per core"
+        def no_pool(*args, **kwargs):
+            raise AssertionError("workers=0 started a pool")
+
+        monkeypatch.delenv("GHOSTLINE_WORKERS", raising=False)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr("multiprocessing.Pool", no_pool)
+        reports = verify.run_grid([5], ["halo"], {"n_max": 4}, workers=0)
+        assert len(reports) == 4 and all(r["status"] == "pass" for r in reports)
 
 
 class TestContextCaches:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -265,6 +267,14 @@ class TestRecords:
             with pytest.raises(AttributeError):
                 delattr(a, name)
         assert a == b
+
+    @pytest.mark.parametrize("build, text", RECORDS, ids=[t.partition("(")[0] for _, t in RECORDS])
+    def test_pickle_and_copy_round_trip(self, build, text):
+        a = build()
+        if isinstance(a, newton.NewtonPolygon):
+            assert a.slopes  # the cached slopes travel in no copy, and break none
+        for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert type(twin) is type(a) and twin == a and repr(twin) == text
 
     def test_other_kinds_or_values_differ(self):
         class Twin(_Record):
