@@ -11,7 +11,8 @@ Each command imports only the modules it runs: ``steinberg`` is loaded by
 ``delta`` and ``ns``, and ``verify`` by ``verify`` and ``scan`` (and by the
 parser when it may have to describe those two), and ``csv`` by ``--format
 csv``; no query imports ``dataclasses``, as the records are plain classes.
-An ``--out`` in a missing directory is refused before any work is done.
+An ``--out`` that is a directory, or lies in a missing one, is refused
+before any work is done.
 """
 
 from __future__ import annotations
@@ -34,23 +35,12 @@ EXIT_PARAMS = 2
 EXIT_CERTIFICATION = 3
 
 
-class ParameterError(Exception):
-    pass
-
-
-def _context(args) -> GhostContext:
-    try:
-        return new_context(args.p, args.a, args.seps)
-    except ValueError as exc:
-        raise ParameterError(str(exc)) from exc
-
-
 # --------------------------------------------------------------- payloads
 
 
 def _payload_dims(args) -> dict:
     if args.kmax < 2:
-        raise ParameterError("--kmax must be >= 2")
+        raise ValueError("--kmax must be >= 2")
     p = args.p
     disks = []
     for s_eps in range(0, p - 1):
@@ -69,21 +59,18 @@ def _payload_dims(args) -> dict:
 
 
 def _payload_ghost(args) -> dict:
-    ctx = _context(args)
+    ctx = new_context(args.p, args.a, args.seps)
     if args.n < 0:
-        raise ParameterError("--n must be >= 0")
+        raise ValueError("--n must be >= 0")
     return ghost.coefficient(ctx, args.n).to_json_dict()
 
 
 def _point_query(args) -> Tuple[GhostContext, WeightPoint]:
     """Context and parsed --point of an np or ns query, with --nmax checked."""
-    ctx = _context(args)
-    try:
-        point = parse_point(args.point)
-    except ValueError as exc:
-        raise ParameterError(str(exc)) from exc
+    ctx = new_context(args.p, args.a, args.seps)
+    point = parse_point(args.point)
     if args.nmax < 1:
-        raise ParameterError("--nmax must be >= 1")
+        raise ValueError("--nmax must be >= 1")
     return ctx, point
 
 
@@ -98,9 +85,9 @@ def _payload_np(args) -> dict:
 def _payload_delta(args) -> dict:
     from . import steinberg
 
-    ctx = _context(args)
+    ctx = new_context(args.p, args.a, args.seps)
     if not ctx.on_disk(args.k) or args.k < 2:
-        raise ParameterError(
+        raise ValueError(
             f"--k must be >= 2 and congruent to k_eps = {ctx.k_eps} mod {ctx.p - 1}"
         )
     return steinberg.delta_profile(ctx, args.k).to_json_dict()
@@ -138,16 +125,15 @@ def _bounds_from(args, suites) -> dict:
     read = _bound_names(suites)
     for b, val in bounds.items():
         if val is not None and b not in read:
-            raise ParameterError(f"no selected suite reads --{b.replace('_', '-')}")
+            raise ValueError(f"no selected suite reads --{b.replace('_', '-')}")
     return {b: val for b, val in bounds.items() if val is not None}
 
 
 def _payload_verify(args) -> dict:
     from . import verify
 
-    ctx = _context(args)
-    report = verify.run_suite(args.suite, ctx, **_bounds_from(args, [args.suite]))
-    return report.to_json_dict()
+    ctx = new_context(args.p, args.a, args.seps)
+    return verify.run_suite(args.suite, ctx, **_bounds_from(args, [args.suite]))
 
 
 def _payload_scan(args) -> dict:
@@ -198,7 +184,7 @@ def render(payload: dict, fmt: str) -> str:
     if fmt == "table":
         width = max(len(r[0]) for r in rows) if rows else 0
         return "\n".join(f"{r[0]:<{width}}  " + "  ".join(r[1:]) for r in rows)
-    raise ParameterError(f"unknown format {fmt!r}")
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 # -------------------------------------------------------------- argparse
@@ -298,12 +284,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         print(f"error: no directory for --out {args.out!r}", file=sys.stderr)
         return EXIT_PARAMS
+    if args.out and os.path.isdir(args.out):
+        print(f"error: --out {args.out!r} is a directory", file=sys.stderr)
+        return EXIT_PARAMS
     try:
         payload = args.payload(args)
     except newton.CertificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    except (ParameterError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
 

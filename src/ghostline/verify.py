@@ -1,10 +1,12 @@
 """Theorem-by-theorem verification suites with witnessed reports.
 
 Every suite checks one exact statement about the ghost series over an
-explicitly bounded sweep and returns a ``CheckReport``: pass/fail, the
-sweep parameters, and, on failure, self-contained witnesses carrying both
-sides of the violated (in)equality as exact rationals.  Identical
-parameters always produce identical reports; sweeps never loop open-ended.
+explicitly bounded sweep.  Each check returns its witnesses: self-contained
+dicts carrying both sides of a violated (in)equality as exact rationals, and
+none when the statement holds.  ``run_suite`` builds the one report, a plain
+JSON dict: the suite name, the sweep parameters, pass/fail, the witnesses,
+the elapsed time and an empty ``meta``.  Identical parameters always produce
+identical reports, ``elapsed`` aside; sweeps never loop open-ended.
 
 The suite table ``SUITES`` names each suite with the bounds it reads, their
 defaults, and its runner; the CLI's bound flags are named after those
@@ -33,7 +35,6 @@ from .weight_space import (
     GhostContext,
     Perturbed,
     WeightPoint,
-    _Record,
     check_p,
     clear_context_caches,
     context_cache,
@@ -41,44 +42,6 @@ from .weight_space import (
     format_rational,
     new_context,
 )
-
-
-class CheckReport(_Record):
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None  # mutable
-    name: str
-    params: dict
-    status: str  # "pass" | "fail"
-    witnesses: List[dict]
-    elapsed: float
-    meta: dict
-
-    def __init__(self, name, params, status, witnesses, elapsed, meta=None):
-        super().__init__(name, params, status, witnesses, elapsed, {} if meta is None else meta)
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "pass"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "status": self.status,
-            "witnesses": self.witnesses,
-            "elapsed": round(self.elapsed, 6),
-            "meta": self.meta,
-        }
-
-
-def _report(name, params, witnesses, t0, meta=None) -> CheckReport:
-    return CheckReport(
-        name=name,
-        params=params,
-        status="pass" if not witnesses else "fail",
-        witnesses=witnesses,
-        elapsed=time.perf_counter() - t0,
-        meta=meta,
-    )
 
 
 def _ctx_params(ctx: GhostContext) -> dict:
@@ -95,9 +58,8 @@ def _np_at_classical(ctx: GhostContext, k0: int) -> newton.NewtonPolygon:
 # ---------------------------------------------------------------- duality
 
 
-def check_ghost_duality(ctx: GhostContext, k_bullet_max: int) -> CheckReport:
+def check_ghost_duality(ctx: GhostContext, k_bullet_max: int) -> List[dict]:
     """Mirror identity of the k-omitted valuations at w_k across d_iw/2."""
-    t0 = time.perf_counter()
     witnesses = []
     for kb in range(0, k_bullet_max + 1):
         k = ctx.weight_of_bullet(kb)
@@ -109,20 +71,14 @@ def check_ghost_duality(ctx: GhostContext, k_bullet_max: int) -> CheckReport:
             rhs = (k - 2) * (half_new - ell)
             if lhs != rhs:
                 witnesses.append({"k": k, "ell": ell, "lhs": lhs, "rhs": rhs})
-    return _report(
-        "ghost_duality",
-        {**_ctx_params(ctx), "k_bullet_max": k_bullet_max},
-        witnesses,
-        t0,
-    )
+    return witnesses
 
 
 # -------------------------------------------------------------- mid slopes
 
 
-def check_mid_slopes(ctx: GhostContext, k: int) -> CheckReport:
+def check_mid_slopes(ctx: GhostContext, k: int) -> List[dict]:
     """Slopes d_ur+1 .. d_iw-d_ur at w_k all equal (k-2)/2."""
-    t0 = time.perf_counter()
     du, di = dims.d_ur(ctx, k), dims.d_iw(ctx, k)
     witnesses = []
     if di - 2 * du >= 2:
@@ -138,22 +94,22 @@ def check_mid_slopes(ctx: GhostContext, k: int) -> CheckReport:
                         {"k": k, "slope_index": i,
                          "lhs": format_rational(got), "rhs": format_rational(want)}
                     )
-    return _report("mid_slopes", {**_ctx_params(ctx), "k": k}, witnesses, t0)
+    return witnesses
 
 
 # ------------------------------------------------------------------- theta
 
 
-def check_theta(ctx: GhostContext, k0: int, ell_max: int) -> CheckReport:
+def check_theta(ctx: GhostContext, k0: int, ell_max: int) -> List[dict]:
     """Slope-shift identity against the reflected weight 2 - k0.
 
     Verified in the displayed form: coefficient-valuation jumps beyond the
     classical rank d at w_k0 equal the jumps at w_{2-k0} on the twisted
-    disk, shifted by k0 - 1.  (The companion prose names the polygon at
-    w_k0 on the twisted disk instead; that reading is not what the jump
-    computation supports and is recorded in meta as the unverified one.)
+    disk s_eps' = s_eps + 1 - k0 (mod p - 1), shifted by k0 - 1.  (The
+    companion prose names the polygon at w_k0 on the twisted disk instead;
+    that reading is not what the jump computation supports, and it is left
+    unverified.)
     """
-    t0 = time.perf_counter()
     ctx2 = new_context(ctx.p, ctx.a, ctx.res(ctx.s_eps + 1 - k0))
     d = dims.d_iw(ctx, k0)
     ev1 = ghost.classical_evaluator(ctx, k0)
@@ -170,21 +126,14 @@ def check_theta(ctx: GhostContext, k0: int, ell_max: int) -> CheckReport:
                 {"k0": k0, "ell": ell, "lhs": lower, "rhs": (k0 - 1) * (ell + 1),
                  "reason": "post-classical jump below k0-1 per step"}
             )
-    meta = {
-        "evaluated_at": f"reflected weight {2 - k0} on s_eps' = {ctx2.s_eps}",
-        "alternate_unverified_reading": "polygon at w_k0 on the twisted disk",
-    }
-    return _report(
-        "theta", {**_ctx_params(ctx), "k0": k0, "ell_max": ell_max}, witnesses, t0, meta
-    )
+    return witnesses
 
 
 # ----------------------------------------------------------- atkin-lehner
 
 
-def check_atkin_lehner(ctx: GhostContext, k0: int) -> CheckReport:
+def check_atkin_lehner(ctx: GhostContext, k0: int) -> List[dict]:
     """Paired-disk slope sums equal k0 - 1, plus the raw jump identity."""
-    t0 = time.perf_counter()
     ctx2 = new_context(ctx.p, ctx.a, ctx.res(k0 - 2 - ctx.a - ctx.s_eps))
     d = dims.d_iw(ctx, k0)
     if d != dims.d_iw(ctx2, k0):
@@ -215,15 +164,14 @@ def check_atkin_lehner(ctx: GhostContext, k0: int) -> CheckReport:
                     {"k0": k0, "ell": ell, "lhs": format_rational(s), "rhs": k0 - 1,
                      "reason": "slope pairing"}
                 )
-    return _report("atkin_lehner", {**_ctx_params(ctx), "k0": k0}, witnesses, t0)
+    return witnesses
 
 
 # -------------------------------------------------------- p-stabilization
 
 
-def check_p_stabilization(ctx: GhostContext, k0: int) -> CheckReport:
+def check_p_stabilization(ctx: GhostContext, k0: int) -> List[dict]:
     """Old-form slope pairs at w_k0 sum to k0 - 1; no slope exceeds k0 - 1."""
-    t0 = time.perf_counter()
     du, di = dims.d_ur(ctx, k0), dims.d_iw(ctx, k0)
     witnesses = []
     if di >= 1:
@@ -244,15 +192,14 @@ def check_p_stabilization(ctx: GhostContext, k0: int) -> CheckReport:
                         {"k0": k0, "slope_index": i, "lhs": format_rational(s),
                          "rhs": k0 - 1, "reason": "slope above k0-1"}
                     )
-    return _report("p_stabilization", {**_ctx_params(ctx), "k0": k0}, witnesses, t0)
+    return witnesses
 
 
 # ----------------------------------------------------------------- gouvea
 
 
-def check_gouvea(ctx: GhostContext, k0: int) -> CheckReport:
+def check_gouvea(ctx: GhostContext, k0: int) -> List[dict]:
     """Old-form slopes at w_k0 stay under the explicit floor bound."""
-    t0 = time.perf_counter()
     p = ctx.p
     du = dims.d_ur(ctx, k0)
     witnesses = []
@@ -272,15 +219,14 @@ def check_gouvea(ctx: GhostContext, k0: int) -> CheckReport:
                     witnesses.append(
                         {"k0": k0, "slope_index": i, "lhs": format_rational(s), "rhs": bound}
                     )
-    return _report("gouvea", {**_ctx_params(ctx), "k0": k0}, witnesses, t0)
+    return witnesses
 
 
 # ------------------------------------------------------------------- halo
 
 
-def check_halo(ctx: GhostContext, t: Fraction, n_max: int) -> CheckReport:
+def check_halo(ctx: GhostContext, t: Fraction, n_max: int) -> List[dict]:
     """Boundary slopes are t * (degree increments), width 1, increasing."""
-    t0 = time.perf_counter()
     t = Fraction(t)
     np_, _ = newton.np_of_ghost_auto(ctx, Boundary(t), n_max)
     slopes = newton.unit_slopes(np_)
@@ -301,28 +247,22 @@ def check_halo(ctx: GhostContext, t: Fraction, n_max: int) -> CheckReport:
         if not newton.is_vertex(np_, n):
             witnesses.append({"n": n, "lhs": "non-vertex", "rhs": "vertex",
                               "reason": "segment wider than 1"})
-    return _report(
-        "halo",
-        {**_ctx_params(ctx), "t": format_rational(t), "n_max": n_max},
-        witnesses,
-        t0,
-    )
+    return witnesses
 
 
 # ------------------------------------------------------------ integrality
 
 
-def check_integrality(ctx: GhostContext, k0: int) -> CheckReport:
+def check_integrality(ctx: GhostContext, k0: int) -> List[dict]:
     """Width-1 slopes at w_k0 are integers; wider ones have even width
     and lie in a/2 + Z."""
-    t0 = time.perf_counter()
     di = dims.d_iw(ctx, k0)
     witnesses = []
     if di >= 1:
         for s, w in _np_at_classical(ctx, k0).slopes:
             if not steinberg.slope_class_ok(ctx, s, w):
                 witnesses.append({"k0": k0, "slope": format_rational(s), "width": w})
-    return _report("integrality", {**_ctx_params(ctx), "k0": k0}, witnesses, t0)
+    return witnesses
 
 
 # -------------------------------------------------------- delta estimates
@@ -387,7 +327,7 @@ def _half(x2: int) -> str:
 
 def check_delta_estimates(
     ctx: GhostContext, k: int, with_k_prime: bool = False
-) -> CheckReport:
+) -> List[dict]:
     """Gap bounds, convexity defect, and hull-distance bounds of one profile.
 
     Profile values lie in (1/2)Z, so gaps, defects and their bounds are
@@ -395,7 +335,6 @@ def check_delta_estimates(
     numerator over a positive denominator.  A Fraction is built only for a
     witness, or for the log bound when raw - hull > 0.
     """
-    t0 = time.perf_counter()
     p = ctx.p
     kb = ctx.bullet(k)
     half_new = dims.d_new(ctx, k) // 2
@@ -447,12 +386,7 @@ def check_delta_estimates(
             if defect2 < 2 * rhs:
                 witnesses.append({"k": k, "ell": ell, "lhs": _half(defect2),
                                   "rhs": rhs, "reason": "convexity defect"})
-    return _report(
-        "delta_estimates",
-        {**_ctx_params(ctx), "k": k, "with_k_prime": with_k_prime},
-        witnesses,
-        t0,
-    )
+    return witnesses
 
 
 def _k_prime_candidates(ctx: GhostContext, k: int, ell: int) -> List[int]:
@@ -523,9 +457,8 @@ def _random_points(ctx: GhostContext, count: int, seed: int) -> List[WeightPoint
     return points
 
 
-def check_vertex_theorem(ctx: GhostContext, points: int, n_max: int, seed: int) -> CheckReport:
+def check_vertex_theorem(ctx: GhostContext, points: int, n_max: int, seed: int) -> List[dict]:
     """Vertices of the polygon = non-near-Steinberg indices, on random points."""
-    t0 = time.perf_counter()
     witnesses = []
     for w in _random_points(ctx, points, seed):
         rep = steinberg.vertex_theorem_check(ctx, w, n_max)
@@ -539,21 +472,15 @@ def check_vertex_theorem(ctx: GhostContext, points: int, n_max: int, seed: int) 
                 ],
                 "nested": rep["nested"],
             })
-    return _report(
-        "vertex_theorem",
-        {**_ctx_params(ctx), "points": points, "n_max": n_max, "seed": seed},
-        witnesses,
-        t0,
-    )
+    return witnesses
 
 
-def check_nestedness(ctx: GhostContext, points: int, n_max: int, seed: int) -> CheckReport:
+def check_nestedness(ctx: GhostContext, points: int, n_max: int, seed: int) -> List[dict]:
     """Near-Steinberg ranges are pairwise disjoint-or-contained.
 
     Besides random points this deliberately probes bases congruent modulo
     p^2 steps, where distinct ranges come closest to overlapping.
     """
-    t0 = time.perf_counter()
     p = ctx.p
     probes: List[WeightPoint] = list(_random_points(ctx, points, seed))
     for j in (1, 2):
@@ -567,17 +494,11 @@ def check_nestedness(ctx: GhostContext, points: int, n_max: int, seed: int) -> C
         if not ok:
             witnesses.append({"point": format_point(w),
                               "pair": [pair[0].to_json_dict(), pair[1].to_json_dict()]})
-    return _report(
-        "nestedness",
-        {**_ctx_params(ctx), "points": points, "n_max": n_max, "seed": seed},
-        witnesses,
-        t0,
-    )
+    return witnesses
 
 
-def check_delta_vertices(ctx: GhostContext, k_bullet_max: int) -> CheckReport:
+def check_delta_vertices(ctx: GhostContext, k_bullet_max: int) -> List[dict]:
     """Three-way equivalence for profile hull vertices, plus slope classes."""
-    t0 = time.perf_counter()
     witnesses = []
     for kb in range(0, k_bullet_max + 1):
         k = ctx.weight_of_bullet(kb)
@@ -590,52 +511,66 @@ def check_delta_vertices(ctx: GhostContext, k_bullet_max: int) -> CheckReport:
             witnesses.append({"k0": bad["k0"], "lhs": str(bad["slope"]),
                               "rhs": f"width {bad['width']} slope class",
                               "reason": "hull slope class"})
-    return _report(
-        "delta_vertices",
-        {**_ctx_params(ctx), "k_bullet_max": k_bullet_max},
-        witnesses,
-        t0,
-    )
+    return witnesses
 
 
 # ------------------------------------------------------------ suite table
 
 
+def _tagged(ctx: GhostContext, checks) -> List[dict]:
+    """The witnesses of a sweep's checks, from (check params, witnesses)
+    pairs; each witness carries the context and its check's params as
+    ``suite_params``."""
+    return [{**wit, "suite_params": {**_ctx_params(ctx), **params}}
+            for params, witnesses in checks for wit in witnesses]
+
+
+def _weights(ctx: GhostContext, k_bullet_max: int):
+    """The weights of k_bullet 0 .. k_bullet_max on the context's disk."""
+    return map(ctx.weight_of_bullet, range(0, k_bullet_max + 1))
+
+
 #: Each suite's bounds, with their defaults in flag order, and its runner,
-#: which takes the context and every bound.  A runner that sweeps returns a
-#: list of reports, which ``run_suite`` merges into one.  Runners call the
-#: checks through this module's globals, so that a rebinding of a check (as
-#: a tracer does) reaches the suites too.
-SUITES: Dict[str, Tuple[Dict[str, int], Callable[..., object]]] = {
+#: which takes the context and every bound and returns the suite's
+#: witnesses.  A runner that sweeps tags each witness with the params of its
+#: own check.  Runners call the checks through this module's globals, so
+#: that a rebinding of a check (as a tracer does) reaches the suites too.
+SUITES: Dict[str, Tuple[Dict[str, int], Callable[..., List[dict]]]] = {
     "ghost_duality": ({"k_bullet_max": 200},
                       lambda ctx, k_bullet_max: check_ghost_duality(ctx, k_bullet_max)),
     "mid_slopes": ({"k_bullet_max": 200},
-                   lambda ctx, k_bullet_max: [check_mid_slopes(ctx, ctx.weight_of_bullet(kb))
-                                              for kb in range(0, k_bullet_max + 1)]),
+                   lambda ctx, k_bullet_max: _tagged(ctx, (
+                       ({"k": k}, check_mid_slopes(ctx, k))
+                       for k in _weights(ctx, k_bullet_max)))),
     "theta": ({"k0_max": 60, "ell_max": 5},
-              lambda ctx, k0_max, ell_max: [check_theta(ctx, k0, ell_max)
-                                            for k0 in range(2, k0_max + 1)]),
+              lambda ctx, k0_max, ell_max: _tagged(ctx, (
+                  ({"k0": k0, "ell_max": ell_max}, check_theta(ctx, k0, ell_max))
+                  for k0 in range(2, k0_max + 1)))),
     "atkin_lehner": ({"k0_max": 60},
-                     lambda ctx, k0_max: [check_atkin_lehner(ctx, k0)
-                                          for k0 in range(2, k0_max + 1)]),
+                     lambda ctx, k0_max: _tagged(ctx, (
+                         ({"k0": k0}, check_atkin_lehner(ctx, k0))
+                         for k0 in range(2, k0_max + 1)))),
     "p_stabilization": ({"k_bullet_max": 200},
-                        lambda ctx, k_bullet_max: [
-                            check_p_stabilization(ctx, ctx.weight_of_bullet(kb))
-                            for kb in range(0, k_bullet_max + 1)]),
+                        lambda ctx, k_bullet_max: _tagged(ctx, (
+                            ({"k0": k0}, check_p_stabilization(ctx, k0))
+                            for k0 in _weights(ctx, k_bullet_max)))),
     "gouvea": ({"k_bullet_max": 200},
-               lambda ctx, k_bullet_max: [check_gouvea(ctx, ctx.weight_of_bullet(kb))
-                                          for kb in range(0, k_bullet_max + 1)]),
+               lambda ctx, k_bullet_max: _tagged(ctx, (
+                   ({"k0": k0}, check_gouvea(ctx, k0))
+                   for k0 in _weights(ctx, k_bullet_max)))),
     "halo": ({"n_max": 24},
-             lambda ctx, n_max: [check_halo(ctx, t, n_max)
-                                 for t in (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4))]),
+             lambda ctx, n_max: _tagged(ctx, (
+                 ({"t": format_rational(t), "n_max": n_max}, check_halo(ctx, t, n_max))
+                 for t in (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4))))),
     "integrality": ({"k_bullet_max": 200},
-                    lambda ctx, k_bullet_max: [check_integrality(ctx, ctx.weight_of_bullet(kb))
-                                               for kb in range(0, k_bullet_max + 1)]),
+                    lambda ctx, k_bullet_max: _tagged(ctx, (
+                        ({"k0": k0}, check_integrality(ctx, k0))
+                        for k0 in _weights(ctx, k_bullet_max)))),
     "delta_estimates": ({"k_bullet_max": 200, "k_prime_bullet_max": 30},
-                        lambda ctx, k_bullet_max, k_prime_bullet_max: [
-                            check_delta_estimates(ctx, ctx.weight_of_bullet(kb),
-                                                  with_k_prime=kb <= k_prime_bullet_max)
-                            for kb in range(0, k_bullet_max + 1)]),
+                        lambda ctx, k_bullet_max, k_prime_bullet_max: _tagged(ctx, (
+                            ({"k": k, "with_k_prime": kb <= k_prime_bullet_max},
+                             check_delta_estimates(ctx, k, with_k_prime=kb <= k_prime_bullet_max))
+                            for kb, k in enumerate(_weights(ctx, k_bullet_max))))),
     "vertex_theorem": ({"points": 3, "n_max": 14, "seed": 20817},
                        lambda ctx, points, n_max, seed:
                        check_vertex_theorem(ctx, points, n_max, seed)),
@@ -646,7 +581,7 @@ SUITES: Dict[str, Tuple[Dict[str, int], Callable[..., object]]] = {
 }
 
 
-def _suite(name: str) -> Tuple[Dict[str, int], Callable[..., object]]:
+def _suite(name: str) -> Tuple[Dict[str, int], Callable[..., List[dict]]]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     return SUITES[name]
@@ -668,13 +603,14 @@ def _check_bounds(bounds: dict) -> None:
             raise ValueError(f"{b} must be >= {_BOUND_MIN[b]}, got {val}")
 
 
-def run_suite(name: str, ctx: GhostContext, **bounds) -> CheckReport:
-    """Run one suite, with its defaults for the bounds not given.
+def run_suite(name: str, ctx: GhostContext, **bounds) -> dict:
+    """Run one suite, with its defaults for the bounds not given, and build
+    its report.
 
     A bound that the suite does not read is an error, and so is one that
-    leaves the suite nothing to check.  A sweep's reports are merged into
-    one, whose params are the context and every bound, and whose witnesses
-    each carry the params of their own check as ``suite_params``.
+    leaves the suite nothing to check.  The report is a JSON dict with the
+    keys name, params (the context and every bound), status, witnesses,
+    elapsed (seconds, to 6 places) and meta (empty).
     """
     defaults, runner = _suite(name)
     unread = [b for b in bounds if b not in defaults]
@@ -683,11 +619,16 @@ def run_suite(name: str, ctx: GhostContext, **bounds) -> CheckReport:
     _check_bounds(bounds)
     bounds = {b: bounds.get(b, default) for b, default in defaults.items()}
     t0 = time.perf_counter()
-    out = runner(ctx, **bounds)
-    if isinstance(out, CheckReport):
-        return out
-    witnesses = [{**wit, "suite_params": part.params} for part in out for wit in part.witnesses]
-    return _report(name, {**_ctx_params(ctx), **bounds}, witnesses, t0)
+    witnesses = runner(ctx, **bounds)
+    elapsed = time.perf_counter() - t0
+    return {
+        "name": name,
+        "params": {**_ctx_params(ctx), **bounds},
+        "status": "fail" if witnesses else "pass",
+        "witnesses": witnesses,
+        "elapsed": round(elapsed, 6),
+        "meta": {},
+    }
 
 
 # ------------------------------------------------------------ grid runner
@@ -718,7 +659,7 @@ def _grid_task(args) -> List[dict]:
     p, a, s_eps, runs = args
     clear_context_caches()
     ctx = new_context(p, a, s_eps)
-    return [run_suite(name, ctx, **bounds).to_json_dict() for name, bounds in runs]
+    return [run_suite(name, ctx, **bounds) for name, bounds in runs]
 
 
 def run_grid(

@@ -13,7 +13,6 @@ import pytest
 import ghostline
 
 from ghostline import cli, verify
-from ghostline.verify import CheckReport
 
 
 def run(capsys, *argv):
@@ -220,10 +219,10 @@ class TestFormats:
             raise AssertionError("the grid ran before --out was checked")
 
         monkeypatch.setattr(verify, "run_grid", run_grid)
-        target = tmp_path / "missing" / "x.json"
-        code, out, err = run(capsys, "scan", "--p-list", "5", "--suites", "halo",
-                             "--n-max", "4", "--workers", "1", "--out", str(target))
-        assert (code, out) == (2, "") and err.startswith("error: ") and str(target) in err
+        for target in (tmp_path / "missing" / "x.json", tmp_path):
+            code, out, err = run(capsys, "scan", "--p-list", "5", "--suites", "halo",
+                                 "--n-max", "4", "--workers", "1", "--out", str(target))
+            assert (code, out) == (2, "") and err.startswith("error: ") and str(target) in err
 
 
 class TestExitCodes:
@@ -244,8 +243,7 @@ class TestExitCodes:
         assert code == 0 and json.loads(out)["status"] == "pass"
 
         def always_fail(ctx):
-            return CheckReport("always_fail", {}, "fail",
-                               [{"lhs": 0, "rhs": 1}], 0.0)
+            return [{"lhs": 0, "rhs": 1}]
 
         monkeypatch.setitem(verify.SUITES, "always_fail", ({}, always_fail))
         code, out, _ = run(capsys, "verify", "--p", "7", "--a", "2", "--seps", "4",
@@ -287,16 +285,16 @@ class TestBoundFlags:
 
     def test_flags_come_from_the_suite_table(self, capsys, monkeypatch):
         def depth_suite(ctx, depth):
-            return CheckReport("depth_suite", {"depth": depth}, "pass", [], 0.0)
+            return []
 
         monkeypatch.setitem(verify.SUITES, "depth_suite", ({"depth": 3}, depth_suite))
         assert verify.suite_bounds("depth_suite") == ("depth",)
         assert verify.suite_bounds("vertex_theorem") == ("points", "n_max", "seed")
         code, out, _ = run(capsys, "verify", *self.P7, "--suite", "depth_suite",
                            "--depth", "7")
-        assert code == 0 and json.loads(out)["params"] == {"depth": 7}
+        assert code == 0 and json.loads(out)["params"] == {"p": 7, "a": 2, "s_eps": 4, "depth": 7}
         code, out, _ = run(capsys, "verify", *self.P7, "--suite", "depth_suite")
-        assert code == 0 and json.loads(out)["params"] == {"depth": 3}
+        assert code == 0 and json.loads(out)["params"] == {"p": 7, "a": 2, "s_eps": 4, "depth": 3}
         code, _, err = run(capsys, "verify", *self.P7, "--suite", "halo", "--depth", "7")
         assert code == 2 and "--depth" in err
 

@@ -28,15 +28,15 @@ class TestDuality:
         assert ev.omitted(5) - ev.omitted(1) == 33 - 1 == (18 - 2) * 2
 
     def test_suite(self):
-        assert verify.check_ghost_duality(C4, 40).ok
-        assert verify.check_ghost_duality(C0, 40).ok
+        assert verify.check_ghost_duality(C4, 40) == []
+        assert verify.check_ghost_duality(C0, 40) == []
 
 
 class TestMidSlopes:
     def test_examples(self):
-        assert verify.check_mid_slopes(C4, 18).ok
-        assert verify.check_mid_slopes(C0, 22).ok
-        assert verify.check_mid_slopes(C0, 4).ok  # d_new = 0: vacuous
+        assert verify.check_mid_slopes(C4, 18) == []
+        assert verify.check_mid_slopes(C0, 22) == []
+        assert verify.check_mid_slopes(C0, 4) == []  # d_new = 0: vacuous
 
     def test_slopes_value(self):
         from ghostline import newton
@@ -48,38 +48,33 @@ class TestMidSlopes:
 class TestTheta:
     def test_small_sweeps(self):
         for k0 in range(2, 32):
-            assert verify.check_theta(C0, k0, 5).ok
+            assert verify.check_theta(C0, k0, 5) == []
         ctx = new_context(5, 1, 3)
         for k0 in range(2, 40):
-            assert verify.check_theta(ctx, k0, 4).ok
-
-    def test_meta_mentions_reflected_weight(self):
-        rep = verify.check_theta(C0, 4, 2)
-        assert "reflected weight -2" in rep.meta["evaluated_at"]
+            assert verify.check_theta(ctx, k0, 4) == []
 
 
 class TestAtkinLehner:
     def test_off_class_pairing(self):
-        rep = verify.check_atkin_lehner(C0, 5)
-        assert rep.ok
+        assert verify.check_atkin_lehner(C0, 5) == []
 
     def test_on_class_window(self):
-        assert verify.check_atkin_lehner(C0, 10).ok
+        assert verify.check_atkin_lehner(C0, 10) == []
 
     def test_sweeps(self):
         for p, a in ((5, 1), (7, 2)):
             for s in range(p - 1):
                 ctx = new_context(p, a, s)
                 for k0 in range(2, 30):
-                    assert verify.check_atkin_lehner(ctx, k0).ok, (p, a, s, k0)
+                    assert verify.check_atkin_lehner(ctx, k0) == [], (p, a, s, k0)
 
 
 class TestPStabilization:
     def test_examples(self):
-        assert verify.check_p_stabilization(C0, 28).ok
-        assert verify.check_p_stabilization(C0, 4).ok  # pairs exist, d_ur = 1
+        assert verify.check_p_stabilization(C0, 28) == []
+        assert verify.check_p_stabilization(C0, 4) == []  # pairs exist, d_ur = 1
         ctx = new_context(7, 2, 2)
-        assert verify.check_p_stabilization(ctx, 2).ok  # d_ur = 0: vacuous
+        assert verify.check_p_stabilization(ctx, 2) == []  # d_ur = 0: vacuous
 
 
 class TestGouvea:
@@ -89,8 +84,8 @@ class TestGouvea:
         du = 2
         bound = (7 - 1) // 2 * (du - 1) - ctx.delta_eps + ctx.beta(du - 1)
         assert bound <= (28 - 1 - min(3, 3)) // 8 == 3
-        assert verify.check_gouvea(ctx, 28).ok
-        assert verify.check_gouvea(ctx, 10).ok
+        assert verify.check_gouvea(ctx, 28) == []
+        assert verify.check_gouvea(ctx, 10) == []
 
 
 def _per_index_witnesses(ctx, name, k):
@@ -160,9 +155,8 @@ class TestSlopeSuitesOracle:
         seen = {}
         for name, check in self.SUITES.items():
             got = check(ctx, k)
-            want = _per_index_witnesses(ctx, name, k)
-            assert got.witnesses == want, (name, ctx, k)
-            seen[name] = got.witnesses
+            assert got == _per_index_witnesses(ctx, name, k), (name, ctx, k)
+            seen[name] = got
         return seen
 
     def test_real_polygons(self):
@@ -220,27 +214,26 @@ class TestSlopeSuitesOracle:
 
 class TestHalo:
     def test_suite(self):
-        assert verify.check_halo(C0, Fraction(1, 2), 15).ok
-        assert verify.check_halo(new_context(7, 2, 3), Fraction(1, 3), 12).ok
+        assert verify.check_halo(C0, Fraction(1, 2), 15) == []
+        assert verify.check_halo(new_context(7, 2, 3), Fraction(1, 3), 12) == []
 
 
 class TestIntegrality:
     def test_example(self):
-        assert verify.check_integrality(C4, 18).ok
+        assert verify.check_integrality(C4, 18) == []
         ctx = new_context(7, 3, 0)  # odd a: repeated slopes in 3/2 + Z
         for kb in range(0, 25):
-            assert verify.check_integrality(ctx, ctx.weight_of_bullet(kb)).ok
+            assert verify.check_integrality(ctx, ctx.weight_of_bullet(kb)) == []
 
 
 class TestDeltaEstimates:
     def test_worked_example_gaps(self):
-        rep = verify.check_delta_estimates(C4, 18, with_k_prime=True)
-        assert rep.ok
+        assert verify.check_delta_estimates(C4, 18, with_k_prime=True) == []
 
     def test_sweep_with_k_prime(self):
         ctx = new_context(11, 5, 4)
         for kb in range(0, 25):
-            assert verify.check_delta_estimates(ctx, ctx.weight_of_bullet(kb), True).ok
+            assert verify.check_delta_estimates(ctx, ctx.weight_of_bullet(kb), True) == []
 
 
 def k_prime_brute(ctx, k, ell):
@@ -355,13 +348,9 @@ def _fraction_k_prime_bounds(ctx, k, ell, gap):
 
 
 def _assert_matches_oracle(ctx, k, with_k_prime):
-    rep = verify.check_delta_estimates(ctx, k, with_k_prime).to_json_dict()
-    want = _fraction_delta_estimates(ctx, k, with_k_prime)
-    assert rep["witnesses"] == want
-    assert rep["status"] == ("pass" if not want else "fail")
-    assert rep["params"] == {"p": ctx.p, "a": ctx.a, "s_eps": ctx.s_eps, "k": k,
-                             "with_k_prime": with_k_prime}
-    return rep["witnesses"]
+    witnesses = verify.check_delta_estimates(ctx, k, with_k_prime)
+    assert witnesses == _fraction_delta_estimates(ctx, k, with_k_prime)
+    return witnesses
 
 
 def _doctored(prof, raw_shift=lambda ell: 0, flat=False):
@@ -449,19 +438,26 @@ class TestLogBoundHelper:
 
 class TestReports:
     def test_deterministic(self):
-        r1 = verify.check_ghost_duality(C4, 25).to_json_dict()
-        r2 = verify.check_ghost_duality(C4, 25).to_json_dict()
+        r1 = verify.run_suite("ghost_duality", C4, k_bullet_max=25)
+        r2 = verify.run_suite("ghost_duality", C4, k_bullet_max=25)
         r1.pop("elapsed"), r2.pop("elapsed")
         assert r1 == r2
         assert list(r1) == ["name", "params", "status", "witnesses", "meta"]
+
+    def test_run_suite_builds_a_plain_dict(self):
+        rep = verify.run_suite("halo", C4, n_max=3)
+        assert type(rep) is dict
+        assert list(rep) == ["name", "params", "status", "witnesses", "elapsed", "meta"]
+        assert rep["name"] == "halo" and rep["status"] == "pass" and rep["meta"] == {}
+        assert rep["params"] == {"p": 7, "a": 2, "s_eps": 4, "n_max": 3}
+        assert type(rep["elapsed"]) is float and rep["elapsed"] == round(rep["elapsed"], 6)
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             verify.run_suite("nope", C0)
 
     def test_json_serialisable(self):
-        rep = verify.run_suite("halo", C0, n_max=10)
-        json.dumps(rep.to_json_dict())
+        json.dumps(verify.run_suite("halo", C0, n_max=10))
 
     def test_unread_bound_rejected(self):
         with pytest.raises(ValueError, match="'halo'.*'k_bullet_max'"):
@@ -486,10 +482,10 @@ class TestReports:
 
     def test_least_bounds_still_check(self):
         rep = verify.run_suite("theta", C4, k0_max=2, ell_max=0)
-        assert rep.ok and rep.params["k0_max"] == 2
-        assert verify.run_suite("ghost_duality", C4, k_bullet_max=0).ok
-        assert verify.run_suite("halo", C4, n_max=1).ok
-        assert verify.run_suite("nestedness", C4, points=1, n_max=1).ok
+        assert rep["status"] == "pass" and rep["params"]["k0_max"] == 2
+        assert verify.run_suite("ghost_duality", C4, k_bullet_max=0)["status"] == "pass"
+        assert verify.run_suite("halo", C4, n_max=1)["status"] == "pass"
+        assert verify.run_suite("nestedness", C4, points=1, n_max=1)["status"] == "pass"
 
     def test_every_bound_but_the_seed_has_a_least_value(self):
         names = {b for name in verify.SUITES for b in verify.suite_bounds(name)}
@@ -506,8 +502,9 @@ class TestSuiteDigests:
     """SHA-256 of each suite's report, ``elapsed`` removed, at small bounds.
 
     The digests were recorded when each suite was a function whose
-    signature held its bounds; the suite table must give the same bytes,
-    ``suite_params`` tags of a merged sweep's witnesses included.
+    signature held its bounds and each check built its own report; the
+    suite table and the one report of ``run_suite`` must give the same
+    bytes, ``suite_params`` tags of a sweep's witnesses included.
     """
 
     BOUNDS = {"k_bullet_max": 6, "k0_max": 10, "ell_max": 2, "n_max": 6, "points": 1,
@@ -545,7 +542,7 @@ class TestSuiteDigests:
 
     @staticmethod
     def digest(rep):
-        out = rep.to_json_dict()
+        out = dict(rep)
         out.pop("elapsed")
         return hashlib.sha256(json.dumps(out, indent=2).encode()).hexdigest()
 
@@ -561,8 +558,8 @@ class TestSuiteDigests:
     def test_failing_sweep_tags_its_witnesses(self, monkeypatch):
         monkeypatch.setattr(steinberg, "slope_class_ok", lambda ctx, s, w: False)
         rep = verify.run_suite("integrality", C4, k_bullet_max=3)
-        assert not rep.ok and len(rep.witnesses) == 92
-        assert rep.witnesses[0]["suite_params"] == {"p": 7, "a": 2, "s_eps": 4, "k0": 6}
+        assert rep["status"] == "fail" and len(rep["witnesses"]) == 92
+        assert rep["witnesses"][0]["suite_params"] == {"p": 7, "a": 2, "s_eps": 4, "k0": 6}
         assert self.digest(rep) == "bb1f86d61a2dc76ba03d8c9f9a7d81d68ed62d225ce56d1252bb2944900cd4b2"
 
 
@@ -580,7 +577,7 @@ class TestGrid:
         seen = []
         monkeypatch.setattr(verify, "run_suite",
                             lambda name, ctx, **bounds: seen.append((name, bounds)) or
-                            verify.CheckReport(name, verify._ctx_params(ctx), "pass", [], 0.0))
+                            {"name": name, "params": verify._ctx_params(ctx)})
         verify.run_grid([5], ["ghost_duality", "halo"],
                         {"k_bullet_max": 12, "n_max": 8}, workers=1)
         assert {(name, tuple(b.items())) for name, b in seen} == {
