@@ -22,7 +22,7 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import dimensions as dims
 from . import ghost_series as ghost
@@ -225,8 +225,9 @@ def check_gouvea(ctx: GhostContext, k0: int) -> List[dict]:
 # ------------------------------------------------------------------- halo
 
 
-def check_halo(ctx: GhostContext, t: Fraction, n_max: int) -> List[dict]:
-    """Boundary slopes are t * (degree increments), width 1, increasing."""
+def check_halo(ctx: GhostContext, t: Union[Fraction, str], n_max: int) -> List[dict]:
+    """Boundary slopes are t * (degree increments), width 1, increasing; t
+    may be given as its 'num/den' string."""
     t = Fraction(t)
     np_, _ = newton.np_of_ghost_auto(ctx, Boundary(t), n_max)
     slopes = newton.unit_slopes(np_)
@@ -517,12 +518,12 @@ def check_delta_vertices(ctx: GhostContext, k_bullet_max: int) -> List[dict]:
 # ------------------------------------------------------------ suite table
 
 
-def _tagged(ctx: GhostContext, checks) -> List[dict]:
-    """The witnesses of a sweep's checks, from (check params, witnesses)
-    pairs; each witness carries the context and its check's params as
-    ``suite_params``."""
+def _tagged(ctx: GhostContext, check: Callable[..., List[dict]], sweep) -> List[dict]:
+    """The witnesses of check(ctx, **params) for each params dict of the
+    sweep; each witness carries the context and the params its check was
+    called with as ``suite_params``."""
     return [{**wit, "suite_params": {**_ctx_params(ctx), **params}}
-            for params, witnesses in checks for wit in witnesses]
+            for params in sweep for wit in check(ctx, **params)]
 
 
 def _weights(ctx: GhostContext, k_bullet_max: int):
@@ -539,38 +540,31 @@ SUITES: Dict[str, Tuple[Dict[str, int], Callable[..., List[dict]]]] = {
     "ghost_duality": ({"k_bullet_max": 200},
                       lambda ctx, k_bullet_max: check_ghost_duality(ctx, k_bullet_max)),
     "mid_slopes": ({"k_bullet_max": 200},
-                   lambda ctx, k_bullet_max: _tagged(ctx, (
-                       ({"k": k}, check_mid_slopes(ctx, k))
-                       for k in _weights(ctx, k_bullet_max)))),
+                   lambda ctx, k_bullet_max: _tagged(ctx, check_mid_slopes, (
+                       {"k": k} for k in _weights(ctx, k_bullet_max)))),
     "theta": ({"k0_max": 60, "ell_max": 5},
-              lambda ctx, k0_max, ell_max: _tagged(ctx, (
-                  ({"k0": k0, "ell_max": ell_max}, check_theta(ctx, k0, ell_max))
-                  for k0 in range(2, k0_max + 1)))),
+              lambda ctx, k0_max, ell_max: _tagged(ctx, check_theta, (
+                  {"k0": k0, "ell_max": ell_max} for k0 in range(2, k0_max + 1)))),
     "atkin_lehner": ({"k0_max": 60},
-                     lambda ctx, k0_max: _tagged(ctx, (
-                         ({"k0": k0}, check_atkin_lehner(ctx, k0))
-                         for k0 in range(2, k0_max + 1)))),
+                     lambda ctx, k0_max: _tagged(ctx, check_atkin_lehner, (
+                         {"k0": k0} for k0 in range(2, k0_max + 1)))),
     "p_stabilization": ({"k_bullet_max": 200},
-                        lambda ctx, k_bullet_max: _tagged(ctx, (
-                            ({"k0": k0}, check_p_stabilization(ctx, k0))
-                            for k0 in _weights(ctx, k_bullet_max)))),
+                        lambda ctx, k_bullet_max: _tagged(ctx, check_p_stabilization, (
+                            {"k0": k0} for k0 in _weights(ctx, k_bullet_max)))),
     "gouvea": ({"k_bullet_max": 200},
-               lambda ctx, k_bullet_max: _tagged(ctx, (
-                   ({"k0": k0}, check_gouvea(ctx, k0))
-                   for k0 in _weights(ctx, k_bullet_max)))),
+               lambda ctx, k_bullet_max: _tagged(ctx, check_gouvea, (
+                   {"k0": k0} for k0 in _weights(ctx, k_bullet_max)))),
     "halo": ({"n_max": 24},
-             lambda ctx, n_max: _tagged(ctx, (
-                 ({"t": format_rational(t), "n_max": n_max}, check_halo(ctx, t, n_max))
-                 for t in (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4))))),
+             lambda ctx, n_max: _tagged(ctx, check_halo, (
+                 {"t": t, "n_max": n_max} for t in ("1/2", "1/3", "3/4")))),
     "integrality": ({"k_bullet_max": 200},
-                    lambda ctx, k_bullet_max: _tagged(ctx, (
-                        ({"k0": k0}, check_integrality(ctx, k0))
-                        for k0 in _weights(ctx, k_bullet_max)))),
+                    lambda ctx, k_bullet_max: _tagged(ctx, check_integrality, (
+                        {"k0": k0} for k0 in _weights(ctx, k_bullet_max)))),
     "delta_estimates": ({"k_bullet_max": 200, "k_prime_bullet_max": 30},
-                        lambda ctx, k_bullet_max, k_prime_bullet_max: _tagged(ctx, (
-                            ({"k": k, "with_k_prime": kb <= k_prime_bullet_max},
-                             check_delta_estimates(ctx, k, with_k_prime=kb <= k_prime_bullet_max))
-                            for kb, k in enumerate(_weights(ctx, k_bullet_max))))),
+                        lambda ctx, k_bullet_max, k_prime_bullet_max: _tagged(
+                            ctx, check_delta_estimates, (
+                                {"k": k, "with_k_prime": kb <= k_prime_bullet_max}
+                                for kb, k in enumerate(_weights(ctx, k_bullet_max))))),
     "vertex_theorem": ({"points": 3, "n_max": 14, "seed": 20817},
                        lambda ctx, points, n_max, seed:
                        check_vertex_theorem(ctx, points, n_max, seed)),

@@ -403,6 +403,20 @@ class TestDeltaEstimatesOracle:
                     seen.update(w["reason"] for w in wits)
         assert seen == self.ALL_REASONS
 
+    def test_suite_runs_each_weight_with_its_k_prime_flag(self, monkeypatch):
+        # k_bullet 0 .. 2 (k = 6, 12, 18) check the k' bounds, 3 .. 5 do not
+        real = steinberg.delta_profile
+        monkeypatch.setattr(steinberg, "delta_profile",
+                            lambda c, kk: _doctored(real(c, kk), flat=True))
+        rep = verify.run_suite("delta_estimates", C4, k_bullet_max=5, k_prime_bullet_max=2)
+        want = [{**wit, "suite_params": {"p": 7, "a": 2, "s_eps": 4, "k": k,
+                                         "with_k_prime": k <= 18}}
+                for k in (6, 12, 18, 24, 30, 36)
+                for wit in _fraction_delta_estimates(C4, k, k <= 18)]
+        assert rep["status"] == "fail" and rep["witnesses"] == want
+        assert {w["suite_params"]["k"] for w in want} == {6, 12, 18, 24, 30, 36}
+        assert {w["suite_params"]["k"] for w in want if "k_prime" in w} == {6, 12, 18}
+
     def test_rejects_values_off_the_half_lattice(self, monkeypatch):
         real = steinberg.delta_profile
         monkeypatch.setattr(
@@ -561,6 +575,49 @@ class TestSuiteDigests:
         assert rep["status"] == "fail" and len(rep["witnesses"]) == 92
         assert rep["witnesses"][0]["suite_params"] == {"p": 7, "a": 2, "s_eps": 4, "k0": 6}
         assert self.digest(rep) == "bb1f86d61a2dc76ba03d8c9f9a7d81d68ed62d225ce56d1252bb2944900cd4b2"
+
+
+class TestSweepTags:
+    """Each sweep tags its witnesses with the params of the check that found
+    them; a stub check fails once per call and records what it received."""
+
+    CTX = {"p": 7, "a": 2, "s_eps": 4}
+    SWEEPS = {
+        "mid_slopes": ({"k_bullet_max": 2}, [{"k": 6}, {"k": 12}, {"k": 18}]),
+        "theta": ({"k0_max": 4, "ell_max": 1},
+                  [{"k0": 2, "ell_max": 1}, {"k0": 3, "ell_max": 1}, {"k0": 4, "ell_max": 1}]),
+        "atkin_lehner": ({"k0_max": 3}, [{"k0": 2}, {"k0": 3}]),
+        "p_stabilization": ({"k_bullet_max": 1}, [{"k0": 6}, {"k0": 12}]),
+        "gouvea": ({"k_bullet_max": 1}, [{"k0": 6}, {"k0": 12}]),
+        "halo": ({"n_max": 5},
+                 [{"t": "1/2", "n_max": 5}, {"t": "1/3", "n_max": 5}, {"t": "3/4", "n_max": 5}]),
+        "integrality": ({"k_bullet_max": 1}, [{"k0": 6}, {"k0": 12}]),
+        "delta_estimates": ({"k_bullet_max": 3, "k_prime_bullet_max": 1},
+                            [{"k": 6, "with_k_prime": True}, {"k": 12, "with_k_prime": True},
+                             {"k": 18, "with_k_prime": False},
+                             {"k": 24, "with_k_prime": False}]),
+    }
+
+    def test_every_sweep_is_listed(self):
+        single = {"ghost_duality", "vertex_theorem", "nestedness", "delta_vertices"}
+        assert set(self.SWEEPS) == set(verify.SUITES) - single
+
+    @pytest.mark.parametrize("name", list(SWEEPS))
+    def test_tags_are_the_params_of_each_check(self, monkeypatch, name):
+        bounds, calls = self.SWEEPS[name]
+        real = getattr(verify, f"check_{name}")
+
+        def failing(ctx, *args, **kwargs):
+            got = inspect.signature(real).bind(ctx, *args, **kwargs).arguments
+            return [{"received": {b: str(v) for b, v in got.items() if b != "ctx"}}]
+
+        monkeypatch.setattr(verify, f"check_{name}", failing)
+        rep = verify.run_suite(name, C4, **bounds)
+        assert rep["status"] == "fail"
+        assert [w["suite_params"] for w in rep["witnesses"]] == [
+            {**self.CTX, **params} for params in calls]
+        assert [w["received"] for w in rep["witnesses"]] == [
+            {b: str(v) for b, v in params.items()} for params in calls]
 
 
 class TestGrid:
