@@ -98,15 +98,15 @@ def _payload_ns(args) -> dict:
 
     ctx, point = _point_query(args)
     ranges = steinberg.near_steinberg_ranges(ctx, point, args.nmax)
-    nested, witness = steinberg.check_nested(ranges)
+    pair = steinberg.check_nested(ranges)
     return {
         "point": args.point,
         "n_max": args.nmax,
         "ranges": [r.to_json_dict() for r in ranges],
-        "nested": nested,
+        "nested": pair is None,
         "nest_witness": None
-        if witness is None
-        else [witness[0].to_json_dict(), witness[1].to_json_dict()],
+        if pair is None
+        else [pair[0].to_json_dict(), pair[1].to_json_dict()],
     }
 
 

@@ -19,10 +19,12 @@ of (w, k).  A hull gap is constant along a hull segment, so a
 vertices, and ``l_max`` scans segments rather than offsets; this module
 is the only one that knows that layout.
 
-The checkers below verify, witness by witness, that these ranges are
-nested, that they are exactly the non-vertices of the Newton polygon, and
-that non-vertices of the profile hull are detected by near-Steinberg
-ranges of neighbouring weights.
+The checkers below verify that these ranges are nested, that they are
+exactly the non-vertices of the Newton polygon, and that non-vertices of
+the profile hull are detected by near-Steinberg ranges of neighbouring
+weights.  Each returns the witnesses ``verify`` reports, in their final
+JSON form (rationals as "num/den", ranges as dicts), and none when the
+statement holds.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .weight_space import (
     WeightPoint,
     _Record,
     context_cache,
+    format_point,
     format_rational,
     vp_point_to_weight,
 )
@@ -190,8 +193,9 @@ def near_steinberg_ranges(
 
 def check_nested(
     ranges: Sequence[NearSteinbergRange],
-) -> Tuple[bool, Optional[Tuple[NearSteinbergRange, NearSteinbergRange]]]:
-    """Disjoint-or-contained test on the open intervals (touching closures ok)."""
+) -> Optional[Tuple[NearSteinbergRange, NearSteinbergRange]]:
+    """Disjoint-or-contained test on the open intervals (touching closures
+    ok): the first pair that overlaps otherwise, or None."""
     for i, r1 in enumerate(ranges):
         for r2 in ranges[i + 1 :]:
             disjoint = r1.hi <= r2.lo or r2.hi <= r1.lo
@@ -199,8 +203,8 @@ def check_nested(
                 r2.lo <= r1.lo and r1.hi <= r2.hi
             )
             if not (disjoint or nested):
-                return False, (r1, r2)
-    return True, None
+                return r1, r2
+    return None
 
 
 def maximal_ranges(ranges: Sequence[NearSteinbergRange]) -> List[NearSteinbergRange]:
@@ -225,7 +229,7 @@ def _in_lattice(x: Fraction, gamma: Optional[Fraction]) -> bool:
     return scaled.numerator % gcd(gamma.numerator, d) == 0
 
 
-def vertex_theorem_check(ctx: GhostContext, w: WeightPoint, n_max: int) -> dict:
+def vertex_theorem_check(ctx: GhostContext, w: WeightPoint, n_max: int) -> List[dict]:
     """Vertices of the Newton polygon versus near-Steinberg membership.
 
     For every n <= n_max the point (n, v_p(g_n(w))) must be a vertex
@@ -234,10 +238,13 @@ def vertex_theorem_check(ctx: GhostContext, w: WeightPoint, n_max: int) -> dict:
     a/2 + Z + Z*gamma, where gamma is the largest finite distance from w
     to a ghost zero appearing in the range (for a classical point the
     omitted-coefficient profile is checked to be a straight line instead).
+    The ranges must be nested as well.  Returns no witness when all of
+    that holds at w, and otherwise one: the point, the mismatched indices,
+    the slope violations and whether the ranges are nested.
     """
-    np_, buffer_used = newton.np_of_ghost_auto(ctx, w, n_max)
+    np_, _ = newton.np_of_ghost_auto(ctx, w, n_max)
     ranges = near_steinberg_ranges(ctx, w, n_max)
-    nested, nest_witness = check_nested(ranges)
+    nested = check_nested(ranges) is None
     mismatches = []
     for n in range(1, n_max + 1):
         in_range = any(r.contains(n) for r in ranges)
@@ -251,17 +258,10 @@ def vertex_theorem_check(ctx: GhostContext, w: WeightPoint, n_max: int) -> dict:
         if r.hi > n_max:
             continue  # straight-line check needs both endpoints in view
         slope_violations.extend(_check_range_slope(ctx, w, r, np_))
-    ok = not mismatches and not slope_violations and nested
-    return {
-        "ok": ok,
-        "mismatches": mismatches,
-        "slope_violations": slope_violations,
-        "nested": nested,
-        "nest_witness": nest_witness,
-        "ranges": ranges,
-        "polygon": np_,
-        "buffer_used": buffer_used,
-    }
+    if not mismatches and not slope_violations and nested:
+        return []
+    return [{"point": format_point(w), "mismatches": mismatches,
+             "slope_violations": slope_violations, "nested": nested}]
 
 
 def _range_gamma(
@@ -290,9 +290,9 @@ def _range_gamma(
 def _check_range_slope(
     ctx: GhostContext, w: WeightPoint, r: NearSteinbergRange, np_: newton.NewtonPolygon
 ) -> List[dict]:
-    violations: List[dict] = []
     a = Fraction(ctx.a, 2)
     ev = ghost.evaluator(ctx, w)
+    rng = r.to_json_dict()
     if w.r is INF and w.k0 != r.k and ev.multiplicity_k0((r.lo + r.hi) // 2) > 0:
         # the point is a zero inside another weight's range: the straight
         # line lives on the omitted profile, with slope in a/2 + Z.  (For
@@ -301,34 +301,32 @@ def _check_range_slope(
         pts = [(n, ev.omitted(n)) for n in range(r.lo, r.hi + 1)]
         hull = newton.lower_convex_hull(pts)
         if len(hull.vertices) != 2:
-            violations.append({"range": r, "reason": "omitted hull is not straight"})
-        else:
-            slope = hull.slopes[0][0]
-            if not _in_lattice(slope - a, None):
-                violations.append(
-                    {"range": r, "reason": "omitted slope class", "slope": slope}
-                )
-        return violations
+            return [{"range": rng, "reason": "omitted hull is not straight"}]
+        slope = hull.slopes[0][0]
+        if not _in_lattice(slope - a, None):
+            return [{"range": rng, "reason": "omitted slope class",
+                     "slope": format_rational(slope)}]
+        return []
     # the polygon covers [lo, hi], so it is one segment there exactly when
     # no vertex lies strictly inside
     if any(r.lo < x < r.hi for x, _ in np_.vertices):
-        violations.append({"range": r, "reason": "polygon not straight over range"})
-        return violations
+        return [{"range": rng, "reason": "polygon not straight over range"}]
     slope = newton.slope_at(np_, r.hi)
     gamma = None if w.r is INF else _range_gamma(ctx, w, r)
     if not _in_lattice(slope - a, gamma):
-        violations.append(
-            {"range": r, "reason": "slope class", "slope": slope, "gamma": gamma}
-        )
-    return violations
+        return [{"range": rng, "reason": "slope class", "slope": format_rational(slope),
+                 "gamma": None if gamma is None else format_rational(gamma)}]
+    return []
 
 
-def delta_vertex_check(ctx: GhostContext, k0: int, ell: int) -> dict:
+def delta_vertex_check(ctx: GhostContext, k0: int, ell: int) -> List[dict]:
     """Three-way equivalence at one profile offset of the weight k0.
 
     (ell, delta_prime(k0, ell)) fails to be a hull vertex exactly when the
     index d_iw/2 + ell is near-Steinberg for some larger weight, exactly
-    when d_iw/2 - ell is near-Steinberg for some smaller weight.
+    when d_iw/2 - ell is near-Steinberg for some smaller weight.  Returns
+    no witness when that holds, and otherwise one with the vertex test and
+    the witness weight found on each side (None for none).
     """
     half_new = dims.d_new(ctx, k0) // 2
     if not 0 <= ell <= half_new - 1:
@@ -350,15 +348,10 @@ def delta_vertex_check(ctx: GhostContext, k0: int, ell: int) -> dict:
 
     above = witness(half_iw + ell, +1)
     below = witness(half_iw - ell, -1)
-    ok = (non_vertex == (above is not None)) and (non_vertex == (below is not None))
-    return {
-        "ok": ok,
-        "k0": k0,
-        "ell": ell,
-        "non_vertex": non_vertex,
-        "witness_above": above,
-        "witness_below": below,
-    }
+    if non_vertex == (above is not None) == (below is not None):
+        return []
+    return [{"k0": k0, "ell": ell, "non_vertex": non_vertex,
+             "witness_above": above, "witness_below": below}]
 
 
 def slope_class_ok(ctx: GhostContext, slope: Fraction, width: int) -> bool:
@@ -382,5 +375,6 @@ def delta_hull_slope_classes(ctx: GhostContext, k0: int) -> List[dict]:
     for norm_slope, width in delta_profile(ctx, k0).segments():
         slope = norm_slope + shift
         if not slope_class_ok(ctx, slope, width):
-            bad.append({"k0": k0, "slope": slope, "width": width})
+            bad.append({"k0": k0, "lhs": format_rational(slope),
+                        "rhs": f"width {width} slope class", "reason": "hull slope class"})
     return bad

@@ -21,7 +21,6 @@ import os
 import random
 import time
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import dimensions as dims
@@ -269,40 +268,25 @@ def check_integrality(ctx: GhostContext, k0: int) -> List[dict]:
 # -------------------------------------------------------- delta estimates
 
 
-@lru_cache(maxsize=8192)
 def _leq_3_log_ratio_sq(q: Fraction, ell: int, p: int) -> bool:
-    """Rigorous decision of q <= 3*(log_p(ell))^2, no floats.
+    """Rigorous decision of q <= 3*(log_p(ell))^2, in integers.
 
-    Prime-power ell is decided exactly; otherwise log_p(ell) is irrational
-    (even transcendental) while sqrt(q/3) is algebraic, so directed-rounded
-    decimal bounds separate the two sides at some finite precision.
+    With m = ilog(p, ell^n), m/n <= log_p(ell) < (m+1)/n, with equality
+    exactly when p^m = ell^n.  Otherwise log_p(ell) is irrational (even
+    transcendental), so 3*(log_p(ell))^2 is not the rational q, and doubling
+    n (floor(2n*x) is 2m or 2m+1) narrows the bracket until it settles; past
+    n = 2^16 the two sides count as inseparable.
     """
-    if q <= 0:
-        return True
-    if ell == 1:
-        return False
-    e = ilog(p, ell)
-    if p**e == ell:
-        return q <= 3 * e * e
-    import decimal
-
-    u, v = (q / 3).numerator, (q / 3).denominator
-    prec = 40
-    while prec <= 4000:
-        floor_ctx = decimal.Context(prec=prec, rounding=decimal.ROUND_FLOOR)
-        ceil_ctx = decimal.Context(prec=prec, rounding=decimal.ROUND_CEILING)
-        ln_ell_lo, ln_ell_hi = floor_ctx.ln(decimal.Decimal(ell)), ceil_ctx.ln(decimal.Decimal(ell))
-        ln_p_lo, ln_p_hi = floor_ctx.ln(decimal.Decimal(p)), ceil_ctx.ln(decimal.Decimal(p))
-        log_lo = floor_ctx.divide(ln_ell_lo, ln_p_hi)
-        log_hi = ceil_ctx.divide(ln_ell_hi, ln_p_lo)
-        root_lo = floor_ctx.sqrt(floor_ctx.divide(decimal.Decimal(u), decimal.Decimal(v)))
-        root_hi = ceil_ctx.sqrt(ceil_ctx.divide(decimal.Decimal(u), decimal.Decimal(v)))
-        if root_hi <= log_lo:
-            return True
-        if root_lo > log_hi:
+    u, v = q.numerator, 3 * q.denominator  # q/3 = u/v, compared with (m/n)^2
+    n, m = 1, ilog(p, ell)
+    while u * n * n > v * m * m and p**m != ell**n:
+        if u * n * n >= v * (m + 1) ** 2:
             return False
-        prec *= 4
-    raise RuntimeError(f"could not separate sqrt({q}/3) from log_{p}({ell})")
+        if n == 1 << 16:
+            raise RuntimeError(f"could not separate sqrt({q}/3) from log_{p}({ell})")
+        n *= 2
+        m = 2 * m + (p ** (2 * m + 1) <= ell**n)
+    return u * n * n <= v * m * m
 
 
 def _theta_eta(ctx: GhostContext, kb: int, ell: int) -> Tuple[int, int]:
@@ -460,20 +444,8 @@ def _random_points(ctx: GhostContext, count: int, seed: int) -> List[WeightPoint
 
 def check_vertex_theorem(ctx: GhostContext, points: int, n_max: int, seed: int) -> List[dict]:
     """Vertices of the polygon = non-near-Steinberg indices, on random points."""
-    witnesses = []
-    for w in _random_points(ctx, points, seed):
-        rep = steinberg.vertex_theorem_check(ctx, w, n_max)
-        if not rep["ok"]:
-            witnesses.append({
-                "point": format_point(w),
-                "mismatches": rep["mismatches"],
-                "slope_violations": [
-                    {k: (str(v) if not isinstance(v, (int, list)) else v)
-                     for k, v in viol.items()} for viol in rep["slope_violations"]
-                ],
-                "nested": rep["nested"],
-            })
-    return witnesses
+    return [wit for w in _random_points(ctx, points, seed)
+            for wit in steinberg.vertex_theorem_check(ctx, w, n_max)]
 
 
 def check_nestedness(ctx: GhostContext, points: int, n_max: int, seed: int) -> List[dict]:
@@ -491,8 +463,8 @@ def check_nestedness(ctx: GhostContext, points: int, n_max: int, seed: int) -> L
     witnesses = []
     for w in probes:
         ranges = steinberg.near_steinberg_ranges(ctx, w, n_max)
-        ok, pair = steinberg.check_nested(ranges)
-        if not ok:
+        pair = steinberg.check_nested(ranges)
+        if pair is not None:
             witnesses.append({"point": format_point(w),
                               "pair": [pair[0].to_json_dict(), pair[1].to_json_dict()]})
     return witnesses
@@ -501,17 +473,10 @@ def check_nestedness(ctx: GhostContext, points: int, n_max: int, seed: int) -> L
 def check_delta_vertices(ctx: GhostContext, k_bullet_max: int) -> List[dict]:
     """Three-way equivalence for profile hull vertices, plus slope classes."""
     witnesses = []
-    for kb in range(0, k_bullet_max + 1):
-        k = ctx.weight_of_bullet(kb)
-        half_new = dims.d_new(ctx, k) // 2
-        for ell in range(0, half_new):
-            rep = steinberg.delta_vertex_check(ctx, k, ell)
-            if not rep["ok"]:
-                witnesses.append(rep)
-        for bad in steinberg.delta_hull_slope_classes(ctx, k):
-            witnesses.append({"k0": bad["k0"], "lhs": str(bad["slope"]),
-                              "rhs": f"width {bad['width']} slope class",
-                              "reason": "hull slope class"})
+    for k in _weights(ctx, k_bullet_max):
+        for ell in range(0, dims.d_new(ctx, k) // 2):
+            witnesses += steinberg.delta_vertex_check(ctx, k, ell)
+        witnesses += steinberg.delta_hull_slope_classes(ctx, k)
     return witnesses
 
 

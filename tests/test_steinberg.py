@@ -305,39 +305,40 @@ class TestRangeGamma:
 class TestNested:
     def test_synthetic_overlap_fails_with_witness(self):
         rs = [steinberg.NearSteinbergRange(0, 2, 1, 5), steinberg.NearSteinbergRange(0, 3, 3, 9)]
-        ok, witness = steinberg.check_nested(rs)
-        assert not ok and set(witness) == set(rs)
+        pair = steinberg.check_nested(rs)
+        assert pair is not None and set(pair) == set(rs)
 
     def test_touching_closures_allowed(self):
         rs = [steinberg.NearSteinbergRange(0, 2, 1, 5), steinberg.NearSteinbergRange(0, 2, 5, 9)]
-        ok, _ = steinberg.check_nested(rs)
-        assert ok
+        assert steinberg.check_nested(rs) is None
 
     def test_empty_and_computed(self):
-        assert steinberg.check_nested([])[0]
+        assert steinberg.check_nested([]) is None
         rng = random.Random(3)
         for _ in range(25):
             p = rng.choice((5, 7, 11))
             ctx = new_context(p, rng.randint(1, p - 4), rng.randint(0, p - 2))
             w = Perturbed(ctx.weight_of_bullet(rng.randint(0, 10)),
                           Fraction(rng.randint(1, 18), rng.choice((1, 2))))
-            ok, _ = steinberg.check_nested(steinberg.near_steinberg_ranges(ctx, w, 16))
-            assert ok
+            assert steinberg.check_nested(steinberg.near_steinberg_ranges(ctx, w, 16)) is None
 
 
 def slope_set_check(ctx, w, r, np_):
     """The polygon half of ``_check_range_slope`` by the set of slopes of
-    the segments that meet (lo, hi), as it once read, kept as the oracle."""
+    the segments that meet (lo, hi), as it once read, kept as the oracle;
+    its witnesses are in their JSON form."""
     seg_slopes = {
         s for (s, _), (x0, _), (x1, _) in zip(np_.slopes, np_.vertices, np_.vertices[1:])
         if x0 < r.hi and x1 > r.lo
     }
     if len(seg_slopes) != 1:
-        return [{"range": r, "reason": "polygon not straight over range"}]
+        return [{"range": r.to_json_dict(), "reason": "polygon not straight over range"}]
     slope = next(iter(seg_slopes))
     gamma = steinberg._range_gamma(ctx, w, r)
     if not steinberg._in_lattice(slope - Fraction(ctx.a, 2), gamma):
-        return [{"range": r, "reason": "slope class", "slope": slope, "gamma": gamma}]
+        return [{"range": r.to_json_dict(), "reason": "slope class",
+                 "slope": format_rational(slope),
+                 "gamma": None if gamma is None else format_rational(gamma)}]
     return []
 
 
@@ -372,16 +373,16 @@ class TestVertexTheorem:
         [(Fraction(7), [1, 5]), (Fraction(4), [1, 2, 4, 5]), (Fraction(5, 2), [1, 2, 3, 4, 5])],
     )
     def test_three_regimes(self, r, vertices):
-        rep = steinberg.vertex_theorem_check(C4, Perturbed(18, r), 5)
-        assert rep["ok"], rep
-        np_ = rep["polygon"]
+        w = Perturbed(18, r)
+        assert steinberg.vertex_theorem_check(C4, w, 5) == []
+        np_, _ = newton.np_of_ghost_auto(C4, w, 5)
         assert [x for x, _ in np_.vertices if 1 <= x <= 5] == vertices
 
     def test_classical_zero_point(self):
-        rep = steinberg.vertex_theorem_check(C4, Classical(18), 6)
-        assert rep["ok"], rep
+        assert steinberg.vertex_theorem_check(C4, Classical(18), 6) == []
         # the whole p-new stretch of weight 18 is one forced straight line
-        assert any(rng.k == 18 and (rng.lo, rng.hi) == (1, 5) for rng in rep["ranges"])
+        ranges = steinberg.near_steinberg_ranges(C4, Classical(18), 6)
+        assert any(rng.k == 18 and (rng.lo, rng.hi) == (1, 5) for rng in ranges)
 
     def test_random_points(self):
         rng = random.Random(11)
@@ -390,15 +391,27 @@ class TestVertexTheorem:
             ctx = new_context(p, rng.randint(1, p - 4), rng.randint(0, p - 2))
             w = Perturbed(ctx.weight_of_bullet(rng.randint(0, 9)),
                           Fraction(rng.randint(1, 20), rng.choice((1, 2, 3))))
-            rep = steinberg.vertex_theorem_check(ctx, w, 12)
-            assert rep["ok"], (ctx, w, rep["mismatches"], rep["slope_violations"])
+            assert steinberg.vertex_theorem_check(ctx, w, 12) == [], (ctx, w)
+
+    def test_failing_point_gives_one_witness_in_json_form(self, monkeypatch):
+        # a classical point has no gamma, which the witness renders as None
+        monkeypatch.setattr(steinberg, "_in_lattice", lambda x, gamma: False)
+        slope = newton.slope_at(newton.np_of_ghost_auto(C4, Classical(18), 6)[0], 5)
+        assert steinberg.vertex_theorem_check(C4, Classical(18), 6) == [{
+            "point": "classical:18",
+            "mismatches": [],
+            "slope_violations": [{"range": {"k": 18, "L": 2, "lo": 1, "hi": 5},
+                                  "reason": "slope class",
+                                  "slope": format_rational(slope), "gamma": None}],
+            "nested": True,
+        }]
 
 
 class TestDeltaVertices:
     def test_convex_profile_has_no_witnesses(self):
-        rep = steinberg.delta_vertex_check(C4, 18, 1)
-        assert rep["ok"] and not rep["non_vertex"]
-        assert rep["witness_above"] is None and rep["witness_below"] is None
+        # the check passes at a vertex only when neither side has a witness
+        assert steinberg.delta_profile(C4, 18).is_vertex(1)
+        assert steinberg.delta_vertex_check(C4, 18, 1) == []
 
     def test_equivalence_and_nonconvex_witness_found(self):
         # sweep one disk until a genuinely non-convex profile shows up; at
@@ -407,12 +420,22 @@ class TestDeltaVertices:
         found_nonconvex = 0
         for kb in range(0, 60):
             k = ctx.weight_of_bullet(kb)
+            prof = steinberg.delta_profile(ctx, k)
             for ell in range(0, dims.d_new(ctx, k) // 2):
-                rep = steinberg.delta_vertex_check(ctx, k, ell)
-                assert rep["ok"], rep
-                if rep["non_vertex"]:
-                    found_nonconvex += 1
+                assert steinberg.delta_vertex_check(ctx, k, ell) == [], (k, ell)
+                found_nonconvex += not prof.is_vertex(ell)
         assert found_nonconvex >= 1
+
+    def test_missing_witnesses_are_reported(self, monkeypatch):
+        # with no ranges at all, a non-vertex has neither witness
+        ctx = new_context(5, 1, 0)
+        k, ell = next((k, ell) for k in map(ctx.weight_of_bullet, range(60))
+                      for ell in range(dims.d_new(ctx, k) // 2)
+                      if not steinberg.delta_profile(ctx, k).is_vertex(ell))
+        monkeypatch.setattr(steinberg, "near_steinberg_range", lambda ctx, w, k: None)
+        assert steinberg.delta_vertex_check(ctx, k, ell) == [
+            {"k0": k, "ell": ell, "non_vertex": True,
+             "witness_above": None, "witness_below": None}]
 
     def test_hull_slope_classes(self):
         for ctx in (C0, C4, new_context(7, 3, 2)):

@@ -4,6 +4,7 @@ import inspect
 import json
 import pkgutil
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -429,6 +430,38 @@ class TestDeltaEstimatesOracle:
             verify.check_delta_estimates(C4, 18)
 
 
+def _decimal_leq_3_log_ratio_sq(q, ell, p):
+    """q <= 3*(log_p(ell))^2 by directed-rounded decimal bounds on both
+    sides (prime-power ell exactly), as the library once decided it; kept
+    as the oracle of the integer bracket."""
+    import decimal
+
+    if q <= 0:
+        return True
+    if ell == 1:
+        return False
+    e = ilog(p, ell)
+    if p**e == ell:
+        return q <= 3 * e * e
+    u, v = (q / 3).numerator, (q / 3).denominator
+    prec = 40
+    while prec <= 4000:
+        floor_ctx = decimal.Context(prec=prec, rounding=decimal.ROUND_FLOOR)
+        ceil_ctx = decimal.Context(prec=prec, rounding=decimal.ROUND_CEILING)
+        ln_ell_lo, ln_ell_hi = floor_ctx.ln(decimal.Decimal(ell)), ceil_ctx.ln(decimal.Decimal(ell))
+        ln_p_lo, ln_p_hi = floor_ctx.ln(decimal.Decimal(p)), ceil_ctx.ln(decimal.Decimal(p))
+        log_lo = floor_ctx.divide(ln_ell_lo, ln_p_hi)
+        log_hi = ceil_ctx.divide(ln_ell_hi, ln_p_lo)
+        root_lo = floor_ctx.sqrt(floor_ctx.divide(decimal.Decimal(u), decimal.Decimal(v)))
+        root_hi = ceil_ctx.sqrt(ceil_ctx.divide(decimal.Decimal(u), decimal.Decimal(v)))
+        if root_hi <= log_lo:
+            return True
+        if root_lo > log_hi:
+            return False
+        prec *= 4
+    raise RuntimeError(f"could not separate sqrt({q}/3) from log_{p}({ell})")
+
+
 class TestLogBoundHelper:
     def test_exact_cases(self):
         f = verify._leq_3_log_ratio_sq
@@ -448,6 +481,68 @@ class TestLogBoundHelper:
                     approx = 3 * (math.log(ell) / math.log(p)) ** 2
                     if abs(float(q) - approx) > 1e-6:
                         assert f(q, ell, p) == (float(q) < approx), (p, ell, q)
+
+    def test_against_decimal_oracle(self):
+        rng = random.Random(29)
+        cases = 0
+        for p in (5, 7, 11, 13, 17, 19, 23):
+            for ell in range(1, 300):
+                for _ in range(5):
+                    q = Fraction(rng.randint(-20, 400), rng.randint(1, 12))
+                    assert verify._leq_3_log_ratio_sq(q, ell, p) == \
+                        _decimal_leq_3_log_ratio_sq(q, ell, p), (q, ell, p)
+                    cases += 1
+            for e in range(0, 4):
+                # at a prime power the bound 3e^2 is met exactly
+                edge = Fraction(3 * e * e)
+                for q in (edge - Fraction(1, 1000), edge, edge + Fraction(1, 1000)):
+                    assert verify._leq_3_log_ratio_sq(q, p**e, p) == \
+                        _decimal_leq_3_log_ratio_sq(q, p**e, p) == (q <= edge), (q, e, p)
+                    cases += 1
+        assert cases == 7 * (299 * 5 + 4 * 3)
+
+    def test_near_tie_raises(self):
+        # q within 10^-30 of 3*(log_7(10))^2 is beyond the bracket at n = 2^16
+        import decimal
+
+        ctx = decimal.Context(prec=60)
+        log = ctx.divide(ctx.ln(decimal.Decimal(10)), ctx.ln(decimal.Decimal(7)))
+        q = Fraction(str(ctx.multiply(3, ctx.multiply(log, log)))).limit_denominator(10**30)
+        with pytest.raises(RuntimeError, match="could not separate"):
+            verify._leq_3_log_ratio_sq(q, 10, 7)
+
+
+#: A rendered rational, as the README promises it in every output.
+RATIONAL = re.compile(r"^-?\d+/\d+$")
+
+#: Suites made to fail on C4 by one stand-in in ``steinberg``: the function
+#: replaced, its stand-in, and the suite's bounds.
+DOCTORED = {
+    "vertex_theorem": ("_in_lattice", lambda x, gamma: False, {}),
+    "delta_vertices": ("slope_class_ok", lambda ctx, s, w: False, {"k_bullet_max": 3}),
+    "integrality": ("slope_class_ok", lambda ctx, s, w: False, {"k_bullet_max": 3}),
+    "nestedness": ("check_nested",
+                   lambda ranges: (steinberg.NearSteinbergRange(0, 2, 1, 5),
+                                   steinberg.NearSteinbergRange(0, 3, 3, 9)),
+                   {"points": 1, "n_max": 6}),
+}
+
+
+def _doctored_report(monkeypatch, name):
+    attr, stand_in, bounds = DOCTORED[name]
+    monkeypatch.setattr(steinberg, attr, stand_in)
+    return verify.run_suite(name, C4, **bounds)
+
+
+def _entries(obj):
+    """Every (key, value) of every dict inside a JSON value."""
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            yield key, val
+            yield from _entries(val)
+    elif isinstance(obj, list):
+        for val in obj:
+            yield from _entries(val)
 
 
 class TestReports:
@@ -472,6 +567,23 @@ class TestReports:
 
     def test_json_serialisable(self):
         json.dumps(verify.run_suite("halo", C0, n_max=10))
+
+    @pytest.mark.parametrize("name", list(DOCTORED))
+    def test_failing_witnesses_are_json(self, monkeypatch, name):
+        # witnesses need no default= to serialise, every rational in them
+        # is "num/den" (a gamma may be absent), and every range is a dict
+        rep = _doctored_report(monkeypatch, name)
+        assert rep["status"] == "fail" and rep["witnesses"]
+        json.dumps(rep)
+        entries = list(_entries(rep["witnesses"]))
+        assert {key for key, _ in entries} & {"slope", "lhs", "pair"}
+        for key, val in entries:
+            if key in ("slope", "lhs") or (key == "gamma" and val is not None):
+                assert RATIONAL.match(val), (key, val)
+            if key == "range":
+                assert type(val) is dict, val
+            if key == "pair":
+                assert all(type(r) is dict for r in val), val
 
     def test_unread_bound_rejected(self):
         with pytest.raises(ValueError, match="'halo'.*'k_bullet_max'"):
@@ -575,6 +687,13 @@ class TestSuiteDigests:
         assert rep["status"] == "fail" and len(rep["witnesses"]) == 92
         assert rep["witnesses"][0]["suite_params"] == {"p": 7, "a": 2, "s_eps": 4, "k0": 6}
         assert self.digest(rep) == "bb1f86d61a2dc76ba03d8c9f9a7d81d68ed62d225ce56d1252bb2944900cd4b2"
+
+    @pytest.mark.parametrize("name, digest", [
+        ("vertex_theorem", "c9bb50576b01021fab85b1b33e325ac64ed31c7d90fb9f5b56bec1032eeb54d2"),
+        ("delta_vertices", "d95eeef20cc2af93ac85a0e12256ed770aa74f5c1a5bc3bd1947ac81ba05bbca"),
+    ])
+    def test_failing_steinberg_suites(self, monkeypatch, name, digest):
+        assert self.digest(_doctored_report(monkeypatch, name)) == digest
 
 
 class TestSweepTags:
@@ -749,7 +868,7 @@ class TestContextCaches:
             assert registered == (first == "ctx"), name
             seen[name] = registered
         assert sum(seen.values()) == len(ws._CONTEXT_CACHES) == 6
-        assert not seen["verify._leq_3_log_ratio_sq"] and not seen["valuation._check_prime"]
+        assert not seen["valuation._check_prime"]
 
     def test_a_task_holds_only_its_own_triple(self):
         ws.clear_context_caches()
