@@ -40,9 +40,9 @@ per-context table shared by all evaluators (``dims.jump_windows``), the
 levels from the evaluator's table of pairs (p^l, residue of level l),
 which depends on k0 alone.  A profile to n thus costs O(n) list steps,
 most of them inside ``accumulate``.  ``jumps`` runs the kernel over a
-range of n (``increment_at`` at one n), and ``values`` reads a stretch of
-a profile in bulk.  deg g_n is the profile at a point at distance 1 from
-every w_k (``degree_evaluator``).
+range of n (``increment_at`` at one n), and ``scaled`` reads a stretch of
+a profile in bulk, as the integers D * v_p.  deg g_n is the profile at a
+point at distance 1 from every w_k (``degree_evaluator``).
 
 The factored evaluation ``eval_vp`` stays as the independent slow route
 that tests compare against; no library path calls it.
@@ -232,9 +232,10 @@ class JumpEvaluator:
 
     one per window end, so that the jump at n is P(C) - 2*P(B) + P(A) for
     A = k_min_bullet(n), B = k_mid_bullet(n) + 1 and C = k_max_bullet(n) + 1.
+    ``base`` = D * min(r, 1) is the least scaled distance from w to any w_k.
     k0 may be any integer, on or off the ghost zero class; only a k0 >= 2
     on the class is a zero of some coefficients, and only there does
-    m_n(k0) * r enter ``value``.
+    m_n(k0) * r enter ``value`` (m_n(k0) * D * r in ``scaled``).
     """
 
     def __init__(self, ctx: GhostContext, k0: Optional[int], r: ExtRat):
@@ -242,6 +243,7 @@ class JumpEvaluator:
         self.k0 = k0
         self._whole, self.den, self._rem = _radius_parts(r)
         self.r = self._whole if self.den == 1 and r is not INF else r  # int at integral r
+        self.base = self.den if self._whole != 0 else self._rem  # D * min(r, 1)
         self._ranks = None  # (d_ur, d_iw) of k0 when it is a ghost zero weight
         self._k0b = -1  # k_bullet of k0 when it lies on the class
         self._levels: Optional[List[Tuple[int, int]]] = None  # (p^l, level-l residue of k0)
@@ -260,7 +262,7 @@ class JumpEvaluator:
         """[P(x) for x in range(x0, x1 + 1)], given initial = P(x0).
 
         The distances of the k_bullet in [x0, x1) are one list of the base
-        distance D * min(r, 1), raised level by level: the k_bullet of level
+        distance ``base``, raised level by level: the k_bullet of level
         l, those with p^l | k - k0, form one residue class modulo p^l, and
         since the classes are nested, every entry of level l already holds
         the same running total, so one strided slice sets them all.
@@ -269,7 +271,7 @@ class JumpEvaluator:
             raise RuntimeError(f"window end {x1} fell below the cursor at {x0}")
         whole, den, rem = self._whole, self.den, self._rem
         lo = min(max(x0, 0), x1)  # no weight has k_bullet < 0
-        total = den if whole != 0 else rem
+        total = self.base
         dist = [0] * (lo - x0) + [total] * (x1 - lo)
         levels = self._levels
         if levels is not None:
@@ -335,13 +337,12 @@ class JumpEvaluator:
         m = self.multiplicity_k0(n)
         return self.omitted(n) + m * self.r if m else self.omitted(n)
 
-    def values(self, start: int, stop: int) -> List[ExtRat]:
-        """``value(n)`` for n in range(start, stop), read in bulk."""
+    def scaled(self, start: int, stop: int) -> List[ExtRat]:
+        """D * ``value(n)`` for n in range(start, stop), read in bulk: an
+        ``int`` each, or INF where w = w_k0 is a zero."""
         _check_index(start)
         self.grow(stop - 1)
         out = self._scaled[start:stop]
-        if self.den != 1:
-            out = [Fraction(x, self.den) for x in out]
         if self._ranks:
             du, di = self._ranks
             zeros = range(max(start, du + 1), min(stop, di - du))  # the n with m_n(k0) > 0
@@ -349,8 +350,9 @@ class JumpEvaluator:
                 for n in zeros:
                     out[n - start] = INF
             else:
+                dr = self._whole * self.den + self._rem  # D * r
                 for n in zeros:
-                    out[n - start] += _multiplicity(n, du, di) * self.r
+                    out[n - start] += _multiplicity(n, du, di) * dr
         return out
 
 

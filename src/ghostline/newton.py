@@ -1,11 +1,12 @@
 """Exact lower convex hulls and certified Newton polygons of ghost series.
 
 Hull arithmetic is exact and cross-multiplied on the values as given:
-integer profiles (every classical point) stay ``int``; points at +infinity
-are skipped.  Vertices are strict: collinear interior points are not
-vertices, so a straight stretch has vertices only at its ends.  A polygon
-is stored as its vertices; ``segments`` reads its slopes off them, and
-``unit_slopes`` lists them once per unit of width for bulk readers.
+integer profiles stay ``int``, and a ghost profile is one at every point
+(D * v_p, see ``np_of_ghost``); points at +infinity are skipped.
+Vertices are strict: collinear interior points are not vertices, so a
+straight stretch has vertices only at its ends.  A polygon is stored as
+its vertices; ``segments`` reads its slopes off them, and ``unit_slopes``
+lists them once per unit of width for bulk readers.
 
 A ghost Newton polygon is an infinite object, so a finite computation must
 certify its prefix.  The certificate rests on two facts: every factor of a
@@ -23,12 +24,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import ghost_series as ghost
 from .valuation import INF, ExtRat
-from .weight_space import GhostContext, WeightPoint, _Record, format_rational, min_factor_valuation
+from .weight_space import GhostContext, WeightPoint, _Record, format_rational
 
 
 class CertificationError(RuntimeError):
@@ -118,53 +118,51 @@ def lower_convex_hull(points: Sequence[Tuple[int, ExtRat]]) -> NewtonPolygon:
 
 
 def _future_safe(
-    ctx: GhostContext,
-    w: WeightPoint,
+    ev: ghost.JumpEvaluator,
     vx: int,
-    vy: Union[int, Fraction],
-    slope_in: Fraction,
+    vy: int,
+    dy: int,
+    dx: int,
     window_end: int,
     max_steps: int = 100_000,
 ) -> bool:
     """Check that every point beyond the window lies strictly above the
-    line through (vx, vy) with the given incoming slope.
+    line through (vx, vy) with the incoming slope dy / dx (dx > 0), all in
+    the units 1/D of the evaluator ``ev``.
 
-    The generic floor c * deg(g_m) with c = min over factors of vp(w - w_k)
-    eventually outgrows any line, since the degree increments strictly
-    increase; until it does, classical points (r = INF) are compared by
-    their exact, integer coefficient valuations, which the jump evaluator
-    supplies in constant time per index.  Points of finite radius are
-    decided by the floor alone: their evaluators could supply exact values
-    too, but comparing them could certify a prefix from a smaller buffer
-    and so change the reported ``certified_upto`` and ``buffer_used``.
+    The generic floor c * deg(g_m), with c = min(r, 1) the least distance
+    from the point to any w_k (``ev.base`` in units of 1/D), eventually
+    outgrows any line, since the degree increments strictly increase; until
+    it does, classical points (r = INF) are compared by their exact, integer
+    coefficient valuations, which the jump evaluator supplies in constant
+    time per index.  Points of finite radius are decided by the floor alone:
+    their evaluators could supply exact values too, but comparing them
+    could certify a prefix from a smaller buffer and so change the reported
+    ``certified_upto`` and ``buffer_used``.
 
-    Line, floor and exact values are all scaled by D, the least common
-    denominator of vy, slope_in and c, so the loop compares integers.
+    Line, floor and exact values are all scaled by dx, so the loop compares
+    integers.
     """
-    c = min_factor_valuation(w)
-    exact = ghost.evaluator(ctx, w).value if w.r is INF else None
-    degree = ghost.degree_evaluator(ctx).omitted
-    d = lcm(vy.denominator, slope_in.denominator, c.denominator)
-    y0 = vy.numerator * (d // vy.denominator)
-    slope = slope_in.numerator * (d // slope_in.denominator)
-    cd = c.numerator * (d // c.denominator)
+    exact = ev.value if ev.r is INF else None  # D = 1 there
+    degree = ghost.degree_evaluator(ev.ctx).omitted
+    floor = ev.base * dx  # dx times the floor per unit of degree
     m = window_end + 1
-    line = y0 + slope * (m - vx)  # D times the line at m
+    line = vy * dx + dy * (m - vx)  # dx times the line at m
     for _ in range(max_steps):
         deg = degree(m)
-        if cd * deg > line:
+        if floor * deg > line:
             inc = degree(m + 1) - deg
-            if cd * inc >= slope:
+            if floor * inc >= dy:
                 # the floor now rises at least as fast as the line, forever
                 return True
         elif exact is None:
             return False
         else:
             y = exact(m)
-            if y is not INF and y * d <= line:
+            if y is not INF and y * dx <= line:
                 return False
         m += 1
-        line += slope
+        line += dy
     return False
 
 
@@ -178,11 +176,13 @@ def np_of_ghost(
 
     Hull of (n, v_p(g_n(w))) over the window n in [0, n_max + buffer],
     with the values read in bulk from the jump evaluator of w (O(1)
-    amortised per index at every kind of point); certified_upto is the
-    largest windowed vertex whose trailing segment no future point can
-    undercut.  Raises CertificationError when that falls short of n_max
-    (callers retry with a doubled buffer, which extends the same cached
-    evaluator).
+    amortised per index at every kind of point) as the integers D * v_p,
+    for D the denominator of the radius; certified_upto is the largest
+    windowed vertex whose trailing segment no future point can undercut.
+    Hull and certificate compare those integers, and only the returned
+    vertices are divided by D.  Raises CertificationError when that falls
+    short of n_max (callers retry with a doubled buffer, which extends the
+    same cached evaluator).
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -190,18 +190,21 @@ def np_of_ghost(
         raise ValueError(f"buffer must be >= 0, got {buffer}")
     window_end = n_max + buffer
 
-    values = ghost.evaluator(ctx, w).values(0, window_end + 1)
-    verts = lower_convex_hull(list(enumerate(values))).vertices
+    ev = ghost.evaluator(ctx, w)
+    verts = lower_convex_hull(list(enumerate(ev.scaled(0, window_end + 1)))).vertices
     for i in range(len(verts) - 1, -1, -1):
         vx, vy = verts[i]
         if vx < n_max:
             break  # nothing below n_max can satisfy the caller
         if i == 0 or _future_safe(
-            ctx, w, vx, vy, Fraction(vy - verts[i - 1][1], vx - verts[i - 1][0]), window_end
+            ev, vx, vy, vy - verts[i - 1][1], vx - verts[i - 1][0], window_end
         ):
             # report only the final prefix: the vertices up to the
             # certified one survive any extension of the window
-            return NewtonPolygon(verts[: i + 1])
+            prefix = verts[: i + 1]
+            if ev.den != 1:
+                prefix = tuple((x, Fraction(y, ev.den)) for x, y in prefix)
+            return NewtonPolygon(prefix)
     achieved = max((x for x, _ in verts if x < n_max), default=-1)
     raise CertificationError(n_max, achieved, buffer)
 

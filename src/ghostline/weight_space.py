@@ -229,16 +229,6 @@ def vp_point_to_weight(ctx: GhostContext, w: WeightPoint, k: int) -> ExtRat:
     return min(r, 1 + vp_int(k0 - k, ctx.p))
 
 
-def min_factor_valuation(w: WeightPoint) -> Fraction:
-    """A positive lower bound for vp(w - w_k) over all classical weights k.
-
-    Used by the Newton-polygon certification: each zero of a ghost
-    coefficient contributes at least this much to the coefficient's
-    valuation at w.
-    """
-    return Fraction(min(w.r, 1))
-
-
 def format_rational(x: ExtRat) -> str:
     """Render an extended rational as 'num/den' (or 'inf'), never a float."""
     if x is INF:

@@ -518,8 +518,10 @@ class TestGrowthLoop:
                     staged.omitted(top + rng.randint(1, 3))
                 elif kind == "bulk":
                     start = rng.randint(0, top)
-                    assert staged.values(start, top + 9) == [staged.value(n)
-                                                             for n in range(start, top + 9)]
+                    values = [staged.value(n) for n in range(start, top + 9)]
+                    scaled = staged.scaled(start, top + 9)
+                    assert scaled == [v if v is INF else staged.den * v for v in values]
+                    assert all(type(y) is int for y in scaled if y is not INF)
                 else:
                     staged.grow(top + rng.randint(20, 90))
             assert staged._scaled[: self.N + 1] == once._scaled, (ctx, k0, r)
@@ -547,7 +549,7 @@ class TestGrowthLoop:
         ctx = new_context(13, 5, 7)
         ev = self.fresh(ctx, Classical(ctx.weight_of_bullet(3)))
         ev.grow(20)
-        for read in (ev.omitted, ev.value, lambda n: ev.values(n, 3),
+        for read in (ev.omitted, ev.value, lambda n: ev.scaled(n, 3),
                      lambda n: ghost.degree_fast(C4, n)):
             for n in (-1, -2):
                 with pytest.raises(ValueError, match="must be >= 0"):

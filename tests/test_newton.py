@@ -11,7 +11,6 @@ from ghostline.weight_space import (
     Boundary,
     Classical,
     Perturbed,
-    min_factor_valuation,
     new_context,
 )
 
@@ -275,10 +274,14 @@ class TestGhostPolygon:
 
 
 class _FactoredEvaluator:
-    """Values by the factored oracle, in the evaluator interface."""
+    """Values by the factored oracle, in the evaluator interface: ``scaled``
+    is D * ``eval_vp``, and ``base`` is D * min(r, 1), for D the denominator
+    of the radius r."""
 
     def __init__(self, ctx, w):
-        self.ctx, self.w = ctx, w
+        self.ctx, self.w, self.r = ctx, w, w.r
+        self.den = 1 if w.r is INF else w.r.denominator
+        self.base = int(min(w.r, 1) * self.den)
         self.known = []
 
     def grow(self, n):
@@ -288,9 +291,9 @@ class _FactoredEvaluator:
         self.grow(n)
         return self.known[n]
 
-    def values(self, start, stop):
+    def scaled(self, start, stop):
         self.grow(stop - 1)
-        return self.known[start:stop]
+        return [v if v is INF else int(v * self.den) for v in self.known[start:stop]]
 
 
 class TestPolygonAgainstFactoredOracle:
@@ -319,7 +322,7 @@ class TestPolygonAgainstFactoredOracle:
 
 def _future_safe_fraction(ctx, w, vx, vy, slope_in, window_end, max_steps=100_000):
     """The certification loop in plain Fraction arithmetic, as the oracle."""
-    c = min_factor_valuation(w)
+    c = Fraction(min(w.r, 1))
     exact = ghost.classical_evaluator(ctx, w.k).value if isinstance(w, Classical) else None
     m = window_end + 1
     for _ in range(max_steps):
@@ -350,7 +353,7 @@ def _random_certification_case(rng, kind):
     else:
         den = rng.randint(2, 6)
         w = Boundary(Fraction(rng.randint(1, den - 1), den))
-    c = min_factor_valuation(w)
+    c = Fraction(min(w.r, 1))
     window_end = rng.randint(4, 40)
     vx = rng.randint(max(0, window_end - 12), window_end)
     m = window_end + 1
@@ -367,6 +370,17 @@ def _random_certification_case(rng, kind):
     return ctx, w, vx, vy, slope_in, window_end
 
 
+def _future_safe_scaled(ctx, w, vx, vy, slope_in, window_end, max_steps=100_000):
+    """``newton._future_safe`` on an oracle case: vy and slope_in go into
+    the units 1/D of the point's evaluator, the slope as (dy, dx).  A seeded
+    vy off the grid (1/D)Z stays a ``Fraction``, which the loop's exact
+    arithmetic accepts as it is."""
+    ev = ghost.evaluator(ctx, w)
+    slope = slope_in * ev.den
+    return newton._future_safe(ev, vx, vy * ev.den, slope.numerator, slope.denominator,
+                               window_end, max_steps)
+
+
 class TestIntegerCertification:
     @pytest.mark.parametrize("kind", ["classical", "perturbed", "boundary"])
     def test_matches_fraction_reference(self, kind):
@@ -374,7 +388,7 @@ class TestIntegerCertification:
         outcomes = []
         for _ in range(300):
             args = _random_certification_case(rng, kind)
-            got = newton._future_safe(*args)
+            got = _future_safe_scaled(*args)
             assert got == _future_safe_fraction(*args), args
             outcomes.append(got)
         assert outcomes.count(True) >= 20 and outcomes.count(False) >= 20
@@ -384,5 +398,32 @@ class TestIntegerCertification:
         for _ in range(100):
             args = _random_certification_case(rng, rng.choice(("classical", "perturbed")))
             steps = rng.randint(0, 5)
-            assert (newton._future_safe(*args, max_steps=steps)
+            assert (_future_safe_scaled(*args, max_steps=steps)
                     == _future_safe_fraction(*args, max_steps=steps))
+
+
+class TestIntegerHull:
+    """The hull and the certificate of a ghost polygon see only integers."""
+
+    C13 = new_context(13, 5, 7)
+    POINTS = [
+        (C4, Perturbed(18, Fraction(5, 2))),
+        (C4, Boundary(Fraction(1, 3))),
+        (C4, Classical(18)),
+        (C13, Perturbed(C13.weight_of_bullet(4), Fraction(7, 3))),
+    ]
+
+    @pytest.mark.parametrize("ctx, w", POINTS)
+    def test_hull_receives_ints(self, monkeypatch, ctx, w):
+        seen = []
+        real = newton.lower_convex_hull
+
+        def spy(points):
+            seen.extend(y for _, y in points if y is not INF)
+            return real(points)
+
+        monkeypatch.setattr(newton, "lower_convex_hull", spy)
+        np_, _ = newton.np_of_ghost_auto(ctx, w, 6)
+        assert seen and all(type(y) is int for y in seen), w
+        den = ghost.evaluator(ctx, w).den
+        assert all(type(y) is (int if den == 1 else Fraction) for _, y in np_.vertices)

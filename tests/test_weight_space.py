@@ -16,7 +16,6 @@ from ghostline.weight_space import (
     _Record,
     format_point,
     format_rational,
-    min_factor_valuation,
     new_context,
     parse_point,
     parse_rational,
@@ -185,8 +184,9 @@ class TestPointModel:
                 for k in sorted(ks | set(bases)):
                     got, want = vp_point_to_weight(ctx, w, k), _vp_by_kind(ctx, w, k)
                     assert got == want and type(got) is type(want), (w, k)
-                got, want = min_factor_valuation(w), _min_factor_by_kind(w)
-                assert got == want and type(got) is type(want), w
+                ev = ghost.JumpEvaluator(ctx, w.k0, w.r)
+                assert ev.base == _min_factor_by_kind(w) * ev.den, w
+                assert type(ev.base) is int, w
 
     def test_classical_evaluator_is_shared(self):
         ctx = new_context(7, 2, 4)
