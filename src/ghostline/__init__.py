@@ -7,7 +7,7 @@ lower convex hulls, computes duality profiles and near-Steinberg ranges,
 and mechanically verifies the slope identities at desk scale.
 """
 
-from .valuation import INF, ExtRat, digit_sum, sum_vp_range, vp_int
+from .valuation import INF, ExtRat, digit_sum, vp_int
 from .weight_space import (
     Boundary,
     Classical,
@@ -24,7 +24,6 @@ __all__ = [
     "INF",
     "ExtRat",
     "digit_sum",
-    "sum_vp_range",
     "vp_int",
     "Boundary",
     "Classical",

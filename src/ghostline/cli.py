@@ -262,7 +262,7 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     sp.add_argument("--p-list", default="5,7", help="comma-separated primes")
     sp.add_argument("--suites", default=None, help="comma-separated suite names")
     sp.add_argument("--workers", type=int, default=None,
-                    help="worker processes (default GHOSTLINE_WORKERS or cpu count; "
+                    help="worker processes (default the cpu count; "
                          "capped at the task and cpu counts)")
     for bound in bounds:
         sp.add_argument("--" + bound.replace("_", "-"), type=int)

@@ -22,11 +22,12 @@ from w_k for k != k0 and at distance r from w_k0:
 
 The jump of the k0-omitted sum from n to n+1 is the sum of the distance
 over the k_bullet window whose multiplicities rise at n, minus the sum
-over the window whose multiplicities fall; ``value`` adds m_n(k0) * r
-back.  Distances count levels in units of 1/D, for D the denominator of r
-(1 at INF), so every sum is an integer: D * min(r, 1 + vp(x)) is D per
-level l < floor(r) with p^l | x, plus D * frac(r) if p^floor(r) | x, and
-level l holds one residue class of k_bullet modulo p^l.
+over the window whose multiplicities fall; ``scaled`` adds m_n(k0) * r
+back, in the same units.  Distances count levels in units of 1/D, for D
+the denominator of r (1 at INF), so every sum is an integer:
+D * min(r, 1 + vp(x)) is D per level l < floor(r) with p^l | x, plus
+D * frac(r) if p^floor(r) | x, and level l holds one residue class of
+k_bullet modulo p^l.
 
 One kernel serves every point kind.  With P(x) the scaled sum of the
 distances over 0 <= k_bullet < x, the jump at n is P(C) - 2*P(B) + P(A)
@@ -41,8 +42,9 @@ levels from the evaluator's table of pairs (p^l, residue of level l),
 which depends on k0 alone.  A profile to n thus costs O(n) list steps,
 most of them inside ``accumulate``.  ``jumps`` runs the kernel over a
 range of n (``increment_at`` at one n), and ``scaled`` reads a stretch of
-a profile in bulk, as the integers D * v_p.  deg g_n is the profile at a
-point at distance 1 from every w_k (``degree_evaluator``).
+a profile in bulk.  Every read is an integer D * v_p, and nothing divides
+by D.  deg g_n is the profile at a point at distance 1 from every w_k
+(``degree_evaluator``).
 
 The factored evaluation ``eval_vp`` stays as the independent slow route
 that tests compare against; no library path calls it.
@@ -50,7 +52,6 @@ that tests compare against; no library path calls it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 from typing import Collection, List, Optional, Tuple
 
@@ -66,12 +67,6 @@ class GhostCoefficient(_Record):
 
     def degree(self) -> int:
         return sum(m for _, m in self.factors)
-
-    def multiplicity_of(self, k: int) -> int:
-        for kk, m in self.factors:
-            if kk == k:
-                return m
-        return 0
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "factors": [[k, m] for k, m in self.factors]}
@@ -186,27 +181,16 @@ def _deepen(
         levels.append((pl, offset * ((pl - 1) // (p - 1)) % pl))
 
 
-def jumps(
-    ctx: GhostContext,
-    k0: Optional[int],
-    r: ExtRat,
-    start: int,
-    stop: int,
-    ev: Optional[JumpEvaluator] = None,
-) -> List[int]:
+def jumps(ctx: GhostContext, k0: Optional[int], r: ExtRat, start: int, stop: int) -> List[int]:
     """D times the jumps of the k0-omitted valuation from g_n to g_{n+1}
     for n in range(start, stop), start >= 0, at radius r with denominator D
-    (1 at INF), by the kernel of ``ev``, the evaluator of (k0, r) whose
-    cursors the call moves forward (a fresh one by default, whose prefix
-    sums start from k_bullet 0)."""
-    return (JumpEvaluator(ctx, k0, r) if ev is None else ev)._jumps(start, stop)
+    (1 at INF), by the kernel of a fresh evaluator of (k0, r)."""
+    return JumpEvaluator(ctx, k0, r)._jumps(start, stop)
 
 
-def increment_at(ctx: GhostContext, n: int, k0: Optional[int], r: ExtRat = INF) -> ExtRat:
-    """The jump from g_n to g_{n+1}: ``jumps`` at the one index n, over D."""
-    (jump,) = jumps(ctx, k0, r, n, n + 1)
-    den = _radius_parts(r)[1]
-    return jump if den == 1 else Fraction(jump, den)
+def increment_at(ctx: GhostContext, n: int, k0: Optional[int], r: ExtRat = INF) -> int:
+    """D times the jump from g_n to g_{n+1}: ``jumps`` at the one index n."""
+    return jumps(ctx, k0, r, n, n + 1)[0]
 
 
 #: Indices an evaluator adds at least when a read runs past its values.
@@ -219,13 +203,15 @@ def _check_index(n: int) -> None:
 
 
 class JumpEvaluator:
-    """Valuation profile n -> v_p(g_n(w)) at the point w with base weight
-    k0 (None for none) and radius r (INF at w_k0 itself).
+    """Valuation profile n -> D * v_p(g_n(w)) at the point w with base
+    weight k0 (None for none) and radius r (INF at w_k0 itself), for D the
+    denominator of r (1 at INF and at integral r).  Every read is that
+    integer; nothing divides by D.
 
-    Keeps one integer list, D * v_p(g_{n, hat k0}(w)) for the denominator D
-    of r (1 at INF and at integral r), accumulated from v_p(g_0) = 0, and
-    grows it by ``jumps``.  The kernel state besides that list is O(1):
-    the level table of k0, and three cursors (x, P(x)) on the prefix sums
+    Keeps one integer list, D * v_p(g_{n, hat k0}(w)), accumulated from
+    v_p(g_0) = 0, and grows it by ``_jumps``.  The kernel state besides
+    that list is O(1): the level table of k0, and three cursors (x, P(x))
+    on the prefix sums
 
         P(x) = D * sum of min(r, 1 + vp(k - k0)) over the weights k != k0
                with 0 <= k_bullet < x                (0 for x <= 0),
@@ -235,14 +221,14 @@ class JumpEvaluator:
     ``base`` = D * min(r, 1) is the least scaled distance from w to any w_k.
     k0 may be any integer, on or off the ghost zero class; only a k0 >= 2
     on the class is a zero of some coefficients, and only there does
-    m_n(k0) * r enter ``value`` (m_n(k0) * D * r in ``scaled``).
+    m_n(k0) * D * r enter ``scaled``.
     """
 
     def __init__(self, ctx: GhostContext, k0: Optional[int], r: ExtRat):
         self.ctx = ctx
         self.k0 = k0
         self._whole, self.den, self._rem = _radius_parts(r)
-        self.r = self._whole if self.den == 1 and r is not INF else r  # int at integral r
+        self.r = r
         self.base = self.den if self._whole != 0 else self._rem  # D * min(r, 1)
         self._ranks = None  # (d_ur, d_iw) of k0 when it is a ghost zero weight
         self._k0b = -1  # k_bullet of k0 when it lies on the class
@@ -310,35 +296,29 @@ class JumpEvaluator:
         return [sc[c - xc] - 2 * sb[b - xb] + sa[a - xa] for a, b, c in windows]
 
     def grow(self, n: int) -> None:
-        """Make the values up to index n available, in one ``jumps`` call."""
+        """Make the values up to index n available, in one ``_jumps`` call."""
         scaled = self._scaled
         if n < len(scaled):
             return
-        steps = jumps(self.ctx, self.k0, self.r, len(scaled) - 1, n, self)
+        steps = self._jumps(len(scaled) - 1, n)
         # the list restarts from its last total, which accumulate re-emits
         scaled.extend(accumulate(steps, initial=scaled.pop()))
 
     def multiplicity_k0(self, n: int) -> int:
         return _multiplicity(n, *self._ranks) if self._ranks else 0
 
-    def omitted(self, n: int) -> ExtRat:
-        """v_p(g_{n, hat k0}(w)), always finite."""
+    def omitted(self, n: int) -> int:
+        """D * v_p(g_{n, hat k0}(w)), always finite."""
         if n >= len(self._scaled):
             # readers that step one index at a time (certification) then pay
-            # one ``jumps`` call per GROW_STEP indices
+            # one ``_jumps`` call per GROW_STEP indices
             self.grow(max(n, len(self._scaled) - 1 + GROW_STEP))
         elif n < 0:
             _check_index(n)
-        x = self._scaled[n]
-        return x if self.den == 1 else Fraction(x, self.den)
-
-    def value(self, n: int) -> ExtRat:
-        """v_p(g_n(w)); INF at the indices where w = w_k0 is a zero."""
-        m = self.multiplicity_k0(n)
-        return self.omitted(n) + m * self.r if m else self.omitted(n)
+        return self._scaled[n]
 
     def scaled(self, start: int, stop: int) -> List[ExtRat]:
-        """D * ``value(n)`` for n in range(start, stop), read in bulk: an
+        """D * v_p(g_n(w)) for n in range(start, stop), read in bulk: an
         ``int`` each, or INF where w = w_k0 is a zero."""
         _check_index(start)
         self.grow(stop - 1)
@@ -367,7 +347,7 @@ def _point_evaluator(ctx: GhostContext, k0: Optional[int], r: ExtRat) -> JumpEva
 
 
 def evaluator(ctx: GhostContext, w: WeightPoint) -> JumpEvaluator:
-    """The jump evaluator at w, whose ``value(n)`` is v_p(g_n(w)).
+    """The jump evaluator at w, whose ``scaled`` reads D * v_p(g_n(w)).
 
     Evaluators are cached per point, so a caller that re-evaluates a point
     (a Newton polygon retried with a doubled buffer) extends the same
@@ -380,7 +360,7 @@ def evaluator(ctx: GhostContext, w: WeightPoint) -> JumpEvaluator:
 
 def degree_evaluator(ctx: GhostContext) -> JumpEvaluator:
     """The evaluator at a point at distance 1 from every w_k (no base
-    weight, so nothing is omitted): its ``omitted(n)`` is deg g_n."""
+    weight, so nothing is omitted, and D = 1): its ``omitted(n)`` is deg g_n."""
     return _point_evaluator(ctx, None, 1)
 
 

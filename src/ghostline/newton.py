@@ -133,17 +133,18 @@ def _future_safe(
     The generic floor c * deg(g_m), with c = min(r, 1) the least distance
     from the point to any w_k (``ev.base`` in units of 1/D), eventually
     outgrows any line, since the degree increments strictly increase; until
-    it does, classical points (r = INF) are compared by their exact, integer
-    coefficient valuations, which the jump evaluator supplies in constant
-    time per index.  Points of finite radius are decided by the floor alone:
-    their evaluators could supply exact values too, but comparing them
-    could certify a prefix from a smaller buffer and so change the reported
-    ``certified_upto`` and ``buffer_used``.
+    it does, classical points (r = INF, so D = 1) are compared by their
+    exact coefficient valuations ``ev.omitted(m)``, which the jump evaluator
+    supplies in constant time per index, skipping the m where w_k0 is a zero
+    of g_m, whose value INF no line reaches.  Points of finite radius are
+    decided by the floor alone: their evaluators could supply exact values
+    too, but comparing them could certify a prefix from a smaller buffer and
+    so change the reported ``certified_upto`` and ``buffer_used``.
 
     Line, floor and exact values are all scaled by dx, so the loop compares
     integers.
     """
-    exact = ev.value if ev.r is INF else None  # D = 1 there
+    exact = ev.r is INF
     degree = ghost.degree_evaluator(ev.ctx).omitted
     floor = ev.base * dx  # dx times the floor per unit of degree
     m = window_end + 1
@@ -155,12 +156,10 @@ def _future_safe(
             if floor * inc >= dy:
                 # the floor now rises at least as fast as the line, forever
                 return True
-        elif exact is None:
+        elif not exact:
             return False
-        else:
-            y = exact(m)
-            if y is not INF and y * dx <= line:
-                return False
+        elif not ev.multiplicity_k0(m) and ev.omitted(m) * dx <= line:
+            return False
         m += 1
         line += dy
     return False

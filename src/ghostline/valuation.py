@@ -130,10 +130,6 @@ def digit_sum(m: int, p: int) -> int:
     _check_prime(p)
     if m < 0:
         raise ValueError(f"digit_sum requires m >= 0, got {m}")
-    return _digit_sum_unchecked(m, p)
-
-
-def _digit_sum_unchecked(m: int, p: int) -> int:
     total = 0
     while m:
         m, r = divmod(m, p)
@@ -141,27 +137,14 @@ def _digit_sum_unchecked(m: int, p: int) -> int:
     return total
 
 
-def sum_vp_range(m1: int, m2: int, p: int) -> int:
-    """Sum of vp(i) over the half-open range m1 < i <= m2.
-
-    Uses the digit-sum identity: the sum equals
-    ((m2 - digit_sum(m2)) - (m1 - digit_sum(m1))) / (p - 1),
-    a restatement of Legendre's factorial-valuation formula.
-    """
-    _check_prime(p)
-    if m1 < 0 or m2 < 0:
-        raise ValueError("sum_vp_range requires nonnegative endpoints")
-    if m1 >= m2:
-        raise ValueError(f"sum_vp_range requires m1 < m2, got {m1} >= {m2}")
-    num = (m2 - _digit_sum_unchecked(m2, p)) - (m1 - _digit_sum_unchecked(m1, p))
-    return num // (p - 1)
-
-
 def vp_factorial(m: int, p: int) -> int:
-    """vp(m!) by Legendre's formula (m - digit_sum(m)) / (p - 1); 0 for m <= 0."""
+    """vp(m!) by Legendre's formula (m - digit_sum(m)) / (p - 1); 0 for m <= 0.
+
+    So the sum of vp(i) over m1 < i <= m2 is vp_factorial(m2) - vp_factorial(m1).
+    """
     if m <= 0:
         return 0
-    return (m - _digit_sum_unchecked(m, p)) // (p - 1)
+    return (m - digit_sum(m, p)) // (p - 1)
 
 
 def sum_vp_arith_prog(lo: int, hi: int, step: int, offset: int, p: int) -> int:

@@ -386,18 +386,12 @@ def _k_prime_candidates(ctx: GhostContext, k: int, ell: int) -> List[int]:
     """
     kb = ctx.bullet(k)
     h = dims.d_iw_of_bullet(ctx, kb) // 2
-    windows = [
-        range(dims.k_max_bullet(ctx, h - ell) + 1, dims.k_max_bullet(ctx, h + ell - 1) + 1),
-        range(dims.k_min_bullet(ctx, h - ell), dims.k_min_bullet(ctx, h + ell - 1)),
-        range(kb - ell, kb + ell + 1),
-    ]
-    out, nxt = [], 0  # nxt: the least k_bullet not yet visited
-    for win in sorted(windows, key=lambda win: win.start):
-        for kb2 in range(max(win.start, nxt), win.stop):
-            if kb2 != kb:
-                out.append(ctx.weight_of_bullet(kb2))
-        nxt = max(nxt, win.stop)
-    return out
+    kbs = {
+        *range(dims.k_max_bullet(ctx, h - ell) + 1, dims.k_max_bullet(ctx, h + ell - 1) + 1),
+        *range(dims.k_min_bullet(ctx, h - ell), dims.k_min_bullet(ctx, h + ell - 1)),
+        *range(kb - ell, kb + ell + 1),
+    }
+    return [ctx.weight_of_bullet(kb2) for kb2 in sorted(kbs - {kb}) if kb2 >= 0]
 
 
 def _check_k_prime_bounds(ctx: GhostContext, k: int, ell: int, gap2: int) -> List[dict]:
@@ -593,16 +587,6 @@ def run_suite(name: str, ctx: GhostContext, **bounds) -> dict:
 # ------------------------------------------------------------ grid runner
 
 
-def worker_count() -> int:
-    env = os.environ.get("GHOSTLINE_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"GHOSTLINE_WORKERS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
-
-
 def clamp_workers(requested: int, tasks: int, cpus: Optional[int]) -> int:
     """Pool size for a grid: never more workers than tasks or cores, and >= 1."""
     return max(1, min(requested, tasks, cpus or 1))
@@ -660,7 +644,7 @@ def run_grid(
         for s_eps in range(0, p - 1)
     ]
     if workers is None:
-        workers = worker_count()
+        workers = os.cpu_count() or 1
     workers = clamp_workers(workers, len(tasks), os.cpu_count())
     if workers <= 1:
         nested = [_grid_task(t) for t in tasks]

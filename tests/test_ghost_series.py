@@ -70,7 +70,7 @@ class TestMultiplicity:
                 lo = min((k for k, _ in coeff.factors), default=ctx.k_eps)
                 hi = max((k for k, _ in coeff.factors), default=ctx.k_eps)
                 for k in range(ctx.k_eps, hi + 2 * (ctx.p - 1), ctx.p - 1):
-                    assert coeff.multiplicity_of(k) == ghost.multiplicity(ctx, n, k)
+                    assert dict(coeff.factors).get(k, 0) == ghost.multiplicity(ctx, n, k)
                 assert lo >= 2
 
     def test_increment_pattern(self):
@@ -262,10 +262,9 @@ class TestEvaluation:
                 ev = ghost.classical_evaluator(ctx, k0)
                 for n in range(0, 26):
                     want = ghost.eval_vp(ctx, n, Classical(k0))
-                    got = ev.value(n)
-                    assert got == want, (ctx, k0, n)
+                    assert ev.scaled(n, n + 1) == [ev.den * want], (ctx, k0, n)
                     want_omit = ghost.eval_vp(ctx, n, Classical(k0), {k0})
-                    assert ev.omitted(n) == want_omit
+                    assert ev.omitted(n) == ev.den * want_omit
 
 
 class TestLevelSum:
@@ -332,7 +331,7 @@ class TestPointEvaluator:
     def check(self, ctx, w, n_top=N):
         ev = ghost.evaluator(ctx, w)
         for n in range(0, n_top + 1):
-            assert ev.value(n) == ghost.eval_vp(ctx, n, w), (ctx, w, n)
+            assert ev.scaled(n, n + 1) == [ev.den * ghost.eval_vp(ctx, n, w)], (ctx, w, n)
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_perturbed_radius_shapes(self, p):
@@ -386,9 +385,9 @@ class TestPointEvaluator:
 
 
 class TestIncrementAtPoints:
-    """Single jumps at perturbed and boundary points against differences of
-    the factored ``eval_vp`` with k0 omitted, and their types: an int when
-    the radius is INF or integral, a Fraction otherwise."""
+    """Single jumps at perturbed and boundary points against D times the
+    differences of the factored ``eval_vp`` with k0 omitted, and the type
+    of every evaluator read: an int, for every radius."""
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_matches_omitted_differences(self, p):
@@ -414,20 +413,33 @@ class TestIncrementAtPoints:
             n = rng.randint(0, 40)
             direct = ghost.eval_vp(ctx, n + 1, w, omit) - ghost.eval_vp(ctx, n, w, omit)
             got = ghost.increment_at(ctx, n, k0, r)
-            assert got == direct, (ctx, w, n)
-            assert type(got) is (int if r.denominator == 1 else Fraction), (ctx, w, n)
+            assert got == r.denominator * direct, (ctx, w, n)
+            assert type(got) is int, (ctx, w, n)
             seen.add((shape, r.denominator))
         assert {s for s, _ in seen} == {"on", "off", "small", "boundary"}
         assert {d for s, d in seen if s != "boundary"} == {1, 2, 3}
 
-    def test_value_types(self):
-        ctx = new_context(7, 2, 4)
+    def test_reads_are_scaled_ints(self):
+        # D = 1, 2 and 3 at a base weight that is a zero of g_2 .. g_4
+        ctx, top = new_context(7, 2, 4), 30
         for w in (Classical(18), Perturbed(18, Fraction(4)), Perturbed(18, Fraction(7, 2)),
-                  Boundary(Fraction(1, 2))):
+                  Perturbed(18, Fraction(10, 3)), Boundary(Fraction(2, 5))):
             ev = ghost.JumpEvaluator(ctx, w.k0, w.r)
-            want = int if w.r is INF or w.r.denominator == 1 else Fraction
-            for n in range(0, 30):
-                assert type(ev.omitted(n)) is want, (w, n)
+            omit = () if w.k0 is None else (w.k0,)
+            want_omitted = [ev.den * ghost.eval_vp(ctx, n, w, omit) for n in range(top + 1)]
+            want_jumps = [b - a for a, b in zip(want_omitted, want_omitted[1:])]
+            reads = {
+                "omitted": ([ev.omitted(n) for n in range(top + 1)], want_omitted),
+                "scaled": (ev.scaled(0, top + 1),
+                           [ev.den * ghost.eval_vp(ctx, n, w) for n in range(top + 1)]),
+                "jumps": (ghost.jumps(ctx, w.k0, w.r, 0, top), want_jumps),
+                "increment_at": ([ghost.increment_at(ctx, n, w.k0, w.r) for n in range(top)],
+                                 want_jumps),
+            }
+            for name, (got, want) in reads.items():
+                assert got == want, (w, name)
+                assert all(type(y) is int for y in got if y is not INF), (w, name)
+            assert (INF in reads["scaled"][0]) == (w.r is INF), w
 
     @pytest.mark.parametrize("r", [0, Fraction(-1, 2), -3], ids=["0", "-1/2", "-3"])
     def test_rejects_a_radius_that_is_not_positive(self, r):
@@ -477,10 +489,11 @@ class TestGrowthLoop:
             ev.grow(self.N)
             scaled = [0]
             for n in range(self.N):
-                scaled.append(scaled[-1] + ev.den * ghost.increment_at(ctx, n, ev.k0, w.r))
+                scaled.append(scaled[-1] + ghost.increment_at(ctx, n, ev.k0, w.r))
             assert ev._scaled == scaled, (ctx, w)
+            ys = ev.scaled(0, self.N + 1)
             for n in [*range(0, self.N, 4), self.N]:
-                assert ev.value(n) == ghost.eval_vp(ctx, n, w), (ctx, w, n)
+                assert ys[n] == ev.den * ghost.eval_vp(ctx, n, w), (ctx, w, n)
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_growth_in_stages(self, p):
@@ -513,18 +526,26 @@ class TestGrowthLoop:
                 if kind == "one":
                     staged.grow(top + 1)
                     step = staged._scaled[top + 1] - staged._scaled[top]
-                    assert step == staged.den * ghost.increment_at(ctx, top, k0, r), (k0, r, top)
+                    assert step == ghost.increment_at(ctx, top, k0, r), (k0, r, top)
                 elif kind == "read":
                     staged.omitted(top + rng.randint(1, 3))
                 elif kind == "bulk":
+                    # the bulk read against the per-index one, plus m_n(k0) * D * r
                     start = rng.randint(0, top)
-                    values = [staged.value(n) for n in range(start, top + 9)]
                     scaled = staged.scaled(start, top + 9)
-                    assert scaled == [v if v is INF else staged.den * v for v in values]
+                    single = []
+                    for n in range(start, top + 9):
+                        m = staged.multiplicity_k0(n)
+                        if m and r is INF:
+                            single.append(INF)
+                        else:
+                            single.append(staged.omitted(n) + (m * staged.den * r if m else 0))
+                    assert scaled == single
                     assert all(type(y) is int for y in scaled if y is not INF)
                 else:
                     staged.grow(top + rng.randint(20, 90))
             assert staged._scaled[: self.N + 1] == once._scaled, (ctx, k0, r)
+            ys = once.scaled(0, self.N + 1)
             for n in range(0, self.N + 1, 23):
                 if k0 is None and r == 1:  # the degree evaluator
                     want = ghost.degree(ctx, n)
@@ -533,7 +554,7 @@ class TestGrowthLoop:
                 else:
                     w = Classical(k0) if r is INF else Perturbed(k0, r)
                     want = ghost.eval_vp(ctx, n, w)
-                assert once.value(n) == want, (ctx, k0, r, n)
+                assert ys[n] == once.den * want, (ctx, k0, r, n)
         assert kinds == {"one", "read", "bulk", "large"}
 
     def test_reads_past_the_end_grow_by_a_step(self):
@@ -549,7 +570,7 @@ class TestGrowthLoop:
         ctx = new_context(13, 5, 7)
         ev = self.fresh(ctx, Classical(ctx.weight_of_bullet(3)))
         ev.grow(20)
-        for read in (ev.omitted, ev.value, lambda n: ev.scaled(n, 3),
+        for read in (ev.omitted, lambda n: ev.scaled(n, 3),
                      lambda n: ghost.degree_fast(C4, n)):
             for n in (-1, -2):
                 with pytest.raises(ValueError, match="must be >= 0"):

@@ -132,8 +132,10 @@ class TestVertexStorage:
         np_ = newton.np_of_ghost(C4, Perturbed(18, Fraction(4)), 8, buffer=22)
         assert "slopes" not in vars(np_)
         assert np_.certified_upto == np_.vertices[-1][0] >= 8
-        ev = ghost.evaluator(C4, Perturbed(18, Fraction(4)))
-        window = newton.lower_convex_hull([(n, ev.value(n)) for n in range(8 + 22 + 1)])
+        w = Perturbed(18, Fraction(4))
+        ys = ghost.evaluator(C4, w).scaled(0, 8 + 22 + 1)
+        assert ys == [ghost.eval_vp(C4, n, w) for n in range(8 + 22 + 1)]  # D = 1
+        window = newton.lower_convex_hull(list(enumerate(ys)))
         assert window.vertices[: len(np_.vertices)] == np_.vertices
         assert window.slopes[: len(np_.slopes)] == np_.slopes
 
@@ -287,10 +289,6 @@ class _FactoredEvaluator:
     def grow(self, n):
         self.known += [ghost.eval_vp(self.ctx, m, self.w) for m in range(len(self.known), n + 1)]
 
-    def value(self, n):
-        self.grow(n)
-        return self.known[n]
-
     def scaled(self, start, stop):
         self.grow(stop - 1)
         return [v if v is INF else int(v * self.den) for v in self.known[start:stop]]
@@ -321,9 +319,10 @@ class TestPolygonAgainstFactoredOracle:
 
 
 def _future_safe_fraction(ctx, w, vx, vy, slope_in, window_end, max_steps=100_000):
-    """The certification loop in plain Fraction arithmetic, as the oracle."""
+    """The certification loop in plain Fraction arithmetic, as the oracle,
+    with the exact values of a classical point from the factored ``eval_vp``."""
     c = Fraction(min(w.r, 1))
-    exact = ghost.classical_evaluator(ctx, w.k).value if isinstance(w, Classical) else None
+    exact = isinstance(w, Classical)
     m = window_end + 1
     for _ in range(max_steps):
         line = vy + slope_in * (m - vx)
@@ -332,10 +331,10 @@ def _future_safe_fraction(ctx, w, vx, vy, slope_in, window_end, max_steps=100_00
             inc = ghost.degree_fast(ctx, m + 1) - ghost.degree_fast(ctx, m)
             if c * inc >= slope_in:
                 return True
-        elif exact is None:
+        elif not exact:
             return False
         else:
-            y = exact(m)
+            y = ghost.eval_vp(ctx, m, w)
             if y is not INF and y <= line:
                 return False
         m += 1
@@ -361,7 +360,9 @@ def _random_certification_case(rng, kind):
     slope_in = c * inc + Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5)))
     # the line passes near the true value at vx or near the floor just past
     # the window, so that both outcomes occur
-    y = ghost.evaluator(ctx, w).value(vx)
+    y = ghost.eval_vp(ctx, vx, w)
+    ev = ghost.evaluator(ctx, w)
+    assert ev.scaled(vx, vx + 1) == [ev.den * y]  # the read the polygon's hull takes
     if y is INF or rng.random() < 0.5:
         y = c * ghost.degree_fast(ctx, m) - slope_in * (m - vx)
     vy = y + Fraction(rng.randint(-8, 8), rng.choice((1, 1, 2, 3, 4)))

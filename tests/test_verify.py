@@ -808,14 +808,39 @@ class TestGrid:
             r.pop("elapsed")
         assert seq == par
 
-    def test_worker_env_override(self, monkeypatch):
-        monkeypatch.setenv("GHOSTLINE_WORKERS", "3")
-        assert verify.worker_count() == 3
+    def test_default_pool_is_one_worker_per_core(self, monkeypatch):
+        # p = 5 has 4 tasks, so 16 cores still give a pool of 4
+        sizes = []
 
-    def test_worker_env_must_be_an_integer(self, monkeypatch):
-        monkeypatch.setenv("GHOSTLINE_WORKERS", "four")
-        with pytest.raises(ValueError, match="GHOSTLINE_WORKERS"):
-            verify.worker_count()
+        class Pool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr("multiprocessing.Pool", Pool)
+        for cpus in (3, 16):
+            monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+            reports = verify.run_grid([5], ["halo"], {"n_max": 4})
+            assert len(reports) == 4 and all(r["status"] == "pass" for r in reports)
+        assert sizes == [3, 4]
+
+    def test_default_without_a_cpu_count_runs_in_process(self, monkeypatch):
+        # os.cpu_count() may return None; the grid then runs in one process
+        def no_pool(*args, **kwargs):
+            raise AssertionError("an unknown core count started a pool")
+
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+        monkeypatch.setattr("multiprocessing.Pool", no_pool)
+        reports = verify.run_grid([5], ["halo"], {"n_max": 4})
+        assert len(reports) == 4 and all(r["status"] == "pass" for r in reports)
 
     def test_worker_clamp(self):
         assert verify.clamp_workers(10_000, 200, 2) == 2
@@ -830,7 +855,6 @@ class TestGrid:
         def no_pool(*args, **kwargs):
             raise AssertionError("workers=0 started a pool")
 
-        monkeypatch.delenv("GHOSTLINE_WORKERS", raising=False)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
         monkeypatch.setattr("multiprocessing.Pool", no_pool)
         reports = verify.run_grid([5], ["halo"], {"n_max": 4}, workers=0)
