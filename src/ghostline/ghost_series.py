@@ -52,6 +52,7 @@ that tests compare against; no library path calls it.
 
 from __future__ import annotations
 
+from array import array
 from itertools import accumulate
 from typing import Collection, List, Optional, Tuple
 
@@ -208,10 +209,18 @@ class JumpEvaluator:
     denominator of r (1 at INF and at integral r).  Every read is that
     integer; nothing divides by D.
 
-    Keeps one integer list, D * v_p(g_{n, hat k0}(w)), accumulated from
-    v_p(g_0) = 0, and grows it by ``_jumps``.  The kernel state besides
-    that list is O(1): the level table of k0, and three cursors (x, P(x))
-    on the prefix sums
+    Keeps one store of integers, D * v_p(g_{n, hat k0}(w)), accumulated
+    from v_p(g_0) = 0, and grows it by ``_jumps``.  When D = 1 (r is INF
+    or an integer: every classical evaluator and the degree evaluator) the
+    store is an ``array('q')`` of machine integers, a quarter of the memory
+    of a list of ``int`` objects.  There each stored value is at most
+    (1 + log_p of the window's largest |k - k0|) * deg g_n, since m_n(k0)
+    * r is added only on reading, so it fits in 64 bits for any index
+    whose store fits in memory, and ``array`` raises OverflowError rather
+    than wrap.  When D > 1 the denominator comes from the caller's
+    radius and is unbounded, so the store stays a list.  The kernel state
+    besides the store is O(1): the level table of k0, and three cursors
+    (x, P(x)) on the prefix sums
 
         P(x) = D * sum of min(r, 1 + vp(k - k0)) over the weights k != k0
                with 0 <= k_bullet < x                (0 for x <= 0),
@@ -242,7 +251,8 @@ class JumpEvaluator:
                 self._ranks = (dims.d_ur_of_bullet(ctx, quot), dims.d_iw_of_bullet(ctx, quot))
         # (x, P(x)) for A, B and C; they start where P is 0, at or below every end
         self._cursors = [(min(dims.k_min_bullet(ctx, 0), 0), 0)] * 3
-        self._scaled = [0]  # D * v_p(g_{n, hat k0}(w))
+        # D * v_p(g_{n, hat k0}(w)): machine integers when D = 1 (see above)
+        self._scaled = array("q", [0]) if self.den == 1 else [0]
 
     def _stretch(self, x0: int, x1: int, initial: int) -> List[int]:
         """[P(x) for x in range(x0, x1 + 1)], given initial = P(x0).
@@ -319,10 +329,12 @@ class JumpEvaluator:
 
     def scaled(self, start: int, stop: int) -> List[ExtRat]:
         """D * v_p(g_n(w)) for n in range(start, stop), read in bulk: an
-        ``int`` each, or INF where w = w_k0 is a zero."""
+        ``int`` each, or INF where w = w_k0 is a zero, in a new list."""
         _check_index(start)
         self.grow(stop - 1)
         out = self._scaled[start:stop]
+        if self.den == 1:
+            out = out.tolist()
         if self._ranks:
             du, di = self._ranks
             zeros = range(max(start, du + 1), min(stop, di - du))  # the n with m_n(k0) > 0

@@ -5,8 +5,12 @@ integer profiles stay ``int``, and a ghost profile is one at every point
 (D * v_p, see ``np_of_ghost``); points at +infinity are skipped.
 Vertices are strict: collinear interior points are not vertices, so a
 straight stretch has vertices only at its ends.  A polygon is stored as
-its vertices; ``segments`` reads its slopes off them, and ``unit_slopes``
-lists them once per unit of width for bulk readers.
+its vertices alone, in one slotted tuple, and no slope is ever stored:
+``slope_at`` reads one slope off the two vertices that bracket it, and
+``segments``, ``NewtonPolygon.slopes`` and ``unit_slopes`` walk the
+vertices each time they are asked.  A grid worker keeps hundreds of
+polygons at once, so slopes cached beside their vertices would hold the
+same information twice.
 
 A ghost Newton polygon is an infinite object, so a finite computation must
 certify its prefix.  The certificate rests on two facts: every factor of a
@@ -23,7 +27,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import ghost_series as ghost
@@ -67,15 +70,16 @@ class NewtonPolygon(_Record):
     """A lower hull, or a certified polygon prefix, by its strict vertices
     (y as given to the hull); it is final up to its last vertex."""
 
+    __slots__ = ("vertices",)
     vertices: Tuple[Tuple[int, Union[int, Fraction]], ...]
 
     @property
     def certified_upto(self) -> int:
         return self.vertices[-1][0]
 
-    @cached_property
+    @property
     def slopes(self) -> Tuple[Tuple[Fraction, int], ...]:
-        """(slope, width) per segment."""
+        """(slope, width) per segment, walked off the vertices."""
         return tuple(segments(self.vertices))
 
     def to_json_dict(self) -> dict:
@@ -241,7 +245,9 @@ def slope_at(np: NewtonPolygon, i: int) -> Fraction:
     if i <= x_first:
         raise ValueError(f"slope {i} precedes the first hull point x = {x_first}")
     # the segment over [i - 1, i] ends at the first vertex with x >= i
-    return np.slopes[bisect_left(np.vertices, (i,)) - 1][0]
+    j = bisect_left(np.vertices, (i,))
+    (x0, y0), (x1, y1) = np.vertices[j - 1], np.vertices[j]
+    return Fraction(y1 - y0, x1 - x0)
 
 
 def unit_slopes(np: NewtonPolygon) -> List[Fraction]:
@@ -250,6 +256,6 @@ def unit_slopes(np: NewtonPolygon) -> List[Fraction]:
     if np.vertices[0][0] != 0:
         raise ValueError(f"the polygon starts at x = {np.vertices[0][0]}, not at 0")
     out: List[Fraction] = []
-    for s, width in np.slopes:
+    for s, width in segments(np.vertices):
         out += [s] * width
     return out

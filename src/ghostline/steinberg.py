@@ -72,6 +72,7 @@ class DeltaProfile(_Record):
     neighbouring vertices when asked for.
     """
 
+    __slots__ = ("k", "raw", "vertices")
     k: int
     raw: Tuple[Fraction, ...]
     vertices: Tuple[int, ...]
@@ -149,6 +150,7 @@ def l_max(ctx: GhostContext, w: WeightPoint, k: int) -> Optional[int]:
 
 
 class NearSteinbergRange(_Record):
+    __slots__ = ("k", "L", "lo", "hi")
     k: int
     L: int
     lo: int  # open interval (lo, hi), centred at d_iw(k)/2

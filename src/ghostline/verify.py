@@ -175,15 +175,15 @@ def check_p_stabilization(ctx: GhostContext, k0: int) -> List[dict]:
     witnesses = []
     if di >= 1:
         np_ = _np_at_classical(ctx, k0)
-        slopes = newton.unit_slopes(np_)
         for ell in range(1, du + 1):
-            s = slopes[ell - 1] + slopes[di - ell]
+            s = newton.slope_at(np_, ell) + newton.slope_at(np_, di + 1 - ell)
             if s != k0 - 1:
                 witnesses.append(
                     {"k0": k0, "ell": ell, "lhs": format_rational(s), "rhs": k0 - 1}
                 )
         # hull slopes never decrease, so the last one is the largest
         if newton.slope_at(np_, di) > k0 - 1:
+            slopes = newton.unit_slopes(np_)
             for i in range(1, di + 1):
                 s = slopes[i - 1]
                 if s > k0 - 1:

@@ -1,4 +1,5 @@
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -490,7 +491,7 @@ class TestGrowthLoop:
             scaled = [0]
             for n in range(self.N):
                 scaled.append(scaled[-1] + ghost.increment_at(ctx, n, ev.k0, w.r))
-            assert ev._scaled == scaled, (ctx, w)
+            assert list(ev._scaled) == scaled, (ctx, w)
             ys = ev.scaled(0, self.N + 1)
             for n in [*range(0, self.N, 4), self.N]:
                 assert ys[n] == ev.den * ghost.eval_vp(ctx, n, w), (ctx, w, n)
@@ -503,7 +504,7 @@ class TestGrowthLoop:
             once.grow(self.N)
             staged.grow(40)
             staged.grow(self.N)
-            assert staged._scaled == once._scaled, (ctx, w)
+            assert list(staged._scaled) == list(once._scaled), (ctx, w)
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_growth_order_does_not_change_results(self, p):
@@ -544,7 +545,7 @@ class TestGrowthLoop:
                     assert all(type(y) is int for y in scaled if y is not INF)
                 else:
                     staged.grow(top + rng.randint(20, 90))
-            assert staged._scaled[: self.N + 1] == once._scaled, (ctx, k0, r)
+            assert list(staged._scaled[: self.N + 1]) == list(once._scaled), (ctx, k0, r)
             ys = once.scaled(0, self.N + 1)
             for n in range(0, self.N + 1, 23):
                 if k0 is None and r == 1:  # the degree evaluator
@@ -556,6 +557,30 @@ class TestGrowthLoop:
                     want = ghost.eval_vp(ctx, n, w)
                 assert ys[n] == once.den * want, (ctx, k0, r, n)
         assert kinds == {"one", "read", "bulk", "large"}
+
+    def test_store_is_machine_integers_when_d_is_one(self):
+        ctx = new_context(13, 3, 0)
+        d_one = [ghost.classical_evaluator(ctx, ctx.weight_of_bullet(kb)) for kb in (0, 7, 40)]
+        d_one += [ghost.degree_evaluator(ctx), self.fresh(ctx, Perturbed(20, Fraction(3)))]
+        for ev in d_one:
+            ev.grow(self.N)
+            assert type(ev._scaled) is array and ev._scaled.typecode == "q", ev.r
+            assert type(ev.scaled(0, 5)) is list
+        # a denominator from the radius is unbounded: D = 10^19 passes 2^63
+        # at once, so that store stays a list of ints, and reads agree with
+        # the factored route
+        w = Perturbed(18, Fraction(10**19 - 1, 10**19))
+        ev = self.fresh(C4, w)
+        ys = ev.scaled(0, 31)
+        assert type(ev._scaled) is list and type(ys) is list
+        assert max(ys) >= 2**63
+        assert ys == [ev.den * ghost.eval_vp(C4, n, w) for n in range(31)]
+
+    def test_a_machine_store_refuses_to_wrap(self):
+        ev = self.fresh(C4, Classical(18))
+        ev._scaled[-1] = 2**63 - 1
+        with pytest.raises(OverflowError):
+            ev.grow(40)
 
     def test_reads_past_the_end_grow_by_a_step(self):
         ev = self.fresh(C4, Classical(18))

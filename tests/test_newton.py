@@ -119,18 +119,20 @@ def slope_at_walk(np_, i):
 
 class TestVertexStorage:
     def test_hull_stores_vertices_only(self):
+        # slopes are never stored: each read walks the vertices afresh, and
+        # a polygon has no room for anything but its vertices
         rng = random.Random(3)
         for _ in range(50):
             hull = random_hull(rng)
-            assert "slopes" not in vars(hull)
             assert hull.certified_upto == hull.vertices[-1][0]
-            slopes = hull.slopes
-            assert hull.slopes is slopes and vars(hull)["slopes"] is slopes
+            assert hull.slopes == tuple(newton.segments(hull.vertices))
+            assert not hasattr(hull, "__dict__")
         assert list(newton.NewtonPolygon.__annotations__) == ["vertices"]
+        assert newton.NewtonPolygon.__slots__ == ("vertices",)
 
     def test_certified_polygon_is_a_vertex_prefix(self):
         np_ = newton.np_of_ghost(C4, Perturbed(18, Fraction(4)), 8, buffer=22)
-        assert "slopes" not in vars(np_)
+        assert not hasattr(np_, "__dict__")
         assert np_.certified_upto == np_.vertices[-1][0] >= 8
         w = Perturbed(18, Fraction(4))
         ys = ghost.evaluator(C4, w).scaled(0, 8 + 22 + 1)
@@ -305,11 +307,15 @@ class TestPolygonAgainstFactoredOracle:
         (new_context(7, 2, 0), Boundary(Fraction(1, 2)), 30),
         (new_context(11, 2, 9), Boundary(Fraction(2, 3)), 30),
         (new_context(13, 9, 0), Boundary(Fraction(1, 5)), 25),
+        # D = 10^19: the scaled values pass 2^63, so they must stay in a list
+        (new_context(7, 2, 4), Perturbed(18, Fraction(10**19 - 1, 10**19)), 30),
     ]
 
     @pytest.mark.parametrize("ctx, w, n_max", CASES)
     def test_matches_factored_route(self, monkeypatch, ctx, w, n_max):
         fast, fast_buffer = newton.np_of_ghost_auto(ctx, w, n_max)
+        if w.r.denominator == 10**19:
+            assert max(ghost.evaluator(ctx, w).scaled(0, n_max + 1)) >= 2**63
         monkeypatch.setattr(newton.ghost, "evaluator", _FactoredEvaluator)
         slow, slow_buffer = newton.np_of_ghost_auto(ctx, w, n_max)
         assert fast.vertices == slow.vertices

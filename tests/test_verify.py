@@ -5,6 +5,7 @@ import json
 import pkgutil
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from ghostline import weight_space as ws
 from ghostline.valuation import INF, ilog, max_vp_interval, vp_int
 from ghostline.weight_space import format_rational
 from ghostline.weight_space import new_context
+from test_acceptance import SWEEP_SUITES
 from test_steinberg import interpolated_hull
 
 C0 = new_context(7, 2, 0)
@@ -931,3 +933,22 @@ class TestContextCaches:
         misses = ghost.classical_evaluator.cache_info().misses
         ghost.classical_evaluator(C4, 18)  # its entry went with the release
         assert ghost.classical_evaluator.cache_info().misses == misses + 1
+
+    #: Live bytes one (7, 2, 4) task may leave in the caches.  They held 10.4
+    #: to 10.8 MB while polygons cached their slopes and evaluators kept lists
+    #: of ints, and 6.3 to 6.5 MB since, on Python 3.10 to 3.13.
+    LIVE_SET_CEILING = 8_000_000
+
+    def test_a_triple_stays_under_its_memory_ceiling(self):
+        ws.clear_context_caches()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            reports = verify._grid_task((7, 2, 4, tuple((name, {}) for name in SWEEP_SUITES)))
+            assert all(r["status"] == "pass" for r in reports)
+            del reports
+            live = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            ws.clear_context_caches()
+        assert live < self.LIVE_SET_CEILING, f"{live / 1e6:.2f} MB"

@@ -234,12 +234,17 @@ RECORDS = [
      "vertices=(-1, 1))"),
     (lambda: steinberg.NearSteinbergRange(18, 2, 1, 5), "NearSteinbergRange(k=18, L=2, lo=1, hi=5)"),
 ]
-SLOTTED = {"GhostContext", "Classical", "Perturbed", "Boundary", "GhostCoefficient"}
+
+
+def _record_classes(cls=_Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _record_classes(sub)
 
 
 class TestRecords:
-    """The record classes keep the equality, hashing, reprs, slots and
-    read-only fields they had as dataclasses."""
+    """The record classes keep the equality, hashing, reprs and read-only
+    fields they had as dataclasses, and every one of them is slotted."""
 
     @pytest.mark.parametrize("build, text", RECORDS, ids=[t.partition("(")[0] for _, t in RECORDS])
     def test_behaves_as_before(self, build, text):
@@ -249,7 +254,7 @@ class TestRecords:
         assert a is not b and a == b and not a != b
         assert repr(a) == text
         assert a != values and type(a)(*values) == a
-        assert hasattr(a, "__dict__") is (type(a).__name__ not in SLOTTED)
+        assert not hasattr(a, "__dict__")
         assert hash(a) == hash(b)
         for name, value in zip(fields, values):
             with pytest.raises(AttributeError):
@@ -261,10 +266,21 @@ class TestRecords:
     @pytest.mark.parametrize("build, text", RECORDS, ids=[t.partition("(")[0] for _, t in RECORDS])
     def test_pickle_and_copy_round_trip(self, build, text):
         a = build()
-        if isinstance(a, newton.NewtonPolygon):
-            assert a.slopes  # the cached slopes travel in no copy, and break none
         for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
             assert type(twin) is type(a) and twin == a and repr(twin) == text
+
+    def test_no_record_has_an_instance_dict(self):
+        # a grid worker caches hundreds of polygons and profiles, and a
+        # per-instance __dict__ would cost each of them its own table
+        from ghostline import verify  # noqa: F401 -- every module that defines a record
+
+        classes = list(_record_classes())
+        names = {cls.__name__ for cls in classes}
+        assert {"GhostContext", "Classical", "Perturbed", "Boundary", "GhostCoefficient",
+                "NewtonPolygon", "DeltaProfile", "NearSteinbergRange"} <= names
+        for cls in classes:
+            assert not hasattr(object.__new__(cls), "__dict__"), cls
+            assert set(cls._fields) <= set(cls.__slots__), cls
 
     def test_other_kinds_or_values_differ(self):
         class Twin(_Record):
