@@ -40,10 +40,10 @@ prefix sums that the new jumps read.  The window ends come from a
 per-context table shared by all evaluators (``dims.jump_windows``), the
 levels from the evaluator's table of pairs (p^l, residue of level l),
 which depends on k0 alone.  A profile to n thus costs O(n) list steps,
-most of them inside ``accumulate``.  ``jumps`` runs the kernel over a
-range of n (``increment_at`` at one n), and ``scaled`` reads a stretch of
-a profile in bulk.  Every read is an integer D * v_p, and nothing divides
-by D.  deg g_n is the profile at a point at distance 1 from every w_k
+most of them inside ``accumulate``.  ``increment_at`` runs the kernel at
+one n, ``scaled`` reads a stretch of a profile in bulk and ``at`` one
+index of it.  Every read is an integer D * v_p, and nothing divides by D.
+deg g_n is the profile at a point at distance 1 from every w_k
 (``degree_evaluator``).
 
 The factored evaluation ``eval_vp`` stays as the independent slow route
@@ -182,16 +182,11 @@ def _deepen(
         levels.append((pl, offset * ((pl - 1) // (p - 1)) % pl))
 
 
-def jumps(ctx: GhostContext, k0: Optional[int], r: ExtRat, start: int, stop: int) -> List[int]:
-    """D times the jumps of the k0-omitted valuation from g_n to g_{n+1}
-    for n in range(start, stop), start >= 0, at radius r with denominator D
-    (1 at INF), by the kernel of a fresh evaluator of (k0, r)."""
-    return JumpEvaluator(ctx, k0, r)._jumps(start, stop)
-
-
 def increment_at(ctx: GhostContext, n: int, k0: Optional[int], r: ExtRat = INF) -> int:
-    """D times the jump from g_n to g_{n+1}: ``jumps`` at the one index n."""
-    return jumps(ctx, k0, r, n, n + 1)[0]
+    """D times the jump of the k0-omitted valuation from g_n to g_{n+1},
+    n >= 0, at radius r with denominator D (1 at INF), by the kernel of a
+    fresh evaluator of (k0, r)."""
+    return JumpEvaluator(ctx, k0, r)._jumps(n, n + 1)[0]
 
 
 #: Indices an evaluator adds at least when a read runs past its values.
@@ -230,14 +225,15 @@ class JumpEvaluator:
     ``base`` = D * min(r, 1) is the least scaled distance from w to any w_k.
     k0 may be any integer, on or off the ghost zero class; only a k0 >= 2
     on the class is a zero of some coefficients, and only there does
-    m_n(k0) * D * r enter ``scaled``.
+    m_n(k0) * ``dr`` enter ``scaled`` and ``at``, with ``dr`` = D * r the
+    scaled distance from w to w_k0 (INF at w_k0 itself).
     """
 
     def __init__(self, ctx: GhostContext, k0: Optional[int], r: ExtRat):
         self.ctx = ctx
         self.k0 = k0
         self._whole, self.den, self._rem = _radius_parts(r)
-        self.r = r
+        self.dr = INF if r is INF else self._whole * self.den + self._rem  # D * r
         self.base = self.den if self._whole != 0 else self._rem  # D * min(r, 1)
         self._ranks = None  # (d_ur, d_iw) of k0 when it is a ghost zero weight
         self._k0b = -1  # k_bullet of k0 when it lies on the class
@@ -327,6 +323,15 @@ class JumpEvaluator:
             _check_index(n)
         return self._scaled[n]
 
+    def at(self, n: int) -> ExtRat:
+        """D * v_p(g_n(w)) at the one index n, as ``scaled(n, n + 1)[0]``
+        but without a list: ``omitted(n)`` plus m_n(k0) * D * r."""
+        y = self.omitted(n)
+        ranks = self._ranks
+        if ranks and ranks[0] < n < ranks[1] - ranks[0]:  # m_n(k0) > 0
+            return y + _multiplicity(n, *ranks) * self.dr
+        return y
+
     def scaled(self, start: int, stop: int) -> List[ExtRat]:
         """D * v_p(g_n(w)) for n in range(start, stop), read in bulk: an
         ``int`` each, or INF where w = w_k0 is a zero, in a new list."""
@@ -338,11 +343,11 @@ class JumpEvaluator:
         if self._ranks:
             du, di = self._ranks
             zeros = range(max(start, du + 1), min(stop, di - du))  # the n with m_n(k0) > 0
-            if self.r is INF:
+            dr = self.dr
+            if dr is INF:
                 for n in zeros:
                     out[n - start] = INF
             else:
-                dr = self._whole * self.den + self._rem  # D * r
                 for n in zeros:
                     out[n - start] += _multiplicity(n, du, di) * dr
         return out

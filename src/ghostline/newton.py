@@ -20,7 +20,10 @@ deg g_m are strictly increasing, so that lower bound eventually outgrows
 any fixed line.  A vertex X of the windowed hull is *certified* once every
 point beyond the window provably stays strictly above the extension of the
 hull segment ending at X; then the hull, its vertex set, and its slopes
-are final up to X.
+are final up to X.  One rule serves every kind of point: past the window,
+each point is compared by its exact value until the floor overtakes the
+line for good.  (The floor alone would certify a point of radius r > 1
+only from a buffer about as long as n_max.)
 """
 
 from __future__ import annotations
@@ -136,19 +139,15 @@ def _future_safe(
 
     The generic floor c * deg(g_m), with c = min(r, 1) the least distance
     from the point to any w_k (``ev.base`` in units of 1/D), eventually
-    outgrows any line, since the degree increments strictly increase; until
-    it does, classical points (r = INF, so D = 1) are compared by their
-    exact coefficient valuations ``ev.omitted(m)``, which the jump evaluator
-    supplies in constant time per index, skipping the m where w_k0 is a zero
-    of g_m, whose value INF no line reaches.  Points of finite radius are
-    decided by the floor alone: their evaluators could supply exact values
-    too, but comparing them could certify a prefix from a smaller buffer and
-    so change the reported ``certified_upto`` and ``buffer_used``.
+    outgrows any line, since the degree increments strictly increase.
+    Until it does, each point is compared by its exact value ``ev.at(m)``,
+    which the jump evaluator supplies in constant time per index at every
+    kind of point; at a zero of g_m (w = w_k0) that value is INF, which no
+    line reaches.
 
     Line, floor and exact values are all scaled by dx, so the loop compares
     integers.
     """
-    exact = ev.r is INF
     degree = ghost.degree_evaluator(ev.ctx).omitted
     floor = ev.base * dx  # dx times the floor per unit of degree
     m = window_end + 1
@@ -160,9 +159,7 @@ def _future_safe(
             if floor * inc >= dy:
                 # the floor now rises at least as fast as the line, forever
                 return True
-        elif not exact:
-            return False
-        elif not ev.multiplicity_k0(m) and ev.omitted(m) * dx <= line:
+        elif ev.at(m) * dx <= line:
             return False
         m += 1
         line += dy
@@ -181,11 +178,12 @@ def np_of_ghost(
     with the values read in bulk from the jump evaluator of w (O(1)
     amortised per index at every kind of point) as the integers D * v_p,
     for D the denominator of the radius; certified_upto is the largest
-    windowed vertex whose trailing segment no future point can undercut.
-    Hull and certificate compare those integers, and only the returned
-    vertices are divided by D.  Raises CertificationError when that falls
-    short of n_max (callers retry with a doubled buffer, which extends the
-    same cached evaluator).
+    windowed vertex whose trailing segment no future point can undercut,
+    by the exact values past the window at every kind of point
+    (``_future_safe``).  Hull and certificate compare those integers, and
+    only the returned vertices are divided by D.  Raises CertificationError
+    when that falls short of n_max (callers retry with a doubled buffer,
+    which extends the same cached evaluator).
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")

@@ -115,16 +115,6 @@ def vp_int(m: int, p: int) -> ExtRat:
     return e
 
 
-def vp_fraction(x: Union[int, Fraction], p: int) -> ExtRat:
-    """Valuation of a rational: vp(num) - vp(den)."""
-    if isinstance(x, int):
-        return vp_int(x, p)
-    if x == 0:
-        _check_prime(p)
-        return INF
-    return vp_int(x.numerator, p) - vp_int(x.denominator, p)
-
-
 def digit_sum(m: int, p: int) -> int:
     """Sum of the base-p digits of m >= 0."""
     _check_prime(p)

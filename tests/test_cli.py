@@ -66,6 +66,22 @@ class TestNpCommand:
         assert code == 3
         assert "certified" in err
 
+    @pytest.mark.parametrize("triple, nmax, buffer_used", [
+        (("5", "1", "0"), 400, 2 * 5 + 8),
+        (("7", "2", "4"), 600, 2 * 7 + 8),
+    ])
+    def test_large_radius_certifies_from_the_default_buffer(
+            self, capsys, triple, nmax, buffer_used):
+        # the floor c * deg alone would need a buffer that grows with --nmax
+        # at r = 7/2; the exact values past the window need the default one
+        p, a, seps = triple
+        code, out, err = run(capsys, "np", "--p", p, "--a", a, "--seps", seps,
+                             "--point", "perturbed:18:7/2", "--nmax", str(nmax))
+        assert code == 0, err
+        d = json.loads(out)
+        assert d["buffer_used"] == buffer_used
+        assert d["certified_upto"] >= nmax
+
 
 class TestOptimisedMode:
     """python -O strips assert statements; the invariants must not need them."""
@@ -103,7 +119,11 @@ class TestOptimisedMode:
 class TestGoldenDigests:
     """SHA-256 of the stdout of large queries, recorded before the
     running-prefix jump kernel replaced the per-level window sums: the
-    bytes must not move with the engine behind them."""
+    bytes must not move with the engine behind them.  ``np-perturbed`` was
+    re-recorded when the certificate began to compare exact values at every
+    radius: it certifies to 134 from a buffer of 34, where the floor alone
+    needed 68 to certify to 122 (the vertices agree up to 122, see
+    ``test_newton.TestExactCertificate``)."""
 
     @pytest.mark.parametrize("argv, digest", [
         (("delta", "--p", "13", "--a", "5", "--seps", "7", "--k", "36009"),  # k_bullet 3000
@@ -116,7 +136,7 @@ class TestGoldenDigests:
          "e3284e92a2031e153703c4cb81869063c36811c19a436e423eb35ea50b5f2761"),
         (("np", "--p", "13", "--a", "5", "--seps", "7", "--point", "perturbed:369:7/2",
           "--nmax", "100"),
-         "8bcf2fa467098eebd98de519f83dea12036be2ea51fcf74213d121b67524d361"),
+         "4ae04132ff07265d9b9127cf68c65b7a144a6d4e84c1d12484e0ed6056acd80f"),
     ], ids=["delta", "ns-classical", "ns-perturbed", "np-perturbed"])
     def test_output_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)

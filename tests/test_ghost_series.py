@@ -429,11 +429,11 @@ class TestIncrementAtPoints:
             omit = () if w.k0 is None else (w.k0,)
             want_omitted = [ev.den * ghost.eval_vp(ctx, n, w, omit) for n in range(top + 1)]
             want_jumps = [b - a for a, b in zip(want_omitted, want_omitted[1:])]
+            want_scaled = [ev.den * ghost.eval_vp(ctx, n, w) for n in range(top + 1)]
             reads = {
                 "omitted": ([ev.omitted(n) for n in range(top + 1)], want_omitted),
-                "scaled": (ev.scaled(0, top + 1),
-                           [ev.den * ghost.eval_vp(ctx, n, w) for n in range(top + 1)]),
-                "jumps": (ghost.jumps(ctx, w.k0, w.r, 0, top), want_jumps),
+                "scaled": (ev.scaled(0, top + 1), want_scaled),
+                "at": ([ev.at(n) for n in range(top + 1)], want_scaled),
                 "increment_at": ([ghost.increment_at(ctx, n, w.k0, w.r) for n in range(top)],
                                  want_jumps),
             }
@@ -448,8 +448,6 @@ class TestIncrementAtPoints:
             with pytest.raises(ValueError, match="radius must be positive"):
                 ghost.increment_at(C4, 3, k0, r)
             with pytest.raises(ValueError, match="radius must be positive"):
-                ghost.jumps(C4, k0, r, 0, 5)
-            with pytest.raises(ValueError, match="radius must be positive"):
                 ghost.JumpEvaluator(C4, k0, r)
 
 
@@ -460,7 +458,7 @@ class TestJson:
 
 
 class TestGrowthLoop:
-    """Evaluators grown by ``jumps`` against single-n ``increment_at`` and
+    """Evaluators grown by ``grow`` against single-n ``increment_at`` and
     against the factored ``eval_vp``, to n = 300."""
 
     PRIMES = (5, 7, 11, 13)
@@ -542,6 +540,7 @@ class TestGrowthLoop:
                         else:
                             single.append(staged.omitted(n) + (m * staged.den * r if m else 0))
                     assert scaled == single
+                    assert [staged.at(n) for n in range(start, top + 9)] == single
                     assert all(type(y) is int for y in scaled if y is not INF)
                 else:
                     staged.grow(top + rng.randint(20, 90))
@@ -564,7 +563,7 @@ class TestGrowthLoop:
         d_one += [ghost.degree_evaluator(ctx), self.fresh(ctx, Perturbed(20, Fraction(3)))]
         for ev in d_one:
             ev.grow(self.N)
-            assert type(ev._scaled) is array and ev._scaled.typecode == "q", ev.r
+            assert type(ev._scaled) is array and ev._scaled.typecode == "q", ev.dr
             assert type(ev.scaled(0, 5)) is list
         # a denominator from the radius is unbounded: D = 10^19 passes 2^63
         # at once, so that store stays a list of ints, and reads agree with
@@ -604,8 +603,6 @@ class TestGrowthLoop:
     def test_rejects_a_negative_start(self):
         with pytest.raises(ValueError, match="start must be >= 0"):
             dims.jump_windows(C4, -3, 2)
-        with pytest.raises(ValueError, match="start must be >= 0"):
-            ghost.jumps(C4, None, 1, -2, 3)
         with pytest.raises(ValueError, match="start must be >= 0"):
             ghost.increment_at(C4, -1, None)
 

@@ -279,11 +279,11 @@ class TestGhostPolygon:
 
 class _FactoredEvaluator:
     """Values by the factored oracle, in the evaluator interface: ``scaled``
-    is D * ``eval_vp``, and ``base`` is D * min(r, 1), for D the denominator
-    of the radius r."""
+    and the certificate's single-index read ``at`` are D * ``eval_vp``, and
+    ``base`` is D * min(r, 1), for D the denominator of the radius r."""
 
     def __init__(self, ctx, w):
-        self.ctx, self.w, self.r = ctx, w, w.r
+        self.ctx, self.w = ctx, w
         self.den = 1 if w.r is INF else w.r.denominator
         self.base = int(min(w.r, 1) * self.den)
         self.known = []
@@ -294,6 +294,9 @@ class _FactoredEvaluator:
     def scaled(self, start, stop):
         self.grow(stop - 1)
         return [v if v is INF else int(v * self.den) for v in self.known[start:stop]]
+
+    def at(self, n):
+        return self.scaled(n, n + 1)[0]
 
 
 class TestPolygonAgainstFactoredOracle:
@@ -307,6 +310,8 @@ class TestPolygonAgainstFactoredOracle:
         (new_context(7, 2, 0), Boundary(Fraction(1, 2)), 30),
         (new_context(11, 2, 9), Boundary(Fraction(2, 3)), 30),
         (new_context(13, 9, 0), Boundary(Fraction(1, 5)), 25),
+        (new_context(7, 2, 4), Classical(18), 30),
+        (new_context(5, 1, 0), Classical(new_context(5, 1, 0).weight_of_bullet(9)), 30),
         # D = 10^19: the scaled values pass 2^63, so they must stay in a list
         (new_context(7, 2, 4), Perturbed(18, Fraction(10**19 - 1, 10**19)), 30),
     ]
@@ -314,7 +319,7 @@ class TestPolygonAgainstFactoredOracle:
     @pytest.mark.parametrize("ctx, w, n_max", CASES)
     def test_matches_factored_route(self, monkeypatch, ctx, w, n_max):
         fast, fast_buffer = newton.np_of_ghost_auto(ctx, w, n_max)
-        if w.r.denominator == 10**19:
+        if w.r is not INF and w.r.denominator == 10**19:
             assert max(ghost.evaluator(ctx, w).scaled(0, n_max + 1)) >= 2**63
         monkeypatch.setattr(newton.ghost, "evaluator", _FactoredEvaluator)
         slow, slow_buffer = newton.np_of_ghost_auto(ctx, w, n_max)
@@ -324,11 +329,13 @@ class TestPolygonAgainstFactoredOracle:
         assert fast_buffer == slow_buffer
 
 
-def _future_safe_fraction(ctx, w, vx, vy, slope_in, window_end, max_steps=100_000):
-    """The certification loop in plain Fraction arithmetic, as the oracle,
-    with the exact values of a classical point from the factored ``eval_vp``."""
+def _future_safe_fraction(ctx, w, vx, vy, slope_in, window_end, max_steps=100_000,
+                          exact=True):
+    """The certification loop in plain Fraction arithmetic, as the oracle:
+    until the floor c * deg overtakes the line for good, each point is
+    compared by its exact value from the factored ``eval_vp`` (INF at a
+    zero, above every line), or with exact=False by the floor alone."""
     c = Fraction(min(w.r, 1))
-    exact = isinstance(w, Classical)
     m = window_end + 1
     for _ in range(max_steps):
         line = vy + slope_in * (m - vx)
@@ -337,14 +344,16 @@ def _future_safe_fraction(ctx, w, vx, vy, slope_in, window_end, max_steps=100_00
             inc = ghost.degree_fast(ctx, m + 1) - ghost.degree_fast(ctx, m)
             if c * inc >= slope_in:
                 return True
-        elif not exact:
+        elif not exact or ghost.eval_vp(ctx, m, w) <= line:
             return False
-        else:
-            y = ghost.eval_vp(ctx, m, w)
-            if y is not INF and y <= line:
-                return False
         m += 1
     return False
+
+
+def _future_safe_floor_only(ctx, w, *args, **kwargs):
+    """The older rule, kept as an oracle: exact values at classical points
+    only, and the floor alone at every finite radius."""
+    return _future_safe_fraction(ctx, w, *args, exact=isinstance(w, Classical), **kwargs)
 
 
 def _random_certification_case(rng, kind):
@@ -392,13 +401,18 @@ class TestIntegerCertification:
     @pytest.mark.parametrize("kind", ["classical", "perturbed", "boundary"])
     def test_matches_fraction_reference(self, kind):
         rng = random.Random(f"future-safe-{kind}")
-        outcomes = []
+        outcomes, gained = [], 0
         for _ in range(300):
             args = _random_certification_case(rng, kind)
             got = _future_safe_scaled(*args)
             assert got == _future_safe_fraction(*args), args
+            old = _future_safe_floor_only(*args)
+            assert got or not old, args  # exact values never lose a certificate
+            gained += got and not old
             outcomes.append(got)
         assert outcomes.count(True) >= 20 and outcomes.count(False) >= 20
+        # only a finite radius above 1 leaves room between floor and exact value
+        assert (gained > 0) == (kind == "perturbed"), gained
 
     def test_step_limit_matches_reference(self):
         rng = random.Random(5)
@@ -407,6 +421,44 @@ class TestIntegerCertification:
             steps = rng.randint(0, 5)
             assert (_future_safe_scaled(*args, max_steps=steps)
                     == _future_safe_fraction(*args, max_steps=steps))
+
+
+class TestExactCertificate:
+    """The certificate compares exact values past the window at every radius."""
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_polygon_is_final_on_a_longer_window(self, p):
+        # the certified prefix equals the hull of a window 3000 indices longer
+        rng = random.Random(f"longer-window-{p}")
+        for _ in range(3):
+            ctx = new_context(p, rng.randint(1, p - 4), rng.randint(0, p - 2))
+            k0 = ctx.weight_of_bullet(rng.randint(0, 40))
+            for w in (Classical(k0), Perturbed(k0, Fraction(rng.randint(3, 24), 2)),
+                      Perturbed(k0, Fraction(1, rng.randint(1, 4))),
+                      Boundary(Fraction(1, rng.randint(2, 6)))):
+                for n_max in (60, 400, 700):
+                    np_, buffer = newton.np_of_ghost_auto(ctx, w, n_max)
+                    ev = ghost.evaluator(ctx, w)
+                    ys = ev.scaled(0, n_max + buffer + 3000 + 1)
+                    window = newton.lower_convex_hull(list(enumerate(ys))).vertices
+                    n = np_.certified_upto
+                    assert [(x, y * ev.den) for x, y in np_.vertices] == [
+                        v for v in window if v[0] <= n], (ctx, w, n_max)
+
+    def test_floor_only_rule_agrees_on_its_range(self, monkeypatch):
+        # the np-perturbed golden query of test_cli, under the older rule
+        ctx, w = new_context(13, 5, 7), Perturbed(369, Fraction(7, 2))
+        np_, buffer = newton.np_of_ghost_auto(ctx, w, 100)
+
+        def floor_only(ev, vx, vy, dy, dx, window_end, max_steps=100_000):
+            return _future_safe_floor_only(ctx, w, vx, Fraction(vy, ev.den),
+                                           Fraction(dy, dx * ev.den), window_end, max_steps)
+
+        monkeypatch.setattr(newton, "_future_safe", floor_only)
+        old, old_buffer = newton.np_of_ghost_auto(ctx, w, 100)
+        assert (buffer, np_.certified_upto) == (34, 134)
+        assert (old_buffer, old.certified_upto) == (68, 122)
+        assert [v for v in np_.vertices if v[0] <= 122] == list(old.vertices)
 
 
 class TestIntegerHull:

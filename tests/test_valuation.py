@@ -11,7 +11,6 @@ from ghostline.valuation import (
     max_vp_interval,
     sum_vp_arith_prog,
     vp_factorial,
-    vp_fraction,
     vp_int,
 )
 
@@ -147,11 +146,6 @@ class TestArithProg:
 
 
 class TestMisc:
-    def test_vp_fraction(self):
-        assert vp_fraction(Fraction(49, 5), 7) == 2
-        assert vp_fraction(Fraction(5, 49), 7) == -2
-        assert vp_fraction(Fraction(0), 7) is INF
-
     def test_vp_factorial(self):
         for p in PRIMES:
             for m in (0, 1, 17, 100, p**3):
