@@ -226,8 +226,12 @@ class JumpEvaluator:
     k0 may be any integer, on or off the ghost zero class; only a k0 >= 2
     on the class is a zero of some coefficients, and only there does
     m_n(k0) * ``dr`` enter ``scaled`` and ``at``, with ``dr`` = D * r the
-    scaled distance from w to w_k0 (INF at w_k0 itself).
+    scaled distance from w to w_k0 (INF at w_k0 itself).  A grid worker
+    caches hundreds of evaluators, so they are slotted.
     """
+
+    __slots__ = ("ctx", "k0", "_whole", "den", "_rem", "dr", "base", "_ranks", "_k0b",
+                 "_levels", "_cursors", "_scaled")
 
     def __init__(self, ctx: GhostContext, k0: Optional[int], r: ExtRat):
         self.ctx = ctx

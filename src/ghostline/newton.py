@@ -5,12 +5,17 @@ integer profiles stay ``int``, and a ghost profile is one at every point
 (D * v_p, see ``np_of_ghost``); points at +infinity are skipped.
 Vertices are strict: collinear interior points are not vertices, so a
 straight stretch has vertices only at its ends.  A polygon is stored as
-its vertices alone, in one slotted tuple, and no slope is ever stored:
-``slope_at`` reads one slope off the two vertices that bracket it, and
-``segments``, ``NewtonPolygon.slopes`` and ``unit_slopes`` walk the
-vertices each time they are asked.  A grid worker keeps hundreds of
-polygons at once, so slopes cached beside their vertices would hold the
-same information twice.
+its vertices alone, and no slope is ever stored: ``slope_at`` reads one
+slope off the two vertices that bracket it, and ``segments``,
+``NewtonPolygon.slopes`` and ``unit_slopes`` walk the vertices each time
+they are asked.  A grid worker keeps hundreds of polygons at once, so the
+vertices are kept as two columns of machine integers where they fit: the
+x-values in an ``array('q')``, and the y-values in another whenever every
+one is an ``int`` that fits in 64 bits (every D = 1 polygon, so every
+classical one), else in a tuple (``Fraction`` values, or the integers of
+a huge D).  That is the split the jump evaluator's store makes: two
+8-byte slots per vertex, where a tuple of two ``int`` objects takes about
+115 bytes.  The readers bisect the x column and index both.
 
 A ghost Newton polygon is an infinite object, so a finite computation must
 certify its prefix.  The certificate rests on two facts: every factor of a
@@ -28,6 +33,7 @@ only from a buffer about as long as n_max.)
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -71,23 +77,43 @@ def segments(
 
 class NewtonPolygon(_Record):
     """A lower hull, or a certified polygon prefix, by its strict vertices
-    (y as given to the hull); it is final up to its last vertex."""
+    (y as given to the hull) in two columns, ``xs`` and ``ys``; it is final
+    up to its last vertex.  ``__init__`` takes any two sequences and stores
+    them in the module's layout, so equal vertices give equal records; the
+    hash goes by the columns' values, since an array has none."""
 
-    __slots__ = ("vertices",)
-    vertices: Tuple[Tuple[int, Union[int, Fraction]], ...]
+    __slots__ = ("xs", "ys")
+    xs: array
+    ys: Union[array, Tuple[Union[int, Fraction], ...]]
+
+    def __init__(self, xs: Sequence[int], ys: Sequence[Union[int, Fraction]]):
+        try:
+            ys = array("q", ys)
+        except (TypeError, OverflowError):  # a Fraction, or past 64 bits
+            ys = tuple(ys)
+        super().__init__(array("q", xs), ys)
+
+    def __hash__(self):
+        return hash((tuple(self.xs), tuple(self.ys)))
+
+    @property
+    def vertices(self) -> Tuple[Tuple[int, Union[int, Fraction]], ...]:
+        """The (x, y) pairs, built anew on each read; the readers in this
+        module index the two columns instead."""
+        return tuple(zip(self.xs, self.ys))
 
     @property
     def certified_upto(self) -> int:
-        return self.vertices[-1][0]
+        return self.xs[-1]
 
     @property
     def slopes(self) -> Tuple[Tuple[Fraction, int], ...]:
         """(slope, width) per segment, walked off the vertices."""
-        return tuple(segments(self.vertices))
+        return tuple(segments(zip(self.xs, self.ys)))
 
     def to_json_dict(self) -> dict:
         return {
-            "vertices": [[x, format_rational(y)] for x, y in self.vertices],
+            "vertices": [[x, format_rational(y)] for x, y in zip(self.xs, self.ys)],
             "slopes": [[format_rational(s), w] for s, w in self.slopes],
             "certified_upto": self.certified_upto,
         }
@@ -121,7 +147,7 @@ def lower_convex_hull(points: Sequence[Tuple[int, ExtRat]]) -> NewtonPolygon:
     finite.sort()
     if any(a[0] == b[0] for a, b in zip(finite, finite[1:])):
         raise ValueError("x-values must be distinct")
-    return NewtonPolygon(tuple(_hull_vertices(finite)))
+    return NewtonPolygon(*zip(*_hull_vertices(finite)))
 
 
 def _future_safe(
@@ -192,21 +218,19 @@ def np_of_ghost(
     window_end = n_max + buffer
 
     ev = ghost.evaluator(ctx, w)
-    verts = lower_convex_hull(list(enumerate(ev.scaled(0, window_end + 1)))).vertices
-    for i in range(len(verts) - 1, -1, -1):
-        vx, vy = verts[i]
+    hull = lower_convex_hull(list(enumerate(ev.scaled(0, window_end + 1))))
+    xs, ys = hull.xs, hull.ys
+    for i in range(len(xs) - 1, -1, -1):
+        vx, vy = xs[i], ys[i]
         if vx < n_max:
             break  # nothing below n_max can satisfy the caller
-        if i == 0 or _future_safe(
-            ev, vx, vy, vy - verts[i - 1][1], vx - verts[i - 1][0], window_end
-        ):
+        if i == 0 or _future_safe(ev, vx, vy, vy - ys[i - 1], vx - xs[i - 1], window_end):
             # report only the final prefix: the vertices up to the
             # certified one survive any extension of the window
-            prefix = verts[: i + 1]
-            if ev.den != 1:
-                prefix = tuple((x, Fraction(y, ev.den)) for x, y in prefix)
-            return NewtonPolygon(prefix)
-    achieved = max((x for x, _ in verts if x < n_max), default=-1)
+            if ev.den == 1:
+                return NewtonPolygon(xs[: i + 1], ys[: i + 1])
+            return NewtonPolygon(xs[: i + 1], [Fraction(y, ev.den) for y in ys[: i + 1]])
+    achieved = xs[bisect_left(xs, n_max) - 1] if xs[0] < n_max else -1
     raise CertificationError(n_max, achieved, buffer)
 
 
@@ -229,31 +253,30 @@ def is_vertex(np: NewtonPolygon, n: int) -> bool:
     """Whether x = n is a vertex; n must lie in the certified range."""
     if n > np.certified_upto:
         raise ValueError(f"x = {n} is beyond certified_upto = {np.certified_upto}")
-    i = bisect_left(np.vertices, (n,))  # the first vertex with x >= n
-    return np.vertices[i][0] == n
+    xs = np.xs
+    return xs[bisect_left(xs, n)] == n  # the first vertex with x >= n
 
 
 def slope_at(np: NewtonPolygon, i: int) -> Fraction:
     """The i-th slope (1-indexed, counted with multiplicity = width)."""
+    xs, ys = np.xs, np.ys
     if i < 1:
         raise ValueError(f"slope index must be >= 1, got {i}")
-    if i > np.certified_upto:
-        raise ValueError(f"slope {i} is beyond certified_upto = {np.certified_upto}")
-    x_first = np.vertices[0][0]
-    if i <= x_first:
-        raise ValueError(f"slope {i} precedes the first hull point x = {x_first}")
+    if i > xs[-1]:
+        raise ValueError(f"slope {i} is beyond certified_upto = {xs[-1]}")
+    if i <= xs[0]:
+        raise ValueError(f"slope {i} precedes the first hull point x = {xs[0]}")
     # the segment over [i - 1, i] ends at the first vertex with x >= i
-    j = bisect_left(np.vertices, (i,))
-    (x0, y0), (x1, y1) = np.vertices[j - 1], np.vertices[j]
-    return Fraction(y1 - y0, x1 - x0)
+    j = bisect_left(xs, i)
+    return Fraction(ys[j] - ys[j - 1], xs[j] - xs[j - 1])
 
 
 def unit_slopes(np: NewtonPolygon) -> List[Fraction]:
     """Every slope of a polygon that starts at x = 0, once per unit of
     width: entry i - 1 is ``slope_at(np, i)`` for i = 1..certified_upto."""
-    if np.vertices[0][0] != 0:
-        raise ValueError(f"the polygon starts at x = {np.vertices[0][0]}, not at 0")
+    if np.xs[0] != 0:
+        raise ValueError(f"the polygon starts at x = {np.xs[0]}, not at 0")
     out: List[Fraction] = []
-    for s, width in segments(np.vertices):
+    for s, width in segments(zip(np.xs, np.ys)):
         out += [s] * width
     return out

@@ -29,6 +29,7 @@ statement holds.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd
@@ -67,15 +68,23 @@ class DeltaProfile(_Record):
 
     ``raw`` holds the profile values at the offsets -top..top in order (so
     offset ell sits at position ell + top), and ``vertices`` the sorted
-    offsets of the strict vertices of the hull; the two ends are always
-    vertices.  Hull values, segments and gaps are read off ``raw`` at
-    neighbouring vertices when asked for.
+    offsets of the strict vertices of the hull, in an ``array('q')`` (the
+    hull's own x column); the two ends are always vertices.  Hull values,
+    segments and gaps are read off ``raw`` at neighbouring vertices when
+    asked for.  The hash goes by the offsets' values, since an array has
+    none.
     """
 
     __slots__ = ("k", "raw", "vertices")
     k: int
     raw: Tuple[Fraction, ...]
-    vertices: Tuple[int, ...]
+    vertices: array
+
+    def __init__(self, k: int, raw: Tuple[Fraction, ...], vertices: Sequence[int]):
+        super().__init__(k, raw, array("q", vertices))
+
+    def __hash__(self):
+        return hash((self.k, self.raw, tuple(self.vertices)))
 
     @property
     def top(self) -> int:
@@ -128,7 +137,7 @@ def delta_profile(ctx: GhostContext, k: int) -> DeltaProfile:
     offsets = range(-half_new, half_new + 1)
     raw = tuple(ev.omitted(half_iw + l) - steinberg_slope * l for l in offsets)
     hull = newton.lower_convex_hull(list(zip(offsets, raw)))
-    return DeltaProfile(k, raw, tuple(x for x, _ in hull.vertices))
+    return DeltaProfile(k, raw, hull.xs)
 
 
 def l_max(ctx: GhostContext, w: WeightPoint, k: int) -> Optional[int]:
@@ -302,7 +311,7 @@ def _check_range_slope(
         # infinite coordinates and carries the straight line itself.)
         pts = [(n, ev.omitted(n)) for n in range(r.lo, r.hi + 1)]
         hull = newton.lower_convex_hull(pts)
-        if len(hull.vertices) != 2:
+        if len(hull.xs) != 2:
             return [{"range": rng, "reason": "omitted hull is not straight"}]
         slope = hull.slopes[0][0]
         if not _in_lattice(slope - a, None):
@@ -310,8 +319,8 @@ def _check_range_slope(
                      "slope": format_rational(slope)}]
         return []
     # the polygon covers [lo, hi], so it is one segment there exactly when
-    # no vertex lies strictly inside
-    if any(r.lo < x < r.hi for x, _ in np_.vertices):
+    # no vertex lies strictly inside: as many vertices x < hi as x <= lo
+    if bisect_left(np_.xs, r.hi) != bisect_right(np_.xs, r.lo):
         return [{"range": rng, "reason": "polygon not straight over range"}]
     slope = newton.slope_at(np_, r.hi)
     gamma = None if w.r is INF else _range_gamma(ctx, w, r)

@@ -605,6 +605,26 @@ def _grid_task(args) -> List[dict]:
     return [run_suite(name, ctx, **bounds) for name, bounds in runs]
 
 
+def _guarded_task(args) -> List[dict]:
+    """``_grid_task``, looked up at each call so that a rebinding reaches the
+    workers; a task that raises yields one "error" report for its triple,
+    with the exception's type and text."""
+    t0 = time.perf_counter()
+    try:
+        return _grid_task(args)
+    except Exception as exc:  # one failing triple must not lose the grid
+        import traceback
+
+        traceback.print_exc()
+        p, a, s_eps, runs = args
+        return [{"name": "grid_task",
+                 "params": {"p": p, "a": a, "s_eps": s_eps, "suites": [name for name, _ in runs]},
+                 "status": "error",
+                 "witnesses": [{"error": type(exc).__name__, "message": str(exc)}],
+                 "elapsed": round(time.perf_counter() - t0, 6),
+                 "meta": {}}]
+
+
 def run_grid(
     ps: Sequence[int],
     suites: Sequence[str],
@@ -617,8 +637,10 @@ def run_grid(
     selected suite reads is an error, and so are a bound that leaves its
     suite nothing to check, an empty prime or suite list, a prime or suite
     named twice, and a p that ``new_context`` rejects.  There is one task
-    per parameter triple, which starts from empty per-context caches; the
-    merged output is sorted by (p, a, s_eps, suite).
+    per parameter triple, which starts from empty per-context caches; a
+    task that raises yields one "error" report for its triple in place of
+    its suites' reports.  The merged output is sorted by (p, a, s_eps,
+    suite).
     """
     for kind, names in (("prime", ps), ("suite", suites)):
         if not names:
@@ -647,12 +669,12 @@ def run_grid(
         workers = os.cpu_count() or 1
     workers = clamp_workers(workers, len(tasks), os.cpu_count())
     if workers <= 1:
-        nested = [_grid_task(t) for t in tasks]
+        nested = [_guarded_task(t) for t in tasks]
     else:
         import multiprocessing as mp
 
         with mp.Pool(workers) as pool:
-            nested = pool.map(_grid_task, tasks, chunksize=1)
+            nested = pool.map(_guarded_task, tasks, chunksize=1)
     reports = [rep for group in nested for rep in group]
     reports.sort(key=lambda r: (r["params"]["p"], r["params"]["a"],
                                 r["params"]["s_eps"], r["name"]))

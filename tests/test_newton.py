@@ -1,4 +1,8 @@
+import copy
+import pickle
 import random
+from array import array
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -11,6 +15,7 @@ from ghostline.weight_space import (
     Boundary,
     Classical,
     Perturbed,
+    format_rational,
     new_context,
 )
 
@@ -120,15 +125,15 @@ def slope_at_walk(np_, i):
 class TestVertexStorage:
     def test_hull_stores_vertices_only(self):
         # slopes are never stored: each read walks the vertices afresh, and
-        # a polygon has no room for anything but its vertices
+        # a polygon has no room for anything but its two vertex columns
         rng = random.Random(3)
         for _ in range(50):
             hull = random_hull(rng)
             assert hull.certified_upto == hull.vertices[-1][0]
             assert hull.slopes == tuple(newton.segments(hull.vertices))
             assert not hasattr(hull, "__dict__")
-        assert list(newton.NewtonPolygon.__annotations__) == ["vertices"]
-        assert newton.NewtonPolygon.__slots__ == ("vertices",)
+        assert list(newton.NewtonPolygon.__annotations__) == ["xs", "ys"]
+        assert newton.NewtonPolygon.__slots__ == ("xs", "ys")
 
     def test_certified_polygon_is_a_vertex_prefix(self):
         np_ = newton.np_of_ghost(C4, Perturbed(18, Fraction(4)), 8, buffer=22)
@@ -486,3 +491,163 @@ class TestIntegerHull:
         assert seen and all(type(y) is int for y in seen), w
         den = ghost.evaluator(ctx, w).den
         assert all(type(y) is (int if den == 1 else Fraction) for _, y in np_.vertices)
+
+
+class TuplePolygon:
+    """A polygon in the tuple layout that the two vertex columns replaced,
+    the oracle: one tuple of (x, y) pairs, read by bisecting on (n,) keys."""
+
+    def __init__(self, vertices):
+        self.vertices = tuple(vertices)
+        self.certified_upto = self.vertices[-1][0]
+
+    def is_vertex(self, n):
+        if n > self.certified_upto:
+            raise ValueError(n)
+        return self.vertices[bisect_left(self.vertices, (n,))][0] == n
+
+    def slope_at(self, i):
+        if i < 1 or i > self.certified_upto or i <= self.vertices[0][0]:
+            raise ValueError(i)
+        j = bisect_left(self.vertices, (i,))
+        (x0, y0), (x1, y1) = self.vertices[j - 1], self.vertices[j]
+        return Fraction(y1 - y0, x1 - x0)
+
+    def segments(self, start=None):
+        return list(newton.segments(self.vertices, start))
+
+    def unit_slopes(self):
+        if self.vertices[0][0] != 0:
+            raise ValueError(self.vertices[0][0])
+        return [s for s, width in self.segments() for _ in range(width)]
+
+    def to_json_dict(self):
+        return {
+            "vertices": [[x, format_rational(y)] for x, y in self.vertices],
+            "slopes": [[format_rational(s), w] for s, w in self.segments()],
+            "certified_upto": self.certified_upto,
+        }
+
+
+def tuple_np_of_ghost(ctx, w, n_max, buffer):
+    """``np_of_ghost`` as it read the tuple layout, the oracle: the windowed
+    hull as pairs, the largest certified vertex, the prefix divided by D."""
+    ev = ghost.evaluator(ctx, w)
+    window_end = n_max + buffer
+    verts = newton._hull_vertices(
+        [(n, y) for n, y in enumerate(ev.scaled(0, window_end + 1)) if y is not INF])
+    for i in range(len(verts) - 1, -1, -1):
+        (vx, vy) = verts[i]
+        if vx < n_max:
+            break
+        if i == 0 or newton._future_safe(ev, vx, vy, vy - verts[i - 1][1],
+                                         vx - verts[i - 1][0], window_end):
+            return TuplePolygon((x, Fraction(y, ev.den) if ev.den != 1 else y)
+                                for x, y in verts[: i + 1])
+    return max((x for x, _ in verts if x < n_max), default=-1)  # what was achieved
+
+
+def _same_answer(fast, slow, *args):
+    try:
+        want = slow(*args)
+    except ValueError:
+        with pytest.raises(ValueError):
+            fast(*args)
+        return
+    assert fast(*args) == want, args
+
+
+def assert_same_polygon(np_, old):
+    """Every reader of the column layout against the tuple oracle."""
+    assert np_.vertices == old.vertices
+    assert np_.certified_upto == old.certified_upto
+    assert np_.to_json_dict() == old.to_json_dict()
+    assert list(np_.slopes) == old.segments()
+    x_first, last = old.vertices[0][0], old.certified_upto
+    for n in range(x_first - 2, last + 2):
+        _same_answer(lambda m: newton.is_vertex(np_, m), old.is_vertex, n)
+        _same_answer(lambda m: newton.slope_at(np_, m), old.slope_at, n)
+        assert list(newton.segments(np_.vertices, n)) == old.segments(n)
+    _same_answer(lambda: newton.unit_slopes(np_), old.unit_slopes)
+
+
+class TestColumnLayout:
+    """Polygons keep their vertices as two columns (``array('q')`` where the
+    values fit); every reader answers as the tuple layout did."""
+
+    @staticmethod
+    def random_points(rng, kind):
+        x0 = rng.choice((0, 0, rng.randint(1, 6)))
+        scale = {"int": 1, "fraction": 1, "wide": 2**66}[kind]
+        pts, y, slope = [], rng.randint(-9, 9) * scale, rng.randint(-12, 0) * scale
+        for x in range(x0, x0 + rng.randint(1, 30)):
+            if rng.random() < 0.3:
+                slope += rng.randint(1, 4) * scale
+            if x > x0 and rng.random() < 0.1:
+                pts.append((x, INF))
+                y += slope
+                continue
+            bump = rng.choice((0, 0, 0, rng.randint(1, 5) * scale))
+            if kind == "fraction":
+                bump += Fraction(rng.randint(0, 2), rng.choice((2, 3)))
+            pts.append((x, y + bump))
+            y += slope
+        rng.shuffle(pts)
+        return pts
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "wide"])
+    def test_random_hulls(self, kind):
+        rng = random.Random(f"columns-{kind}")
+        layouts = set()
+        for _ in range(150):
+            pts = self.random_points(rng, kind)
+            hull = newton.lower_convex_hull(pts)
+            old = TuplePolygon(newton._hull_vertices(sorted(p for p in pts if p[1] is not INF)))
+            assert type(hull.xs) is array and hull.xs.typecode == "q"
+            machine = all(type(y) is int and -2**63 <= y < 2**63 for _, y in old.vertices)
+            assert type(hull.ys) is (array if machine else tuple), old.vertices
+            layouts.add(type(hull.ys))
+            assert_same_polygon(hull, old)
+        assert layouts == {array} if kind == "int" else tuple in layouts
+
+    POINTS = [
+        (new_context(5, 1, 0), Perturbed(18, Fraction(7, 2)), 150),
+        (C4, Classical(18), 60),
+        (C4, Classical(66), 90),
+        (C4, Perturbed(18, Fraction(4)), 60),
+        (C4, Perturbed(18, Fraction(5, 2)), 60),
+        (C4, Perturbed(18, Fraction(1, 3)), 40),
+        (C4, Boundary(Fraction(1, 3)), 40),
+        (C4, Perturbed(18, Fraction(10**19 - 1, 10**19)), 40),
+        (C4, Perturbed(18, Fraction(10**20 + 1, 10**20)), 40),
+        (new_context(13, 5, 7), Perturbed(369, Fraction(7, 2)), 100),
+    ]
+
+    @pytest.mark.parametrize("ctx, w, n_max", POINTS)
+    def test_ghost_polygons(self, ctx, w, n_max):
+        np_, buffer = newton.np_of_ghost_auto(ctx, w, n_max)
+        assert_same_polygon(np_, tuple_np_of_ghost(ctx, w, n_max, buffer))
+        den = ghost.evaluator(ctx, w).den
+        assert type(np_.ys) is (array if den == 1 else tuple)
+        assert pickle.loads(pickle.dumps(np_)) == np_ and hash(copy.deepcopy(np_)) == hash(np_)
+
+    def test_a_failing_certificate_reports_what_it_achieved(self):
+        # windows too short to certify n_max, so np_of_ghost raises
+        k = C4.weight_of_bullet(400)
+        for w, n_max, buffer in ((Classical(k), 401, 2), (Classical(k), 380, 0),
+                                 (Perturbed(k, Fraction(7, 2)), 401, 1), (Classical(18), 1, 0)):
+            want = tuple_np_of_ghost(C4, w, n_max, buffer)
+            if isinstance(want, TuplePolygon):
+                assert_same_polygon(newton.np_of_ghost(C4, w, n_max, buffer), want)
+                continue
+            with pytest.raises(newton.CertificationError) as err:
+                newton.np_of_ghost(C4, w, n_max, buffer)
+            assert err.value.achieved == want, (w, n_max, buffer)
+
+    def test_huge_denominator_keeps_its_integers(self):
+        # D = 10**19: the scaled values pass 64 bits, so the hull keeps a tuple
+        w = Perturbed(18, Fraction(10**19 - 1, 10**19))
+        np_, _ = newton.np_of_ghost_auto(C4, w, 5)
+        hull = newton.lower_convex_hull(list(enumerate(ghost.evaluator(C4, w).scaled(0, 30))))
+        assert type(hull.ys) is tuple and max(hull.ys) > 2**63
+        assert np_.vertices[1] == (1, Fraction(10**19 - 1, 10**19))

@@ -90,7 +90,7 @@ class TestDeltaProfile:
         prof = steinberg.delta_profile(C4, 18)
         assert list(prof.raw) == [17, 11, 8, 11, 17]
         assert [prof.hull_value(l) for l in range(-2, 3)] == list(prof.raw)
-        assert prof.vertices == (-2, -1, 0, 1, 2)
+        assert prof.vertices.tolist() == [-2, -1, 0, 1, 2]
         assert list(prof.segments(0)) == [(3, 1), (6, 1)]
         assert prof.is_vertex(0) and prof.is_vertex(1)
 
@@ -99,7 +99,7 @@ class TestDeltaProfile:
             k = C0.weight_of_bullet(kb)
             prof = steinberg.delta_profile(C0, k)
             assert prof.raw == prof.raw[::-1]
-            assert prof.vertices == tuple(-x for x in reversed(prof.vertices))
+            assert prof.vertices.tolist() == [-x for x in reversed(prof.vertices)]
 
     def test_hull_matches_raw_below_2p(self):
         # equality regime: offsets below 2p other than p itself
@@ -158,7 +158,7 @@ class TestDeltaProfile:
     def test_trivial_profile(self):
         prof = steinberg.delta_profile(C0, 4)  # d_new = 0
         assert len(prof.raw) == 1
-        assert prof.vertices == (0,) and list(prof.segments()) == []
+        assert prof.vertices.tolist() == [0] and list(prof.segments()) == []
 
     def test_json(self):
         d = steinberg.delta_profile(C4, 18).to_json_dict()

@@ -227,13 +227,25 @@ RECORDS = [
     (lambda: Boundary(Fraction(1, 3)), "Boundary(t=Fraction(1, 3))"),
     (lambda: ghost.GhostCoefficient(2, ((12, 1), (18, 1))),
      "GhostCoefficient(n=2, factors=((12, 1), (18, 1)))"),
-    (lambda: newton.NewtonPolygon(((0, 0), (2, Fraction(1, 2)))),
-     "NewtonPolygon(vertices=((0, 0), (2, Fraction(1, 2))))"),
+    (lambda: newton.NewtonPolygon((0, 2), (0, Fraction(1, 2))),
+     "NewtonPolygon(xs=array('q', [0, 2]), ys=(0, Fraction(1, 2)))"),
     (lambda: steinberg.DeltaProfile(18, (Fraction(1), Fraction(0), Fraction(1)), (-1, 1)),
      "DeltaProfile(k=18, raw=(Fraction(1, 1), Fraction(0, 1), Fraction(1, 1)), "
-     "vertices=(-1, 1))"),
+     "vertices=array('q', [-1, 1]))"),
     (lambda: steinberg.NearSteinbergRange(18, 2, 1, 5), "NearSteinbergRange(k=18, L=2, lo=1, hi=5)"),
 ]
+#: A polygon's y column in its other two layouts: machine integers, and a
+#: tuple of integers past 64 bits.
+POLYGON_LAYOUTS = {
+    "NewtonPolygon-machine-ys": (
+        lambda: newton.NewtonPolygon((0, 2), (0, -3)),
+        "NewtonPolygon(xs=array('q', [0, 2]), ys=array('q', [0, -3]))"),
+    "NewtonPolygon-wide-ys": (
+        lambda: newton.NewtonPolygon((0, 2, 5), (0, 1, 2**70)),
+        "NewtonPolygon(xs=array('q', [0, 2, 5]), ys=(0, 1, 1180591620717411303424))"),
+}
+RECORD_CASES = RECORDS + list(POLYGON_LAYOUTS.values())
+RECORD_IDS = [t.partition("(")[0] for _, t in RECORDS] + list(POLYGON_LAYOUTS)
 
 
 def _record_classes(cls=_Record):
@@ -246,7 +258,7 @@ class TestRecords:
     """The record classes keep the equality, hashing, reprs and read-only
     fields they had as dataclasses, and every one of them is slotted."""
 
-    @pytest.mark.parametrize("build, text", RECORDS, ids=[t.partition("(")[0] for _, t in RECORDS])
+    @pytest.mark.parametrize("build, text", RECORD_CASES, ids=RECORD_IDS)
     def test_behaves_as_before(self, build, text):
         a, b = build(), build()
         fields = list(type(a).__annotations__)
@@ -263,7 +275,7 @@ class TestRecords:
                 delattr(a, name)
         assert a == b
 
-    @pytest.mark.parametrize("build, text", RECORDS, ids=[t.partition("(")[0] for _, t in RECORDS])
+    @pytest.mark.parametrize("build, text", RECORD_CASES, ids=RECORD_IDS)
     def test_pickle_and_copy_round_trip(self, build, text):
         a = build()
         for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
@@ -281,6 +293,15 @@ class TestRecords:
         for cls in classes:
             assert not hasattr(object.__new__(cls), "__dict__"), cls
             assert set(cls._fields) <= set(cls.__slots__), cls
+
+    def test_jump_evaluators_have_no_instance_dict(self):
+        # a p = 13 triple caches a few hundred evaluators, of every point kind
+        for w in (Classical(18), Perturbed(18, Fraction(5, 2)), Boundary(Fraction(1, 3))):
+            ev = ghost.JumpEvaluator(new_context(7, 2, 4), w.k0, w.r)
+            ev.grow(40)
+            assert not hasattr(ev, "__dict__"), w
+            with pytest.raises(AttributeError):
+                ev.cache = {}
 
     def test_other_kinds_or_values_differ(self):
         class Twin(_Record):
