@@ -262,8 +262,8 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     sp.add_argument("--p-list", default="5,7", help="comma-separated primes")
     sp.add_argument("--suites", default=None, help="comma-separated suite names")
     sp.add_argument("--workers", type=int, default=None,
-                    help="worker processes (default the cpu count; "
-                         "capped at the task and cpu counts)")
+                    help="worker processes (default the number of CPUs this "
+                         "process may use; capped at that and the task count)")
     for bound in bounds:
         sp.add_argument("--" + bound.replace("_", "-"), type=int)
     sp.add_argument("--format", choices=("json", "csv", "table"), default="json")

@@ -15,7 +15,8 @@ one is an ``int`` that fits in 64 bits (every D = 1 polygon, so every
 classical one), else in a tuple (``Fraction`` values, or the integers of
 a huge D).  That is the split the jump evaluator's store makes: two
 8-byte slots per vertex, where a tuple of two ``int`` objects takes about
-115 bytes.  The readers bisect the x column and index both.
+115 bytes.  The readers bisect the x column and index both; they alone
+know that layout, and a duality profile's hull is read by them too.
 
 A ghost Newton polygon is an infinite object, so a finite computation must
 certify its prefix.  The certificate rests on two facts: every factor of a
@@ -34,7 +35,7 @@ only from a buffer about as long as n_max.)
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -255,6 +256,27 @@ def is_vertex(np: NewtonPolygon, n: int) -> bool:
         raise ValueError(f"x = {n} is beyond certified_upto = {np.certified_upto}")
     xs = np.xs
     return xs[bisect_left(xs, n)] == n  # the first vertex with x >= n
+
+
+def value_at(np: NewtonPolygon, x: int) -> Union[int, Fraction]:
+    """The polygon's value at x, between its first and last vertex: the
+    vertex's own y at a vertex, else the value on the segment over x."""
+    xs, ys = np.xs, np.ys
+    if not xs[0] <= x <= xs[-1]:
+        raise ValueError(f"x = {x} is outside the polygon's span [{xs[0]}, {xs[-1]}]")
+    j = bisect_left(xs, x)  # the first vertex with x-value >= x
+    if xs[j] == x:
+        return ys[j]
+    x0, y0 = xs[j - 1], ys[j - 1]
+    return y0 + Fraction(ys[j] - y0, xs[j] - x0) * (x - x0)
+
+
+def segments_from(np: NewtonPolygon, start: int) -> Iterator[Tuple[Fraction, int]]:
+    """``segments`` of the polygon right of x = ``start``, the segment that
+    contains it cut there; one bisection skips the segments left of it."""
+    xs, ys = np.xs, np.ys
+    i = max(bisect_right(xs, start) - 1, 0)  # the last vertex with x-value <= start
+    return segments(zip(xs[i:], ys[i:]), start)
 
 
 def slope_at(np: NewtonPolygon, i: int) -> Fraction:

@@ -14,10 +14,10 @@ straight stretch around d_iw/2 is the largest L with
     vp(w - w_k) >= hull gap at L,
 
 and the open interval (d_iw/2 - L, d_iw/2 + L) is the near-Steinberg range
-of (w, k).  A hull gap is constant along a hull segment, so a
-``DeltaProfile`` keeps only its raw values and the offsets of its hull
-vertices, and ``l_max`` scans segments rather than offsets; this module
-is the only one that knows that layout.
+of (w, k).  A ``DeltaProfile`` keeps its raw values and their hull, a
+``newton.NewtonPolygon`` over the offsets, and every hull question goes to
+``newton``'s readers.  A hull gap is constant along a hull segment, so
+``l_max`` scans segments rather than offsets.
 
 The checkers below verify that these ranges are nested, that they are
 exactly the non-vertices of the Newton polygon, and that non-vertices of
@@ -29,11 +29,9 @@ statement holds.
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import dimensions as dims
 from . import ghost_series as ghost
@@ -67,24 +65,16 @@ class DeltaProfile(_Record):
     """The duality profile of one weight k and its lower convex hull.
 
     ``raw`` holds the profile values at the offsets -top..top in order (so
-    offset ell sits at position ell + top), and ``vertices`` the sorted
-    offsets of the strict vertices of the hull, in an ``array('q')`` (the
-    hull's own x column); the two ends are always vertices.  Hull values,
-    segments and gaps are read off ``raw`` at neighbouring vertices when
-    asked for.  The hash goes by the offsets' values, since an array has
-    none.
+    offset ell sits at position ell + top), and ``hull`` is their lower
+    hull, whose vertices are offsets with their raw values (the two ends
+    always among them).  Hull values, vertices and segments are read off
+    ``hull`` by ``newton``'s readers, which alone know its layout.
     """
 
-    __slots__ = ("k", "raw", "vertices")
+    __slots__ = ("k", "raw", "hull")
     k: int
     raw: Tuple[Fraction, ...]
-    vertices: array
-
-    def __init__(self, k: int, raw: Tuple[Fraction, ...], vertices: Sequence[int]):
-        super().__init__(k, raw, array("q", vertices))
-
-    def __hash__(self):
-        return hash((self.k, self.raw, tuple(self.vertices)))
+    hull: newton.NewtonPolygon
 
     @property
     def top(self) -> int:
@@ -96,33 +86,12 @@ class DeltaProfile(_Record):
             raise KeyError(ell)
         return self.raw[ell + top]
 
-    def hull_value(self, ell: int) -> Fraction:
-        y = self.raw_value(ell)
-        i = bisect_left(self.vertices, ell)
-        if self.vertices[i] == ell:
-            return y
-        x0, x1 = self.vertices[i - 1 : i + 1]
-        y0, y1 = self.raw_value(x0), self.raw_value(x1)
-        return y0 + Fraction(y1 - y0, x1 - x0) * (ell - x0)
-
-    def is_vertex(self, ell: int) -> bool:
-        """Strict-vertex test of (ell, raw(ell)) on the hull."""
-        i = bisect_left(self.vertices, ell)
-        return i < len(self.vertices) and self.vertices[i] == ell
-
-    def segments(self, start: Optional[int] = None) -> Iterator[Tuple[Fraction, int]]:
-        """(slope, width) of each hull segment, left to right; from offset
-        ``start`` on, the segment that contains it cut at ``start``."""
-        top, vs = self.top, self.vertices
-        i = 0 if start is None else max(bisect_right(vs, start) - 1, 0)
-        return newton.segments(((x, self.raw[x + top]) for x in vs[i:]), start)
-
     def to_json_dict(self) -> dict:
         offsets = range(-self.top, self.top + 1)
         return {
             "k": self.k,
             "raw": [[l, format_rational(v)] for l, v in zip(offsets, self.raw)],
-            "hull": [[l, format_rational(self.hull_value(l))] for l in offsets],
+            "hull": [[l, format_rational(newton.value_at(self.hull, l))] for l in offsets],
         }
 
 
@@ -136,8 +105,7 @@ def delta_profile(ctx: GhostContext, k: int) -> DeltaProfile:
     steinberg_slope = Fraction(k - 2, 2)
     offsets = range(-half_new, half_new + 1)
     raw = tuple(ev.omitted(half_iw + l) - steinberg_slope * l for l in offsets)
-    hull = newton.lower_convex_hull(list(zip(offsets, raw)))
-    return DeltaProfile(k, raw, hull.xs)
+    return DeltaProfile(k, raw, newton.lower_convex_hull(list(zip(offsets, raw))))
 
 
 def l_max(ctx: GhostContext, w: WeightPoint, k: int) -> Optional[int]:
@@ -151,7 +119,7 @@ def l_max(ctx: GhostContext, w: WeightPoint, k: int) -> Optional[int]:
     if v < MIN_GAP or dims.d_new(ctx, k) == 0:
         return None  # below every profile gap, or no profile at all
     end = 0
-    for gap, width in delta_profile(ctx, k).segments(0):
+    for gap, width in newton.segments_from(delta_profile(ctx, k).hull, 0):
         if v < gap:
             break
         end += width
@@ -310,19 +278,19 @@ def _check_range_slope(
         # the point's own range the plain polygon below already skips the
         # infinite coordinates and carries the straight line itself.)
         pts = [(n, ev.omitted(n)) for n in range(r.lo, r.hi + 1)]
-        hull = newton.lower_convex_hull(pts)
-        if len(hull.xs) != 2:
+        slopes = newton.lower_convex_hull(pts).slopes
+        if len(slopes) != 1:
             return [{"range": rng, "reason": "omitted hull is not straight"}]
-        slope = hull.slopes[0][0]
+        slope = slopes[0][0]
         if not _in_lattice(slope - a, None):
             return [{"range": rng, "reason": "omitted slope class",
                      "slope": format_rational(slope)}]
         return []
     # the polygon covers [lo, hi], so it is one segment there exactly when
-    # no vertex lies strictly inside: as many vertices x < hi as x <= lo
-    if bisect_left(np_.xs, r.hi) != bisect_right(np_.xs, r.lo):
+    # the segment that starts at lo reaches hi
+    slope, width = next(newton.segments_from(np_, r.lo))
+    if width < r.hi - r.lo:
         return [{"range": rng, "reason": "polygon not straight over range"}]
-    slope = newton.slope_at(np_, r.hi)
     gamma = None if w.r is INF else _range_gamma(ctx, w, r)
     if not _in_lattice(slope - a, gamma):
         return [{"range": rng, "reason": "slope class", "slope": format_rational(slope),
@@ -343,7 +311,7 @@ def delta_vertex_check(ctx: GhostContext, k0: int, ell: int) -> List[dict]:
     if not 0 <= ell <= half_new - 1:
         raise ValueError(f"need 0 <= ell <= d_new/2 - 1 = {half_new - 1}")
     prof = delta_profile(ctx, k0)
-    non_vertex = not prof.is_vertex(ell)
+    non_vertex = not newton.is_vertex(prof.hull, ell)
     half_iw = dims.d_iw(ctx, k0) // 2
     w = Classical(k0)
 
@@ -383,7 +351,7 @@ def delta_hull_slope_classes(ctx: GhostContext, k0: int) -> List[dict]:
     """
     shift = Fraction(k0 - 2, 2)
     bad = []
-    for norm_slope, width in delta_profile(ctx, k0).segments():
+    for norm_slope, width in delta_profile(ctx, k0).hull.slopes:
         slope = norm_slope + shift
         if not slope_class_ok(ctx, slope, width):
             bad.append({"k0": k0, "lhs": format_rational(slope),

@@ -343,7 +343,7 @@ def check_delta_estimates(
                 witnesses.append({"k": k, "ell": ell, "lhs": _half(gap2),
                                   "rhs": _half(up2), "reason": "gap upper bound"})
         # distance between the raw profile and its hull, as diff_num / diff_den
-        h = prof.hull_value(ell)
+        h = newton.value_at(prof.hull, ell)
         diff_num, diff_den = raw2[ell] * h.denominator - 2 * h.numerator, 2 * h.denominator
         if ell < 2 * p and ell != p:
             if diff_num != 0:
@@ -573,22 +573,21 @@ def run_suite(name: str, ctx: GhostContext, **bounds) -> dict:
     bounds = {b: bounds.get(b, default) for b, default in defaults.items()}
     t0 = time.perf_counter()
     witnesses = runner(ctx, **bounds)
-    elapsed = time.perf_counter() - t0
-    return {
-        "name": name,
-        "params": {**_ctx_params(ctx), **bounds},
-        "status": "fail" if witnesses else "pass",
-        "witnesses": witnesses,
-        "elapsed": round(elapsed, 6),
-        "meta": {},
-    }
+    return _report(name, {**_ctx_params(ctx), **bounds},
+                   "fail" if witnesses else "pass", witnesses, t0)
+
+
+def _report(name: str, params: dict, status: str, witnesses: List[dict], t0: float) -> dict:
+    """A report timed from ``t0``; the indent=2 digests depend on its key order."""
+    return {"name": name, "params": params, "status": status, "witnesses": witnesses,
+            "elapsed": round(time.perf_counter() - t0, 6), "meta": {}}
 
 
 # ------------------------------------------------------------ grid runner
 
 
 def clamp_workers(requested: int, tasks: int, cpus: Optional[int]) -> int:
-    """Pool size for a grid: never more workers than tasks or cores, and >= 1."""
+    """Pool size for a grid: never more workers than tasks or usable CPUs, and >= 1."""
     return max(1, min(requested, tasks, cpus or 1))
 
 
@@ -617,12 +616,9 @@ def _guarded_task(args) -> List[dict]:
 
         traceback.print_exc()
         p, a, s_eps, runs = args
-        return [{"name": "grid_task",
-                 "params": {"p": p, "a": a, "s_eps": s_eps, "suites": [name for name, _ in runs]},
-                 "status": "error",
-                 "witnesses": [{"error": type(exc).__name__, "message": str(exc)}],
-                 "elapsed": round(time.perf_counter() - t0, 6),
-                 "meta": {}}]
+        params = {"p": p, "a": a, "s_eps": s_eps, "suites": [name for name, _ in runs]}
+        return [_report("grid_task", params, "error",
+                        [{"error": type(exc).__name__, "message": str(exc)}], t0)]
 
 
 def run_grid(
@@ -639,8 +635,9 @@ def run_grid(
     named twice, and a p that ``new_context`` rejects.  There is one task
     per parameter triple, which starts from empty per-context caches; a
     task that raises yields one "error" report for its triple in place of
-    its suites' reports.  The merged output is sorted by (p, a, s_eps,
-    suite).
+    its suites' reports.  The pool has one worker per CPU in this process's
+    affinity mask, unless ``workers`` or the task count asks for fewer.
+    The merged output is sorted by (p, a, s_eps, suite).
     """
     for kind, names in (("prime", ps), ("suite", suites)):
         if not names:
@@ -665,9 +662,13 @@ def run_grid(
         for a in range(1, p - 3)
         for s_eps in range(0, p - 1)
     ]
+    try:
+        cpus = len(os.sched_getaffinity(0))  # the CPUs this process may run on
+    except AttributeError:  # a platform without affinity masks
+        cpus = os.cpu_count()
     if workers is None:
-        workers = os.cpu_count() or 1
-    workers = clamp_workers(workers, len(tasks), os.cpu_count())
+        workers = cpus or 1
+    workers = clamp_workers(workers, len(tasks), cpus)
     if workers <= 1:
         nested = [_guarded_task(t) for t in tasks]
     else:

@@ -1,9 +1,11 @@
+import ast
 import copy
 import pickle
 import random
 from array import array
 from bisect import bisect_left
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -516,6 +518,12 @@ class TuplePolygon:
     def segments(self, start=None):
         return list(newton.segments(self.vertices, start))
 
+    def value_at(self, x):
+        if not self.vertices[0][0] <= x <= self.certified_upto:
+            raise ValueError(x)
+        ys = dict(self.vertices)
+        return ys[x] if x in ys else hull_value(self, x)
+
     def unit_slopes(self):
         if self.vertices[0][0] != 0:
             raise ValueError(self.vertices[0][0])
@@ -568,6 +576,8 @@ def assert_same_polygon(np_, old):
         _same_answer(lambda m: newton.is_vertex(np_, m), old.is_vertex, n)
         _same_answer(lambda m: newton.slope_at(np_, m), old.slope_at, n)
         assert list(newton.segments(np_.vertices, n)) == old.segments(n)
+        assert list(newton.segments_from(np_, n)) == old.segments(n)
+        _same_answer(lambda m: newton.value_at(np_, m), old.value_at, n)
     _same_answer(lambda: newton.unit_slopes(np_), old.unit_slopes)
 
 
@@ -644,6 +654,32 @@ class TestColumnLayout:
                 newton.np_of_ghost(C4, w, n_max, buffer)
             assert err.value.achieved == want, (w, n_max, buffer)
 
+    @pytest.mark.parametrize("ys", [
+        (0, 2, 5, 11),
+        (Fraction(1, 2), Fraction(5, 2), Fraction(11, 2), Fraction(23, 2)),
+        (2**70, 2**70 + 2, 2**70 + 5, 2**70 + 11),
+    ], ids=["int", "fraction", "wide"])
+    def test_value_and_segments_from_a_start(self, ys):
+        # vertices at x = 1, 3, 4, 7 with slopes 1, 3, 2 on each y column
+        np_ = newton.NewtonPolygon((1, 3, 4, 7), ys)
+        y0 = ys[0]
+        assert [newton.value_at(np_, x) - y0 for x in range(1, 8)] == [0, 1, 2, 5, 7, 9, 11]
+        assert newton.value_at(np_, 3) is ys[1]  # a vertex answers with its own y
+        for x in (0, 8):
+            with pytest.raises(ValueError, match="outside the polygon's span"):
+                newton.value_at(np_, x)
+        walks = {
+            -5: [(1, 2), (3, 1), (2, 3)],  # before the first vertex: the whole walk
+            1: [(1, 2), (3, 1), (2, 3)],
+            2: [(1, 1), (3, 1), (2, 3)],  # between vertices: the segment is cut
+            3: [(3, 1), (2, 3)],  # at a vertex: the walk from it
+            5: [(2, 2)],
+            7: [],
+            9: [],
+        }
+        for start, want in walks.items():
+            assert list(newton.segments_from(np_, start)) == want, start
+
     def test_huge_denominator_keeps_its_integers(self):
         # D = 10**19: the scaled values pass 64 bits, so the hull keeps a tuple
         w = Perturbed(18, Fraction(10**19 - 1, 10**19))
@@ -651,3 +687,15 @@ class TestColumnLayout:
         hull = newton.lower_convex_hull(list(enumerate(ghost.evaluator(C4, w).scaled(0, 30))))
         assert type(hull.ys) is tuple and max(hull.ys) > 2**63
         assert np_.vertices[1] == (1, Fraction(10**19 - 1, 10**19))
+
+
+def test_only_newton_reads_the_vertex_columns():
+    # the layout of a polygon's columns is newton's alone; every other
+    # module asks newton's readers
+    src = Path(newton.__file__).parent
+    readers = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in src.glob("*.py") if path.name != "newton.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("xs", "ys"))
+    assert readers == []

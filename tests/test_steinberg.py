@@ -1,5 +1,7 @@
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -85,21 +87,70 @@ def per_offset_l_max(ctx, w, k):
     return best
 
 
+class OffsetProfile:
+    """A profile as its raw values and the offsets of its hull vertices,
+    read as the profile once read itself, the oracle of ``newton``'s readers
+    on ``DeltaProfile.hull``: hull values interpolate ``raw`` between the
+    neighbouring vertex offsets, and segments walk ``raw`` at the offsets."""
+
+    def __init__(self, prof, offsets):
+        self.raw, self.top, self.vertices = prof.raw, prof.top, list(offsets)
+
+    def raw_value(self, ell):
+        if not -self.top <= ell <= self.top:
+            raise KeyError(ell)
+        return self.raw[ell + self.top]
+
+    def hull_value(self, ell):
+        y = self.raw_value(ell)
+        i = bisect_left(self.vertices, ell)
+        if self.vertices[i] == ell:
+            return y
+        x0, x1 = self.vertices[i - 1 : i + 1]
+        y0, y1 = self.raw_value(x0), self.raw_value(x1)
+        return y0 + Fraction(y1 - y0, x1 - x0) * (ell - x0)
+
+    def is_vertex(self, ell):
+        i = bisect_left(self.vertices, ell)
+        return i < len(self.vertices) and self.vertices[i] == ell
+
+    def segments(self, start=None):
+        vs = self.vertices
+        i = 0 if start is None else max(bisect_right(vs, start) - 1, 0)
+        return newton.segments(((x, self.raw[x + self.top]) for x in vs[i:]), start)
+
+
+def hull_offsets(prof):
+    """The vertex offsets of the profile's raw values, by a hull of its own."""
+    pts = list(zip(range(-prof.top, prof.top + 1), prof.raw))
+    return [x for x, _ in newton._hull_vertices(pts)]
+
+
 class TestDeltaProfile:
     def test_hull_equals_raw_when_convex(self):
         prof = steinberg.delta_profile(C4, 18)
         assert list(prof.raw) == [17, 11, 8, 11, 17]
-        assert [prof.hull_value(l) for l in range(-2, 3)] == list(prof.raw)
-        assert prof.vertices.tolist() == [-2, -1, 0, 1, 2]
-        assert list(prof.segments(0)) == [(3, 1), (6, 1)]
-        assert prof.is_vertex(0) and prof.is_vertex(1)
+        assert [newton.value_at(prof.hull, l) for l in range(-2, 3)] == list(prof.raw)
+        assert prof.hull.xs.tolist() == [-2, -1, 0, 1, 2]
+        assert list(newton.segments_from(prof.hull, 0)) == [(3, 1), (6, 1)]
+        assert newton.is_vertex(prof.hull, 0) and newton.is_vertex(prof.hull, 1)
+
+    def test_profile_is_k_raw_and_hull(self):
+        # the hull is a plain polygon, so the record needs no layout of its own
+        assert steinberg.DeltaProfile._fields == ("k", "raw", "hull")
+        assert "__init__" not in vars(steinberg.DeltaProfile)
+        assert "__hash__" not in vars(steinberg.DeltaProfile)
+        prof = steinberg.delta_profile(C4, 66)
+        assert type(prof.hull) is newton.NewtonPolygon
+        assert all(y is prof.raw_value(x) for x, y in zip(prof.hull.xs, prof.hull.ys))
+        assert not hasattr(steinberg, "array") and not hasattr(steinberg, "bisect_left")
 
     def test_symmetric(self):
         for kb in range(0, 25):
             k = C0.weight_of_bullet(kb)
             prof = steinberg.delta_profile(C0, k)
             assert prof.raw == prof.raw[::-1]
-            assert prof.vertices.tolist() == [-x for x in reversed(prof.vertices)]
+            assert prof.hull.xs.tolist() == [-x for x in reversed(prof.hull.xs)]
 
     def test_hull_matches_raw_below_2p(self):
         # equality regime: offsets below 2p other than p itself
@@ -108,7 +159,7 @@ class TestDeltaProfile:
             k = ctx.weight_of_bullet(kb)
             prof = steinberg.delta_profile(ctx, k)
             for ell in range(-prof.top, prof.top + 1):
-                raw, hull = prof.raw_value(ell), prof.hull_value(ell)
+                raw, hull = prof.raw_value(ell), newton.value_at(prof.hull, ell)
                 if abs(ell) < 2 * ctx.p and abs(ell) != ctx.p:
                     assert raw == hull, (k, ell)
                 elif abs(ell) == ctx.p:
@@ -127,13 +178,13 @@ class TestDeltaProfile:
             assert prof.top == top
             for ell in range(-top, top + 1):
                 assert prof.raw_value(ell) == raw[ell]
-                assert prof.hull_value(ell) == hull[ell]
+                assert newton.value_at(prof.hull, ell) == hull[ell]
                 strict = raw[ell] == hull[ell] and (
                     abs(ell) == top
                     or hull[ell] - hull[ell - 1] < hull[ell + 1] - hull[ell])
-                assert prof.is_vertex(ell) == strict
-            assert tuple(prof.segments()) == hull_np.slopes
-            gaps = [g for g, width in prof.segments(0) for _ in range(width)]
+                assert newton.is_vertex(prof.hull, ell) == strict
+            assert prof.hull.slopes == hull_np.slopes
+            gaps = [g for g, width in newton.segments_from(prof.hull, 0) for _ in range(width)]
             assert gaps == [hull[L] - hull[L - 1] for L in range(1, top + 1)]
             assert prof.to_json_dict() == {
                 "k": k,
@@ -143,28 +194,78 @@ class TestDeltaProfile:
             for ell in (-top - 1, top + 1):
                 with pytest.raises(KeyError):
                     prof.raw_value(ell)
-                with pytest.raises(KeyError):
-                    prof.hull_value(ell)
+                with pytest.raises(ValueError):
+                    newton.value_at(prof.hull, ell)
 
     def test_segments_cut_at_a_non_vertex(self):
         # on (5,1,0) the hull of weight 35 ends in a segment of gap 12 and
         # width 2 over [4, 6]; from offset 5 on it is cut to width 1
         ctx = new_context(5, 1, 0)
         prof = steinberg.delta_profile(ctx, 35)
-        assert prof.top == 6 and not prof.is_vertex(5)
-        assert list(prof.segments(5)) == [(12, 1)]
-        assert list(prof.segments(4)) == [(12, 2)]
+        assert prof.top == 6 and not newton.is_vertex(prof.hull, 5)
+        assert list(newton.segments_from(prof.hull, 5)) == [(12, 1)]
+        assert list(newton.segments_from(prof.hull, 4)) == [(12, 2)]
 
     def test_trivial_profile(self):
         prof = steinberg.delta_profile(C0, 4)  # d_new = 0
         assert len(prof.raw) == 1
-        assert prof.vertices.tolist() == [0] and list(prof.segments()) == []
+        assert prof.hull.xs.tolist() == [0] and list(prof.hull.slopes) == []
 
     def test_json(self):
         d = steinberg.delta_profile(C4, 18).to_json_dict()
         assert d["k"] == 18
         assert d["raw"][2] == [0, "8/1"]
         assert d["hull"] == d["raw"]
+
+
+#: Triples whose profiles to k_bullet 120 are compared reader by reader;
+#: on those with p = 5 and 7 some offsets are not vertices (on (7,2,4)
+#: from k = 66 on).
+PROFILE_TRIPLES = [(5, 1, 0), (5, 1, 2), (7, 2, 4), (7, 3, 2), (11, 5, 4), (13, 5, 7)]
+
+
+def assert_readers_match_offsets(prof, whole_walks):
+    """``newton``'s readers on ``prof.hull`` against ``OffsetProfile``, at
+    every offset and from every start, one past each end included; returns
+    the number of offsets that are not vertices.  Each walk is compared
+    whole, or (``whole_walks`` false, for profiles of thousands of offsets)
+    by its first two segments, the cut one and the one after it; the whole
+    walk is then compared once, from the left end."""
+    old = OffsetProfile(prof, hull_offsets(prof))
+    hull, top = prof.hull, prof.top
+    assert hull.xs.tolist() == old.vertices
+    assert hull.slopes == tuple(old.segments())
+    for ell in range(-top - 1, top + 2):
+        if abs(ell) > top:
+            with pytest.raises(ValueError):
+                newton.value_at(hull, ell)
+        else:
+            assert newton.value_at(hull, ell) == old.hull_value(ell), (prof.k, ell)
+            assert newton.is_vertex(hull, ell) == old.is_vertex(ell), (prof.k, ell)
+        new, want = newton.segments_from(hull, ell), old.segments(ell)
+        if not whole_walks:
+            new, want = islice(new, 2), islice(want, 2)
+        assert list(new) == list(want), (prof.k, ell)
+    return 2 * top + 1 - len(old.vertices)
+
+
+class TestProfileReadersAgainstOffsets:
+    @pytest.mark.parametrize("triple", PROFILE_TRIPLES)
+    def test_every_profile_to_k_bullet_120(self, triple):
+        ctx = new_context(*triple)
+        non_vertices = 0
+        for kb in range(121):
+            prof = steinberg.delta_profile(ctx, ctx.weight_of_bullet(kb))
+            non_vertices += assert_readers_match_offsets(prof, whole_walks=kb <= 30)
+        assert non_vertices > 0 or ctx.p > 7
+
+    @pytest.mark.parametrize("triple, kb", [((5, 1, 0), 4000), ((7, 2, 4), 4500),
+                                            ((11, 5, 4), 4200), ((13, 5, 7), 5000)])
+    def test_large_weights(self, triple, kb):
+        ctx = new_context(*triple)
+        prof = steinberg.delta_profile(ctx, ctx.weight_of_bullet(kb))
+        assert prof.top > 2500
+        assert_readers_match_offsets(prof, whole_walks=False)
 
 
 class TestLMax:
@@ -183,7 +284,8 @@ class TestLMax:
         # weight 66 on (7,2,4): the last hull segment has gap 23 and width
         # 2, ending at d_new/2 = 8, so no distance gives L = 7
         prof = steinberg.delta_profile(C4, 66)
-        assert prof.top == 8 and list(prof.segments(0))[-2:] == [(19, 1), (23, 2)]
+        assert prof.top == 8
+        assert list(newton.segments_from(prof.hull, 0))[-2:] == [(19, 1), (23, 2)]
         for r, want in ((Fraction(19), 6), (Fraction(45, 2), 6), (Fraction(23), 8)):
             assert steinberg.l_max(C4, Perturbed(66, r), 66) == want
 
@@ -193,7 +295,7 @@ class TestLMax:
             p = rng.choice((5, 7, 11, 13))
             ctx = new_context(p, rng.randint(1, p - 4), rng.randint(0, p - 2))
             k = ctx.weight_of_bullet(rng.randint(0, 60))
-            gaps = [g for g, _ in steinberg.delta_profile(ctx, k).segments(0)]
+            gaps = [g for g, _ in newton.segments_from(steinberg.delta_profile(ctx, k).hull, 0)]
             # every gap exactly, just below and just above, and the classical point
             radii = {g + d for g in gaps for d in (Fraction(-1, 7), 0, Fraction(1, 7))}
             for w in [Perturbed(k, r) for r in radii] + [Classical(k)]:
@@ -367,6 +469,27 @@ class TestRangeStraightness:
                    ("ok", "slope class", "polygon not straight over range")) >= 25
 
 
+    def test_segment_width_matches_bisect_pair(self):
+        # straight over [lo, hi] when the segment from lo reaches hi, exactly
+        # when as many vertices lie below hi as at or below lo
+        rng = random.Random(59)
+        polygons = [random_hull(rng) for _ in range(200)] + [
+            newton.np_of_ghost_auto(ctx, w, 40)[0]
+            for ctx, w in ((C4, Classical(18)), (C4, Perturbed(66, Fraction(7, 2))),
+                           (new_context(5, 1, 0), Perturbed(18, Fraction(5, 2))),
+                           (new_context(13, 5, 7), Boundary(Fraction(1, 3))))]
+        outcomes = set()
+        for hull in polygons:
+            xs, last = hull.xs, hull.certified_upto
+            for lo in range(xs[0], last):
+                for hi in range(lo + 1, last + 1):
+                    _, width = next(newton.segments_from(hull, lo))
+                    straight = bisect_left(xs, hi) == bisect_right(xs, lo)
+                    assert (width >= hi - lo) == straight, (hull, lo, hi)
+                    outcomes.add(straight)
+        assert outcomes == {True, False}
+
+
 class TestVertexTheorem:
     @pytest.mark.parametrize(
         "r,vertices",
@@ -410,7 +533,7 @@ class TestVertexTheorem:
 class TestDeltaVertices:
     def test_convex_profile_has_no_witnesses(self):
         # the check passes at a vertex only when neither side has a witness
-        assert steinberg.delta_profile(C4, 18).is_vertex(1)
+        assert newton.is_vertex(steinberg.delta_profile(C4, 18).hull, 1)
         assert steinberg.delta_vertex_check(C4, 18, 1) == []
 
     def test_equivalence_and_nonconvex_witness_found(self):
@@ -423,7 +546,7 @@ class TestDeltaVertices:
             prof = steinberg.delta_profile(ctx, k)
             for ell in range(0, dims.d_new(ctx, k) // 2):
                 assert steinberg.delta_vertex_check(ctx, k, ell) == [], (k, ell)
-                found_nonconvex += not prof.is_vertex(ell)
+                found_nonconvex += not newton.is_vertex(prof.hull, ell)
         assert found_nonconvex >= 1
 
     def test_missing_witnesses_are_reported(self, monkeypatch):
@@ -431,7 +554,7 @@ class TestDeltaVertices:
         ctx = new_context(5, 1, 0)
         k, ell = next((k, ell) for k in map(ctx.weight_of_bullet, range(60))
                       for ell in range(dims.d_new(ctx, k) // 2)
-                      if not steinberg.delta_profile(ctx, k).is_vertex(ell))
+                      if not newton.is_vertex(steinberg.delta_profile(ctx, k).hull, ell))
         monkeypatch.setattr(steinberg, "near_steinberg_range", lambda ctx, w, k: None)
         assert steinberg.delta_vertex_check(ctx, k, ell) == [
             {"k0": k, "ell": ell, "non_vertex": True,

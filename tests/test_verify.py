@@ -285,7 +285,7 @@ def _fraction_delta_estimates(ctx, k, with_k_prime=False):
     half_new = dims.d_new(ctx, k) // 2
     prof = steinberg.delta_profile(ctx, k)
     raw = {l: prof.raw_value(l) for l in range(-half_new, half_new + 1)}
-    hull = interpolated_hull(raw, prof.vertices)
+    hull = interpolated_hull(raw, prof.hull.xs)
     witnesses = []
     min_step = Fraction(min(ctx.a + 2, p - 1 - ctx.a), 2)
     for ell in range(1, half_new + 1):
@@ -358,12 +358,16 @@ def _assert_matches_oracle(ctx, k, with_k_prime):
 
 def _doctored(prof, raw_shift=lambda ell: 0, flat=False):
     """A profile whose raw values are those of prof (or 0) moved in (1/2)Z,
-    with the vertices of its own lower hull."""
-    top = prof.top
-    raw = tuple((0 if flat else v) + Fraction(raw_shift(abs(l)), 2)
-                for l, v in zip(range(-top, top + 1), prof.raw))
-    hull = newton.lower_convex_hull(list(zip(range(-top, top + 1), raw)))
-    return steinberg.DeltaProfile(prof.k, raw, tuple(x for x, _ in hull.vertices))
+    with its own lower hull."""
+    return _reprofiled(prof, lambda l, v: (0 if flat else v) + Fraction(raw_shift(abs(l)), 2))
+
+
+def _reprofiled(prof, value):
+    """The profile with raw value value(l, v) at each offset l, where v is
+    prof's, and the lower hull of those values."""
+    offsets = range(-prof.top, prof.top + 1)
+    raw = tuple(value(l, v) for l, v in zip(offsets, prof.raw))
+    return steinberg.DeltaProfile(prof.k, raw, newton.lower_convex_hull(list(zip(offsets, raw))))
 
 
 class TestDeltaEstimatesOracle:
@@ -424,9 +428,7 @@ class TestDeltaEstimatesOracle:
         real = steinberg.delta_profile
         monkeypatch.setattr(
             steinberg, "delta_profile",
-            lambda c, kk: steinberg.DeltaProfile(
-                kk, tuple(v + Fraction(1, 3) for v in real(c, kk).raw),
-                real(c, kk).vertices),
+            lambda c, kk: _reprofiled(real(c, kk), lambda l, v: v + Fraction(1, 3)),
         )
         with pytest.raises(RuntimeError, match="1/2"):
             verify.check_delta_estimates(C4, 18)
@@ -799,10 +801,17 @@ class TestGrid:
             verify.run_grid([5], ["halo", "ghost_duality"], bounds, workers=1)
         assert tasks == []
 
+    @staticmethod
+    def pretend_cpus(monkeypatch, cpus):
+        """Give this process an affinity mask of ``cpus`` CPUs, on platforms
+        with or without ``os.sched_getaffinity``."""
+        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+
     def test_parallel_matches_sequential(self, monkeypatch):
-        # run_grid caps the pool at the core count; pretend to have two so
+        # run_grid caps the pool at the usable CPUs; pretend to have two so
         # the pool path runs on every host
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        self.pretend_cpus(monkeypatch, 2)
         args = ([5], ["nestedness"], {"points": 2, "n_max": 10})
         seq = verify.run_grid(*args, workers=1)
         par = verify.run_grid(*args, workers=2)
@@ -825,7 +834,7 @@ class TestGrid:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_raising_task_becomes_one_error_report(self, monkeypatch, workers):
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        self.pretend_cpus(monkeypatch, 2)
         args = ([5], ["halo", "ghost_duality"], {"n_max": 4, "k_bullet_max": 6})
         healthy = verify.run_grid(*args, workers=workers)
         self.plant_a_raising_triple(monkeypatch)
@@ -857,7 +866,7 @@ class TestGrid:
         assert [r["status"] for r in payload["reports"]] == ["pass", "pass", "error", "pass"]
 
     def test_default_pool_is_one_worker_per_core(self, monkeypatch):
-        # p = 5 has 4 tasks, so 16 cores still give a pool of 4
+        # p = 5 has 4 tasks, so 16 usable CPUs still give a pool of 4
         sizes = []
 
         class Pool:
@@ -875,16 +884,18 @@ class TestGrid:
 
         monkeypatch.setattr("multiprocessing.Pool", Pool)
         for cpus in (3, 16):
-            monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+            self.pretend_cpus(monkeypatch, cpus)
             reports = verify.run_grid([5], ["halo"], {"n_max": 4})
             assert len(reports) == 4 and all(r["status"] == "pass" for r in reports)
         assert sizes == [3, 4]
 
     def test_default_without_a_cpu_count_runs_in_process(self, monkeypatch):
-        # os.cpu_count() may return None; the grid then runs in one process
+        # without an affinity mask the count is os.cpu_count(), which may
+        # return None; the grid then runs in one process
         def no_pool(*args, **kwargs):
             raise AssertionError("an unknown core count started a pool")
 
+        monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
         monkeypatch.setattr("multiprocessing.Pool", no_pool)
         reports = verify.run_grid([5], ["halo"], {"n_max": 4})
@@ -903,9 +914,21 @@ class TestGrid:
         def no_pool(*args, **kwargs):
             raise AssertionError("workers=0 started a pool")
 
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+        self.pretend_cpus(monkeypatch, 4)
         monkeypatch.setattr("multiprocessing.Pool", no_pool)
         reports = verify.run_grid([5], ["halo"], {"n_max": 4}, workers=0)
+        assert len(reports) == 4 and all(r["status"] == "pass" for r in reports)
+
+    @pytest.mark.parametrize("workers", [None, 4])
+    def test_pool_fits_the_affinity_mask(self, monkeypatch, workers):
+        # four CPUs in the machine but one in this process's mask: one worker
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for a one-CPU mask")
+
+        self.pretend_cpus(monkeypatch, 1)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr("multiprocessing.Pool", no_pool)
+        reports = verify.run_grid([5], ["halo"], {"n_max": 4}, workers=workers)
         assert len(reports) == 4 and all(r["status"] == "pass" for r in reports)
 
 

@@ -229,9 +229,10 @@ RECORDS = [
      "GhostCoefficient(n=2, factors=((12, 1), (18, 1)))"),
     (lambda: newton.NewtonPolygon((0, 2), (0, Fraction(1, 2))),
      "NewtonPolygon(xs=array('q', [0, 2]), ys=(0, Fraction(1, 2)))"),
-    (lambda: steinberg.DeltaProfile(18, (Fraction(1), Fraction(0), Fraction(1)), (-1, 1)),
+    (lambda: steinberg.DeltaProfile(18, (Fraction(1), Fraction(0), Fraction(1)),
+                                    newton.NewtonPolygon((-1, 1), (Fraction(1), Fraction(1)))),
      "DeltaProfile(k=18, raw=(Fraction(1, 1), Fraction(0, 1), Fraction(1, 1)), "
-     "vertices=array('q', [-1, 1]))"),
+     "hull=NewtonPolygon(xs=array('q', [-1, 1]), ys=(Fraction(1, 1), Fraction(1, 1))))"),
     (lambda: steinberg.NearSteinbergRange(18, 2, 1, 5), "NearSteinbergRange(k=18, L=2, lo=1, hi=5)"),
 ]
 #: A polygon's y column in its other two layouts: machine integers, and a
