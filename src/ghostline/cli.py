@@ -5,7 +5,10 @@ output; rationals are always emitted as "num/den" strings and +infinity as
 "inf", so downstream comparisons stay bit-exact.
 
 Exit codes: 0 success, 1 failed verification, 2 parameter errors,
-3 Newton-polygon certification failure after retries.
+3 Newton-polygon certification failure after retries, and 141 when the
+reader of stdout closes it early (the status a shell gives a process that
+SIGPIPE ended; ``main`` returns it and leaves the signal handlers as they
+are).
 
 Each command imports only the modules it runs: ``steinberg`` is loaded by
 ``delta`` and ``ns``, and ``verify`` by ``verify`` and ``scan`` (and by the
@@ -33,6 +36,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_PARAMS = 2
 EXIT_CERTIFICATION = 3
+EXIT_BROKEN_PIPE = 141
 
 
 # --------------------------------------------------------------- payloads
@@ -305,7 +309,18 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARAMS
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the rest of the output has no reader; send it to devnull, so
+            # that the interpreter's flush at exit does not raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, sys.stdout.fileno())
+            finally:
+                os.close(devnull)
+            return EXIT_BROKEN_PIPE
 
     if args.command == "verify" and payload.get("status") != "pass":
         return EXIT_VERIFY_FAILED

@@ -11,8 +11,10 @@ Three ranks drive the whole combinatorics:
 
 The extremal-weight functions invert these step functions: k_mid_bullet(n)
 is the unique index with n = d_iw/2, k_max_bullet(n) the largest with
-d_ur <= n, and k_min_bullet(n) the smallest with d_iw - d_ur > n.  Between
-the last two lie the zeros of the n-th ghost coefficient (``zero_window``).
+d_ur <= n, and k_min_bullet(n) the smallest with d_iw - d_ur > n.  w_k is a
+zero of the n-th ghost coefficient exactly when d_ur(k) < n < d_iw(k) -
+d_ur(k); ``zero_indices`` (the n of one k) and ``zero_window`` (the k of
+some n) are the only statements of that relation.
 
 The jump windows of index n, the three ends (k_min_bullet(n),
 k_mid_bullet(n), k_max_bullet(n)) that every jump evaluator reads, are
@@ -25,7 +27,7 @@ GL_2(F_p)-representations for d_ur.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .weight_space import GhostContext, context_cache
 
@@ -89,10 +91,21 @@ def k_min_bullet(ctx: GhostContext, n: int) -> int:
     return -((-k_min_tilde_bullet(ctx, n)) // ctx.p)
 
 
-def zero_window(ctx: GhostContext, n: int) -> range:
+def zero_indices(ctx: GhostContext, k_bullet: int) -> range:
+    """The n with d_ur < n < d_iw - d_ur at k_bullet, i.e. the indices of
+    the ghost coefficients that vanish at w_k (empty when d_new <= 1)."""
+    du = d_ur_of_bullet(ctx, k_bullet)
+    return range(du + 1, d_iw_of_bullet(ctx, k_bullet) - du)
+
+
+def zero_window(ctx: GhostContext, n: int, last: Optional[int] = None) -> range:
     """The k_bullet >= 0 with d_ur < n < d_iw - d_ur, i.e. the weights whose
-    points w_k are the zeros of the n-th ghost coefficient."""
-    return range(max(k_min_bullet(ctx, n), 0), k_max_bullet(ctx, n - 1) + 1)
+    points w_k are the zeros of the n-th ghost coefficient; with ``last`` >=
+    n, the span of the zeros of g_n, ..., g_last.  Both ends of the window
+    never decrease in n, so a weight in the span that is a zero of none of
+    them is a zero of no coefficient at all (d_new <= 1)."""
+    last = n if last is None else last
+    return range(max(k_min_bullet(ctx, n), 0), k_max_bullet(ctx, last - 1) + 1)
 
 
 def _jump_window(ctx: GhostContext, n: int) -> Tuple[int, int, int]:

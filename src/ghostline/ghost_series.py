@@ -9,7 +9,7 @@ selected disk of (w - w_k)^(m_n(k)), with
 Coefficients are always kept factored: every downstream quantity is a
 valuation of an evaluation, and degrees grow quadratically, so the dense
 polynomial is never materialised.  The factors of g_n are exactly the
-weights of ``dims.zero_window(n)``.
+weights of ``dims.zero_window(n)``, and m_n(k) reads ``dims.zero_indices``.
 
 Valuation profiles n -> v_p(g_n(w)) = sum_k m_n(k) * vp(w - w_k) come from
 one jump evaluator per point, built by ``evaluator``.  Every point has a
@@ -73,16 +73,18 @@ class GhostCoefficient(_Record):
         return {"n": self.n, "factors": [[k, m] for k, m in self.factors]}
 
 
-def _multiplicity(n: int, du: int, di: int) -> int:
-    """m_n(k) of a weight k with d_ur(k) = du and d_iw(k) = di."""
-    return min(n - du, di - du - n) if du < n < di - du else 0
+def _multiplicity(n: int, zeros: range) -> int:
+    """m_n(k) of a weight k with ``dims.zero_indices(k)`` = zeros."""
+    return min(n - zeros.start + 1, zeros.stop - n) if n in zeros else 0
 
 
 def multiplicity(ctx: GhostContext, n: int, k: int) -> int:
     """Exponent of (w - w_k) in the n-th coefficient."""
     if n < 1:
         return 0
-    return _multiplicity(n, dims.d_ur(ctx, k), dims.d_iw(ctx, k))
+    if k < 2:
+        raise ValueError(f"multiplicity requires k >= 2, got k = {k}")
+    return _multiplicity(n, dims.zero_indices(ctx, ctx.bullet(k)))
 
 
 @context_cache(maxsize=4096)
@@ -90,11 +92,9 @@ def coefficient(ctx: GhostContext, n: int) -> GhostCoefficient:
     """The complete factored n-th coefficient, over ``dims.zero_window(n)``."""
     if n < 0:
         raise ValueError(f"coefficient index must be >= 0, got {n}")
-    factors = []
-    for kb in dims.zero_window(ctx, n):
-        du, di = dims.d_ur_of_bullet(ctx, kb), dims.d_iw_of_bullet(ctx, kb)
-        factors.append((ctx.weight_of_bullet(kb), _multiplicity(n, du, di)))
-    return GhostCoefficient(n, tuple(factors))
+    return GhostCoefficient(n, tuple(
+        (ctx.weight_of_bullet(kb), _multiplicity(n, dims.zero_indices(ctx, kb)))
+        for kb in dims.zero_window(ctx, n)))
 
 
 def degree(ctx: GhostContext, n: int) -> int:
@@ -224,13 +224,14 @@ class JumpEvaluator:
     A = k_min_bullet(n), B = k_mid_bullet(n) + 1 and C = k_max_bullet(n) + 1.
     ``base`` = D * min(r, 1) is the least scaled distance from w to any w_k.
     k0 may be any integer, on or off the ghost zero class; only a k0 >= 2
-    on the class is a zero of some coefficients, and only there does
-    m_n(k0) * ``dr`` enter ``scaled`` and ``at``, with ``dr`` = D * r the
-    scaled distance from w to w_k0 (INF at w_k0 itself).  A grid worker
-    caches hundreds of evaluators, so they are slotted.
+    on the class is a zero of some coefficients, the g_n with n in
+    ``zeros``, and only there does m_n(k0) * ``dr`` enter ``scaled`` and
+    ``at``, with ``dr`` = D * r the scaled distance from w to w_k0 (INF at
+    w_k0 itself).  A grid worker caches hundreds of evaluators, so they
+    are slotted.
     """
 
-    __slots__ = ("ctx", "k0", "_whole", "den", "_rem", "dr", "base", "_ranks", "_k0b",
+    __slots__ = ("ctx", "k0", "_whole", "den", "_rem", "dr", "base", "zeros", "_k0b",
                  "_levels", "_cursors", "_scaled")
 
     def __init__(self, ctx: GhostContext, k0: Optional[int], r: ExtRat):
@@ -239,7 +240,7 @@ class JumpEvaluator:
         self._whole, self.den, self._rem = _radius_parts(r)
         self.dr = INF if r is INF else self._whole * self.den + self._rem  # D * r
         self.base = self.den if self._whole != 0 else self._rem  # D * min(r, 1)
-        self._ranks = None  # (d_ur, d_iw) of k0 when it is a ghost zero weight
+        self.zeros = range(0)
         self._k0b = -1  # k_bullet of k0 when it lies on the class
         self._levels: Optional[List[Tuple[int, int]]] = None  # (p^l, level-l residue of k0)
         if k0 is not None:
@@ -248,7 +249,7 @@ class JumpEvaluator:
                 self._k0b = quot
             self._levels = []
             if k0 >= 2 and not off_class:
-                self._ranks = (dims.d_ur_of_bullet(ctx, quot), dims.d_iw_of_bullet(ctx, quot))
+                self.zeros = dims.zero_indices(ctx, quot)
         # (x, P(x)) for A, B and C; they start where P is 0, at or below every end
         self._cursors = [(min(dims.k_min_bullet(ctx, 0), 0), 0)] * 3
         # D * v_p(g_{n, hat k0}(w)): machine integers when D = 1 (see above)
@@ -314,9 +315,6 @@ class JumpEvaluator:
         # the list restarts from its last total, which accumulate re-emits
         scaled.extend(accumulate(steps, initial=scaled.pop()))
 
-    def multiplicity_k0(self, n: int) -> int:
-        return _multiplicity(n, *self._ranks) if self._ranks else 0
-
     def omitted(self, n: int) -> int:
         """D * v_p(g_{n, hat k0}(w)), always finite."""
         if n >= len(self._scaled):
@@ -331,9 +329,8 @@ class JumpEvaluator:
         """D * v_p(g_n(w)) at the one index n, as ``scaled(n, n + 1)[0]``
         but without a list: ``omitted(n)`` plus m_n(k0) * D * r."""
         y = self.omitted(n)
-        ranks = self._ranks
-        if ranks and ranks[0] < n < ranks[1] - ranks[0]:  # m_n(k0) > 0
-            return y + _multiplicity(n, *ranks) * self.dr
+        if n in self.zeros:
+            return y + _multiplicity(n, self.zeros) * self.dr
         return y
 
     def scaled(self, start: int, stop: int) -> List[ExtRat]:
@@ -344,16 +341,9 @@ class JumpEvaluator:
         out = self._scaled[start:stop]
         if self.den == 1:
             out = out.tolist()
-        if self._ranks:
-            du, di = self._ranks
-            zeros = range(max(start, du + 1), min(stop, di - du))  # the n with m_n(k0) > 0
-            dr = self.dr
-            if dr is INF:
-                for n in zeros:
-                    out[n - start] = INF
-            else:
-                for n in zeros:
-                    out[n - start] += _multiplicity(n, du, di) * dr
+        zeros, dr = self.zeros, self.dr
+        for n in range(max(start, zeros.start), min(stop, zeros.stop)):
+            out[n - start] = INF if dr is INF else out[n - start] + _multiplicity(n, zeros) * dr
         return out
 
 

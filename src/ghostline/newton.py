@@ -15,8 +15,11 @@ one is an ``int`` that fits in 64 bits (every D = 1 polygon, so every
 classical one), else in a tuple (``Fraction`` values, or the integers of
 a huge D).  That is the split the jump evaluator's store makes: two
 8-byte slots per vertex, where a tuple of two ``int`` objects takes about
-115 bytes.  The readers bisect the x column and index both; they alone
-know that layout, and a duality profile's hull is read by them too.
+115 bytes.  Polygons are shared through the per-context caches, so each
+array is kept behind a read-only ``memoryview``: a write raises TypeError
+instead of corrupting every later reader.  The readers bisect the x column
+and index both; they alone know that layout, and a duality profile's hull
+is read by them too.
 
 A ghost Newton polygon is an infinite object, so a finite computation must
 certify its prefix.  The certificate rests on two facts: every factor of a
@@ -78,24 +81,32 @@ def segments(
 
 class NewtonPolygon(_Record):
     """A lower hull, or a certified polygon prefix, by its strict vertices
-    (y as given to the hull) in two columns, ``xs`` and ``ys``; it is final
-    up to its last vertex.  ``__init__`` takes any two sequences and stores
-    them in the module's layout, so equal vertices give equal records; the
-    hash goes by the columns' values, since an array has none."""
+    (y as given to the hull) in two read-only columns, ``xs`` and ``ys``;
+    it is final up to its last vertex.  ``__init__`` takes any two
+    sequences and stores them in the module's layout, so equal vertices
+    give equal records; hash and pickle go by the columns' values, since a
+    memoryview has neither."""
 
     __slots__ = ("xs", "ys")
-    xs: array
-    ys: Union[array, Tuple[Union[int, Fraction], ...]]
+    xs: memoryview
+    ys: Union[memoryview, Tuple[Union[int, Fraction], ...]]
 
     def __init__(self, xs: Sequence[int], ys: Sequence[Union[int, Fraction]]):
         try:
-            ys = array("q", ys)
+            ys = memoryview(array("q", ys)).toreadonly()
         except (TypeError, OverflowError):  # a Fraction, or past 64 bits
             ys = tuple(ys)
-        super().__init__(array("q", xs), ys)
+        super().__init__(memoryview(array("q", xs)).toreadonly(), ys)
 
     def __hash__(self):
         return hash((tuple(self.xs), tuple(self.ys)))
+
+    def __reduce__(self):
+        return type(self), (tuple(self.xs), tuple(self.ys))
+
+    def __repr__(self):  # a view's own repr shows no values, so show its array's
+        xs, ys = (c.obj if type(c) is memoryview else c for c in (self.xs, self.ys))
+        return f"NewtonPolygon(xs={xs!r}, ys={ys!r})"
 
     @property
     def vertices(self) -> Tuple[Tuple[int, Union[int, Fraction]], ...]:

@@ -153,17 +153,15 @@ def near_steinberg_ranges(
 ) -> List[NearSteinbergRange]:
     """All ranges whose open interval meets [1, n_max].
 
-    A range containing n has its centre weight among the zeros of g_n,
-    ``dims.zero_window(n)``.  Both ends of the window grow with n, so one
-    scan of the k_bullet interval from the window of 1 to that of n_max is
-    complete; a weight inside it but in none of the windows is a zero of
-    no g_n at all (d_new <= 1), so it has no range.
+    A range containing n has its centre weight among the zeros of g_n, so
+    one scan of the span of the zeros of g_1, ..., g_n_max
+    (``dims.zero_window``) is complete; a weight inside it that is a zero
+    of none of them has d_new <= 1, so it has no range.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    first, last = dims.zero_window(ctx, 1), dims.zero_window(ctx, n_max)
     found = []
-    for kb in range(first.start, last.stop):
+    for kb in dims.zero_window(ctx, 1, n_max):
         rng = near_steinberg_range(ctx, w, ctx.weight_of_bullet(kb))
         if rng is not None and rng.lo < n_max and rng.hi > 1:
             found.append(rng)
@@ -249,16 +247,14 @@ def _range_gamma(
     """Largest finite vp(w - w_k) over the ghost zeros w_k of the
     coefficients g_n with n inside the range.
 
-    w_k is a zero of g_n exactly when d_ur(k) < n < d_iw(k) - d_ur(k), so
-    each candidate weight is visited once and kept when that interval meets
-    (lo, hi); the candidates are the union of the zero windows over
-    lo < n < hi, which run from that of lo + 1 to that of hi - 1.
+    Each weight of the span of the zeros of g_lo+1, ..., g_hi-1 is visited
+    once, and kept when its zero indices (``dims.zero_indices``) meet
+    (lo, hi).
     """
     best: Optional[Fraction] = None
-    first, last = dims.zero_window(ctx, r.lo + 1), dims.zero_window(ctx, r.hi - 1)
-    for kb in range(first.start, last.stop):
-        du = dims.d_ur_of_bullet(ctx, kb)
-        if max(r.lo, du) + 1 >= min(r.hi, dims.d_iw_of_bullet(ctx, kb) - du):
+    for kb in dims.zero_window(ctx, r.lo + 1, r.hi - 1):
+        zeros = dims.zero_indices(ctx, kb)
+        if max(r.lo + 1, zeros.start) >= min(r.hi, zeros.stop):
             continue
         v = vp_point_to_weight(ctx, w, ctx.weight_of_bullet(kb))
         if v is not INF and (best is None or v > best):
@@ -272,7 +268,7 @@ def _check_range_slope(
     a = Fraction(ctx.a, 2)
     ev = ghost.evaluator(ctx, w)
     rng = r.to_json_dict()
-    if w.r is INF and w.k0 != r.k and ev.multiplicity_k0((r.lo + r.hi) // 2) > 0:
+    if w.r is INF and w.k0 != r.k and (r.lo + r.hi) // 2 in ev.zeros:
         # the point is a zero inside another weight's range: the straight
         # line lives on the omitted profile, with slope in a/2 + Z.  (For
         # the point's own range the plain polygon below already skips the

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -256,6 +257,39 @@ class TestExitCodes:
                                  "--point", point, "--nmax", "5")
             assert (code, out) == (2, "") and "bad weight point" in err
         assert run(capsys, "dims", "--p", "7", "--a", "2")[0] == 2  # missing kmax
+
+    def test_a_reader_that_closes_the_pipe_early_gets_status_141(self):
+        # a profile of about 110 kB, more than a pipe buffer holds, read as
+        # ``| head -c 10`` reads it: ten bytes, then the pipe is closed
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ghostline.cli", "delta", "--p", "5", "--a", "1",
+             "--seps", "1", "--k", "4001"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=source_env())
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), head, err) == (141, b'{\n  "k": 4', b"")
+
+    def test_a_closed_stdout_leaves_the_callers_signal_handlers(self, monkeypatch, tmp_path):
+        class ClosedPipe:
+            """A stdout whose reader is gone; its descriptor is a temporary file."""
+
+            def __init__(self, fh):
+                self.fileno = fh.fileno
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        handlers = {sig: signal.getsignal(sig) for sig in (signal.SIGPIPE, signal.SIGINT)}
+        with open(tmp_path / "stdout", "w") as fh:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(fh))
+            code = cli.main(["ghost", "--p", "7", "--a", "2", "--seps", "4", "--n", "3"])
+        assert code == cli.EXIT_BROKEN_PIPE == 141
+        assert {sig: signal.getsignal(sig) for sig in handlers} == handlers
 
     def test_verify_pass_and_fail(self, capsys, monkeypatch):
         code, out, _ = run(capsys, "verify", "--p", "7", "--a", "2", "--seps", "4",

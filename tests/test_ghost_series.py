@@ -48,10 +48,80 @@ def contexts(grid=GRID):
             yield new_context(p, a, s)
 
 
+def oracle_multiplicity(ctx, n, k):
+    """m_n(k) straight from the ranks at k, by neither ``dims.zero_indices``
+    nor ``dims.zero_window``."""
+    du, di = dims.d_ur(ctx, k), dims.d_iw(ctx, k)
+    return min(n - du, di - du - n) if du < n < di - du else 0
+
+
+#: Every triple with p <= 13, as the criterion-6 grid draws them.
+SMALL_TRIPLES = [(p, a, s) for p in (5, 7, 11, 13) for a in range(1, p - 3) for s in range(p - 1)]
+
+#: Spans g_lo, ..., g_hi checked per triple: hi - lo takes these values.
+SPAN_LENGTHS = (0, 1, 2, 5, 12)
+
+
+def zero_relation_faults(ctx, kb_max=200):
+    """Where ``dims.zero_indices`` or ``dims.zero_window`` (one- or
+    two-ended) departs from the brute-force test d_ur < n < d_iw - d_ur at
+    the weights with k_bullet <= kb_max; an empty list when none does."""
+    ranks = [(dims.d_ur(ctx, k), dims.d_iw(ctx, k))
+             for k in map(ctx.weight_of_bullet, range(kb_max + 1))]
+    brute = [[n for n in range(di) if du < n < di - du] for du, di in ranks]
+    top = max(di for _, di in ranks)  # no weight in view is a zero of g_top
+    windows = [dims.zero_window(ctx, n) for n in range(top)]
+    in_windows = [[] for _ in ranks]  # the n whose window holds each weight
+    for n, window in enumerate(windows):
+        for kb in range(window.start, min(window.stop, kb_max + 1)):
+            in_windows[kb].append(n)
+    faults = []
+    for kb, want in enumerate(brute):
+        if list(dims.zero_indices(ctx, kb)) != want:
+            faults.append(("zero_indices", kb))
+        if in_windows[kb] != want:
+            faults.append(("zero_window", kb))
+    # the spans that end inside the weights in view: each holds every zero
+    # of g_lo, ..., g_hi, and its other weights have d_new <= 1
+    ends = [(ns[0], ns[-1]) if ns else (top, 0) for ns in brute]  # (top, 0) meets no span
+    in_view = [n for n in range(1, top) if windows[n].stop <= kb_max + 1]
+    for lo in in_view:
+        for hi in (lo + d for d in SPAN_LENGTHS if lo + d in in_view):
+            span = dims.zero_window(ctx, lo, hi)
+            zeros = {kb for kb, (first, last) in enumerate(ends) if first <= hi and last >= lo}
+            faults += [("span", lo, hi, kb) for kb in zeros if kb not in span]
+            faults += [("span", lo, hi, kb) for kb in span if kb not in zeros
+                       and ranks[kb][1] - 2 * ranks[kb][0] > 1]
+    return faults
+
+
 class TestMultiplicity:
+    def test_zero_relation_against_the_ranks(self):
+        # the one statement of the relation, in both directions and over
+        # spans of indices, against the ranks themselves
+        for triple in SMALL_TRIPLES:
+            assert zero_relation_faults(new_context(*triple)) == [], triple
+
+    def test_a_planted_fault_in_zero_indices_is_caught(self, monkeypatch):
+        honest = dims.zero_indices
+
+        def drops_its_first_index(ctx, kb):
+            zeros = honest(ctx, kb)
+            return range(zeros.start + 1, zeros.stop)
+
+        monkeypatch.setattr(dims, "zero_indices", drops_its_first_index)
+        assert ("zero_indices", 1) in zero_relation_faults(C4, 20)
+        assert ghost.multiplicity(C4, 2, 18) != oracle_multiplicity(C4, 2, 18)
+
     def test_examples(self):
         assert ghost.multiplicity(C0, 3, 16) == 2
         assert ghost.multiplicity(C0, 3, 10) == 0
+        # weights below 2 (k = 0 lies on the class of C4) and off the class
+        # are refused, except at n < 1, where every multiplicity is 0
+        for k in (0, 19):
+            with pytest.raises(ValueError):
+                ghost.multiplicity(C4, 3, k)
+            assert ghost.multiplicity(C4, 0, k) == 0
         for ctx in (C0, C4):
             for kb in range(0, 20):
                 k = ctx.weight_of_bullet(kb)
@@ -71,7 +141,8 @@ class TestMultiplicity:
                 lo = min((k for k, _ in coeff.factors), default=ctx.k_eps)
                 hi = max((k for k, _ in coeff.factors), default=ctx.k_eps)
                 for k in range(ctx.k_eps, hi + 2 * (ctx.p - 1), ctx.p - 1):
-                    assert dict(coeff.factors).get(k, 0) == ghost.multiplicity(ctx, n, k)
+                    want = oracle_multiplicity(ctx, n, k)
+                    assert dict(coeff.factors).get(k, 0) == want == ghost.multiplicity(ctx, n, k)
                 assert lo >= 2
 
     def test_increment_pattern(self):
@@ -534,7 +605,7 @@ class TestGrowthLoop:
                     scaled = staged.scaled(start, top + 9)
                     single = []
                     for n in range(start, top + 9):
-                        m = staged.multiplicity_k0(n)
+                        m = ghost._multiplicity(n, staged.zeros)
                         if m and r is INF:
                             single.append(INF)
                         else:

@@ -2,7 +2,6 @@ import ast
 import copy
 import pickle
 import random
-from array import array
 from bisect import bisect_left
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghostline import ghost_series as ghost
-from ghostline import newton
+from ghostline import newton, verify
 from ghostline.valuation import INF
 from ghostline.weight_space import (
     Boundary,
@@ -581,9 +580,15 @@ def assert_same_polygon(np_, old):
     _same_answer(lambda: newton.unit_slopes(np_), old.unit_slopes)
 
 
+def is_machine_column(column):
+    """A column of 64-bit machine integers, behind a read-only view."""
+    return type(column) is memoryview and column.format == "q" and column.readonly
+
+
 class TestColumnLayout:
-    """Polygons keep their vertices as two columns (``array('q')`` where the
-    values fit); every reader answers as the tuple layout did."""
+    """Polygons keep their vertices as two columns (a read-only view of an
+    ``array('q')`` where the values fit); every reader answers as the tuple
+    layout did."""
 
     @staticmethod
     def random_points(rng, kind):
@@ -613,12 +618,12 @@ class TestColumnLayout:
             pts = self.random_points(rng, kind)
             hull = newton.lower_convex_hull(pts)
             old = TuplePolygon(newton._hull_vertices(sorted(p for p in pts if p[1] is not INF)))
-            assert type(hull.xs) is array and hull.xs.typecode == "q"
+            assert is_machine_column(hull.xs)
             machine = all(type(y) is int and -2**63 <= y < 2**63 for _, y in old.vertices)
-            assert type(hull.ys) is (array if machine else tuple), old.vertices
+            assert (is_machine_column(hull.ys) if machine else type(hull.ys) is tuple), old.vertices
             layouts.add(type(hull.ys))
             assert_same_polygon(hull, old)
-        assert layouts == {array} if kind == "int" else tuple in layouts
+        assert layouts == {memoryview} if kind == "int" else tuple in layouts
 
     POINTS = [
         (new_context(5, 1, 0), Perturbed(18, Fraction(7, 2)), 150),
@@ -638,7 +643,7 @@ class TestColumnLayout:
         np_, buffer = newton.np_of_ghost_auto(ctx, w, n_max)
         assert_same_polygon(np_, tuple_np_of_ghost(ctx, w, n_max, buffer))
         den = ghost.evaluator(ctx, w).den
-        assert type(np_.ys) is (array if den == 1 else tuple)
+        assert is_machine_column(np_.ys) if den == 1 else type(np_.ys) is tuple
         assert pickle.loads(pickle.dumps(np_)) == np_ and hash(copy.deepcopy(np_)) == hash(np_)
 
     def test_a_failing_certificate_reports_what_it_achieved(self):
@@ -679,6 +684,18 @@ class TestColumnLayout:
         }
         for start, want in walks.items():
             assert list(newton.segments_from(np_, start)) == want, start
+
+    def test_cached_columns_are_read_only(self):
+        # a polygon is shared through the per-context caches, so a write into
+        # its columns must fail rather than reach every later reader
+        cached = verify._np_at_classical(new_context(7, 2, 4), 18)
+        before = cached.to_json_dict()
+        with pytest.raises(TypeError):
+            verify._np_at_classical(new_context(7, 2, 4), 18).ys[2] += 7
+        with pytest.raises(TypeError):
+            cached.xs[0] = 1
+        assert verify._np_at_classical(new_context(7, 2, 4), 18) is cached
+        assert cached.to_json_dict() == before and newton.slope_at(cached, 2) == 8
 
     def test_huge_denominator_keeps_its_integers(self):
         # D = 10**19: the scaled values pass 64 bits, so the hull keeps a tuple
