@@ -4,11 +4,12 @@ Every computation is reachable as a subcommand with machine-readable
 output; rationals are always emitted as "num/den" strings and +infinity as
 "inf", so downstream comparisons stay bit-exact.
 
-Exit codes: 0 success, 1 failed verification, 2 parameter errors,
-3 Newton-polygon certification failure after retries, and 141 when the
-reader of stdout closes it early (the status a shell gives a process that
-SIGPIPE ended; ``main`` returns it and leaves the signal handlers as they
-are).
+Exit codes: 0 success, 1 failed verification, 2 parameter errors (a
+request that runs out of memory among them), 3 Newton-polygon
+certification failure after retries, and 141 when the reader of stdout
+closes it early (the status a shell gives a process that SIGPIPE ended;
+``main`` returns it and leaves the signal handlers as they are).  csv and
+table output keep an empty list or dict as a row of its key path alone.
 
 Each command imports only the modules it runs: ``steinberg`` is loaded by
 ``delta`` and ``ns``, and ``verify`` by ``verify`` and ``scan`` (and by the
@@ -154,15 +155,18 @@ def _payload_scan(args) -> dict:
 
 
 def _rows_for(payload: dict) -> List[List[str]]:
-    """Flatten a payload into rows holding exactly the JSON's numbers."""
+    """Flatten a payload into rows holding exactly the JSON's numbers; an
+    empty list or dict is a row that holds its key path alone."""
     rows: List[List[str]] = []
 
     def walk(prefix: str, obj) -> None:
-        if isinstance(obj, dict):
+        if isinstance(obj, (dict, list)) and not obj:
+            rows.append([prefix])
+        elif isinstance(obj, dict):
             for key, val in obj.items():
                 walk(f"{prefix}.{key}" if prefix else str(key), val)
         elif isinstance(obj, list):
-            if obj and all(not isinstance(x, (dict, list)) for x in obj):
+            if all(not isinstance(x, (dict, list)) for x in obj):
                 rows.append([prefix] + [str(x) for x in obj])
             else:
                 for i, val in enumerate(obj):
@@ -187,7 +191,8 @@ def render(payload: dict, fmt: str) -> str:
         return out.getvalue().rstrip("\n")
     if fmt == "table":
         width = max(len(r[0]) for r in rows) if rows else 0
-        return "\n".join(f"{r[0]:<{width}}  " + "  ".join(r[1:]) for r in rows)
+        return "\n".join(f"{r[0]:<{width}}  " + "  ".join(r[1:]) if r[1:] else r[0]
+                         for r in rows)
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -298,6 +303,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_CERTIFICATION
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARAMS
+    except MemoryError:
+        print(f"error: the {args.command} request ran out of memory", file=sys.stderr)
         return EXIT_PARAMS
 
     text = render(payload, args.format)

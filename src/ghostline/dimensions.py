@@ -17,8 +17,8 @@ d_ur(k); ``zero_indices`` (the n of one k) and ``zero_window`` (the k of
 some n) are the only statements of that relation.
 
 The jump windows of index n, the three ends (k_min_bullet(n),
-k_mid_bullet(n), k_max_bullet(n)) that every jump evaluator reads, are
-tabulated once per context by ``jump_windows``.
+k_mid_bullet(n), k_max_bullet(n)) that every jump evaluator reads, come
+from ``jump_windows``, which tabulates the outer two once per context.
 
 Two independent oracles guard the closed forms: a power-basis count for
 d_iw, and a Jordan-Holder recursion in the Grothendieck group of
@@ -27,13 +27,10 @@ GL_2(F_p)-representations for d_ur.
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterator, List, Optional, Tuple
 
 from .weight_space import GhostContext, context_cache
-
-#: Indices n whose jump windows ``jump_windows`` keeps per context; the
-#: windows of larger n are computed on each call.
-WINDOW_TABLE_MAX = 4096
 
 
 def d_iw(ctx: GhostContext, k: int) -> int:
@@ -108,31 +105,29 @@ def zero_window(ctx: GhostContext, n: int, last: Optional[int] = None) -> range:
     return range(max(k_min_bullet(ctx, n), 0), k_max_bullet(ctx, last - 1) + 1)
 
 
-def _jump_window(ctx: GhostContext, n: int) -> Tuple[int, int, int]:
-    return k_min_bullet(ctx, n), k_mid_bullet(ctx, n), k_max_bullet(ctx, n)
-
-
 @context_cache(maxsize=32)
-def _window_table(ctx: GhostContext) -> List[Tuple[int, int, int]]:
-    return []
+def _window_table(ctx: GhostContext) -> Tuple[array, array]:
+    return array("q"), array("q")  # k_min_bullet(n), k_max_bullet(n) by n
 
 
 def jump_windows(ctx: GhostContext, start: int, stop: int) -> List[Tuple[int, int, int]]:
     """(k_min_bullet(n), k_mid_bullet(n), k_max_bullet(n)) for n in
     range(start, stop), start >= 0.
 
-    The ends are tabulated per context on first use, for n below
-    WINDOW_TABLE_MAX and for the 32 most recent contexts, so the jump
-    evaluators of one context share them.
+    The outer ends are tabulated per context, for the 32 most recent
+    contexts, in two columns of machine integers that grow in place to the
+    largest ``stop`` asked for, so the jump evaluators of one context share
+    them; k_mid_bullet(n) = n + delta_eps - 1 is not stored.
     """
     if start < 0:
         raise ValueError(f"start must be >= 0, got {start}")
-    table = _window_table(ctx)
-    for n in range(len(table), min(stop, WINDOW_TABLE_MAX)):
-        table.append(_jump_window(ctx, n))
-    out = table[start:stop]
-    out.extend(_jump_window(ctx, n) for n in range(max(start, len(table)), stop))
-    return out
+    kmins, kmaxs = _window_table(ctx)
+    # each column grows from its own length, so a growth that a MemoryError
+    # cut short leaves both columns right
+    kmins.extend(k_min_bullet(ctx, n) for n in range(len(kmins), stop))
+    kmaxs.extend(k_max_bullet(ctx, n) for n in range(len(kmaxs), stop))
+    mid = ctx.delta_eps - 1
+    return list(zip(kmins[start:stop], range(start + mid, stop + mid), kmaxs[start:stop]))
 
 
 def power_basis_degrees(ctx: GhostContext) -> Iterator[int]:

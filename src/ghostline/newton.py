@@ -6,20 +6,20 @@ integer profiles stay ``int``, and a ghost profile is one at every point
 Vertices are strict: collinear interior points are not vertices, so a
 straight stretch has vertices only at its ends.  A polygon is stored as
 its vertices alone, and no slope is ever stored: ``slope_at`` reads one
-slope off the two vertices that bracket it, and ``segments``,
-``NewtonPolygon.slopes`` and ``unit_slopes`` walk the vertices each time
-they are asked.  A grid worker keeps hundreds of polygons at once, so the
-vertices are kept as two columns of machine integers where they fit: the
-x-values in an ``array('q')``, and the y-values in another whenever every
-one is an ``int`` that fits in 64 bits (every D = 1 polygon, so every
-classical one), else in a tuple (``Fraction`` values, or the integers of
-a huge D).  That is the split the jump evaluator's store makes: two
-8-byte slots per vertex, where a tuple of two ``int`` objects takes about
-115 bytes.  Polygons are shared through the per-context caches, so each
-array is kept behind a read-only ``memoryview``: a write raises TypeError
-instead of corrupting every later reader.  The readers bisect the x column
-and index both; they alone know that layout, and a duality profile's hull
-is read by them too.
+slope off the two vertices that bracket it, and ``segments`` and
+``NewtonPolygon.slopes`` walk the vertices each time they are asked; no
+reader builds a list of slopes per unit of width.  A grid worker keeps
+hundreds of polygons at once, so the vertices are kept as two columns of
+machine integers where they fit: the x-values in an ``array('q')``, and
+the y-values in another whenever every one is an ``int`` that fits in 64
+bits (every D = 1 polygon, so every classical one), else in a tuple
+(``Fraction`` values, or the integers of a huge D).  That is the split
+the jump evaluator's store makes: two 8-byte slots per vertex, where a
+tuple of two ``int`` objects takes about 115 bytes.  Polygons are shared
+through the per-context caches, so each array is kept behind a read-only
+``memoryview``: a write raises TypeError instead of corrupting every
+later reader.  The readers bisect the x column and index both; they alone
+know that layout, and a duality profile's hull is read by them too.
 
 A ghost Newton polygon is an infinite object, so a finite computation must
 certify its prefix.  The certificate rests on two facts: every factor of a
@@ -303,13 +303,3 @@ def slope_at(np: NewtonPolygon, i: int) -> Fraction:
     j = bisect_left(xs, i)
     return Fraction(ys[j] - ys[j - 1], xs[j] - xs[j - 1])
 
-
-def unit_slopes(np: NewtonPolygon) -> List[Fraction]:
-    """Every slope of a polygon that starts at x = 0, once per unit of
-    width: entry i - 1 is ``slope_at(np, i)`` for i = 1..certified_upto."""
-    if np.xs[0] != 0:
-        raise ValueError(f"the polygon starts at x = {np.xs[0]}, not at 0")
-    out: List[Fraction] = []
-    for s, width in segments(zip(np.xs, np.ys)):
-        out += [s] * width
-    return out

@@ -85,9 +85,8 @@ def check_mid_slopes(ctx: GhostContext, k: int) -> List[dict]:
         want = Fraction(k - 2, 2)
         # hull slopes never decrease, so equal ends leave no other slope between them
         if not newton.slope_at(np_, du + 1) == want == newton.slope_at(np_, di - du):
-            slopes = newton.unit_slopes(np_)
             for i in range(du + 1, di - du + 1):
-                got = slopes[i - 1]
+                got = newton.slope_at(np_, i)
                 if got != want:
                     witnesses.append(
                         {"k": k, "slope_index": i,
@@ -154,10 +153,9 @@ def check_atkin_lehner(ctx: GhostContext, k0: int) -> List[dict]:
             witnesses.append({"k0": k0, "ell": ell, "lhs": lhs, "rhs": rhs,
                               "reason": "jump identity"})
     if not on_class and d >= 1:
-        slopes1 = newton.unit_slopes(_np_at_classical(ctx, k0))
-        slopes2 = newton.unit_slopes(_np_at_classical(ctx2, k0))
+        np1, np2 = _np_at_classical(ctx, k0), _np_at_classical(ctx2, k0)
         for ell in range(1, d + 1):
-            s = slopes1[ell - 1] + slopes2[d - ell]
+            s = newton.slope_at(np1, ell) + newton.slope_at(np2, d + 1 - ell)
             if s != k0 - 1:
                 witnesses.append(
                     {"k0": k0, "ell": ell, "lhs": format_rational(s), "rhs": k0 - 1,
@@ -183,9 +181,8 @@ def check_p_stabilization(ctx: GhostContext, k0: int) -> List[dict]:
                 )
         # hull slopes never decrease, so the last one is the largest
         if newton.slope_at(np_, di) > k0 - 1:
-            slopes = newton.unit_slopes(np_)
             for i in range(1, di + 1):
-                s = slopes[i - 1]
+                s = newton.slope_at(np_, i)
                 if s > k0 - 1:
                     witnesses.append(
                         {"k0": k0, "slope_index": i, "lhs": format_rational(s),
@@ -211,9 +208,8 @@ def check_gouvea(ctx: GhostContext, k0: int) -> List[dict]:
         np_ = _np_at_classical(ctx, k0)
         # hull slopes never decrease, so slope du is the largest of them
         if newton.slope_at(np_, du) > bound:
-            slopes = newton.unit_slopes(np_)
             for i in range(1, du + 1):
-                s = slopes[i - 1]
+                s = newton.slope_at(np_, i)
                 if s > bound:
                     witnesses.append(
                         {"k0": k0, "slope_index": i, "lhs": format_rational(s), "rhs": bound}
@@ -229,11 +225,10 @@ def check_halo(ctx: GhostContext, t: Union[Fraction, str], n_max: int) -> List[d
     may be given as its 'num/den' string."""
     t = Fraction(t)
     np_, _ = newton.np_of_ghost_auto(ctx, Boundary(t), n_max)
-    slopes = newton.unit_slopes(np_)
     witnesses = []
     prev = None
     for i in range(1, n_max + 1):
-        got = slopes[i - 1]
+        got = newton.slope_at(np_, i)
         want = t * (ghost.degree_fast(ctx, i) - ghost.degree_fast(ctx, i - 1))
         if got != want:
             witnesses.append({"n": i, "lhs": format_rational(got),

@@ -190,34 +190,79 @@ class TestFormats:
     def numbers(self, text):
         return re.findall(r"-?\d+(?:/\d+)?", text)
 
-    def test_csv_and_table_carry_same_numbers(self, capsys):
-        argv = ("delta", "--p", "7", "--a", "2", "--seps", "4", "--k", "18")
-        _, as_json, _ = run(capsys, *argv, "--format", "json")
-        _, as_csv, _ = run(capsys, *argv, "--format", "csv")
-        _, as_table, _ = run(capsys, *argv, "--format", "table")
-        payload = json.loads(as_json)
-        want = []
+    #: One query of every command, each shape of output among them: np at
+    #: every point kind, ns with ranges and with none (an empty list), and a
+    #: passing verify and scan (empty witnesses and meta).
+    QUERIES = {
+        "np-classical": ("np", "--p", "7", "--a", "2", "--seps", "4",
+                         "--point", "classical:18", "--nmax", "8"),
+        "np-perturbed": ("np", "--p", "7", "--a", "2", "--seps", "4",
+                         "--point", "perturbed:18:5/2", "--nmax", "8"),
+        "np-boundary": ("np", "--p", "7", "--a", "2", "--seps", "4",
+                        "--point", "boundary:1/2", "--nmax", "6"),
+        "ns-ranges": ("ns", "--p", "7", "--a", "2", "--seps", "4",
+                      "--point", "perturbed:18:7/1", "--nmax", "6"),
+        "ns-no-ranges": ("ns", "--p", "7", "--a", "2", "--seps", "4",
+                         "--point", "boundary:1/2", "--nmax", "6"),
+        "delta": ("delta", "--p", "7", "--a", "2", "--seps", "4", "--k", "18"),
+        "ghost": ("ghost", "--p", "7", "--a", "2", "--seps", "4", "--n", "6"),
+        "dims": ("dims", "--p", "7", "--a", "2", "--kmax", "14"),
+        "verify": ("verify", "--p", "7", "--a", "2", "--seps", "4", "--suite", "halo",
+                   "--n-max", "4"),
+        "scan": ("scan", "--p-list", "5", "--suites", "halo", "--n-max", "4",
+                 "--workers", "1"),
+    }
 
-        def collect(obj):
+    @staticmethod
+    def scalars_and_keys(payload):
+        """The JSON's scalars in order, and the key path of every dict entry."""
+        scalars, keys = [], []
+
+        def walk(prefix, obj):
             if isinstance(obj, dict):
-                for v in obj.values():
-                    collect(v)
+                for key, val in obj.items():
+                    keys.append(f"{prefix}.{key}" if prefix else key)
+                    walk(keys[-1], val)
             elif isinstance(obj, list):
-                for v in obj:
-                    collect(v)
+                for i, val in enumerate(obj):
+                    walk(f"{prefix}[{i}]", val)
             else:
-                want.append(str(obj))
+                scalars.append(obj)
 
-        collect(payload)
+        walk("", payload)
+        return scalars, keys
+
+    @pytest.mark.parametrize("query", list(QUERIES))
+    def test_csv_and_table_carry_same_numbers(self, query):
+        # one payload rendered three ways, so that even ``elapsed`` agrees
+        argv = list(self.QUERIES[query])
+        args = cli._build_parser(argv[0]).parse_args(argv)
+        payload = json.loads(cli.render(args.payload(args), "json"))
+        as_csv = cli.render(payload, "csv")
+        as_table = cli.render(payload, "table")
+        scalars, keys = self.scalars_and_keys(payload)
         for rendered in (as_csv, as_table):
-            got = rendered
-            for token in want:
-                assert token in got
+            for value in scalars:
+                assert str(value) in rendered
 
         rows = list(csv.reader(io.StringIO(as_csv)))
-        json_numbers = sorted(x for x in self.numbers(as_json))
-        csv_numbers = sorted(x for row in rows for cell in row[1:] for x in self.numbers(cell))
+        json_numbers = [x for value in scalars for x in self.numbers(json.dumps(value))]
+        csv_numbers = [x for row in rows for cell in row[1:] for x in self.numbers(cell)]
         assert json_numbers == csv_numbers
+
+        # every key path is a row, or the path of a row's container
+        paths = {row[0] for row in rows}
+        for key in keys:
+            assert key in paths or any(path.startswith((key + ".", key + "["))
+                                       for path in paths), key
+
+        # the table has the csv's rows in the csv's order, the same numbers after each key
+        lines = as_table.split("\n")
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            assert line.startswith(row[0])
+            assert self.numbers(line[len(row[0]):]) == [
+                x for cell in row[1:] for x in self.numbers(cell)]
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "g.json"
@@ -257,6 +302,16 @@ class TestExitCodes:
                                  "--point", point, "--nmax", "5")
             assert (code, out) == (2, "") and "bad weight point" in err
         assert run(capsys, "dims", "--p", "7", "--a", "2")[0] == 2  # missing kmax
+
+    def test_a_request_that_runs_out_of_memory_exits_2(self, capsys, monkeypatch):
+        def payload(args):
+            raise MemoryError  # what a huge --nmax meets, with nothing allocated
+
+        monkeypatch.setattr(cli, "_payload_np", payload)
+        code, out, err = run(capsys, "np", "--p", "7", "--a", "2", "--seps", "4",
+                             "--point", "classical:18", "--nmax", "1000000000000")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "memory" in err and err.count("\n") == 1
 
     def test_a_reader_that_closes_the_pipe_early_gets_status_141(self):
         # a profile of about 110 kB, more than a pipe buffer holds, read as

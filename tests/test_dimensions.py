@@ -3,7 +3,9 @@ import random
 import pytest
 
 from ghostline import dimensions as dims
-from ghostline.weight_space import new_context
+from ghostline import ghost_series as ghost
+from ghostline import steinberg
+from ghostline.weight_space import clear_context_caches, new_context
 
 # known rank tables for p = 7, a = 2, one row per disk s_eps = 0..5
 D_IW_TABLE = {
@@ -242,14 +244,31 @@ class TestJumpWindows:
                 stop = start + rng.randint(0, 120)
                 assert dims.jump_windows(ctx, start, stop) == self.direct(ctx, start, stop)
 
-    def test_past_the_table_bound(self, monkeypatch):
-        monkeypatch.setattr(dims, "WINDOW_TABLE_MAX", 50)
+    def test_every_index_to_10000_in_any_order(self):
+        # every triple with p <= 13; the table grows to the largest stop
+        # asked for, and later ranges read back below and inside it
+        grid = [(p, a) for p in (5, 7, 11, 13) for a in range(1, p - 3)]
+        ranges = ((300, 900), (0, 50), (5000, 10_001), (20, 7000), (9000, 9500), (12, 3),
+                  (0, 10_001))
+        for ctx in contexts(grid):
+            dims._window_table.cache_clear()
+            direct = self.direct(ctx, 0, 10_001)
+            for start, stop in ranges:
+                assert dims.jump_windows(ctx, start, stop) == direct[start:stop], ctx
+            assert [len(column) for column in dims._window_table(ctx)] == [10_001] * 2
         dims._window_table.cache_clear()
-        ctx = new_context(11, 5, 7)
-        for start, stop in ((0, 30), (20, 80), (45, 55), (60, 90), (0, 120)):
-            assert dims.jump_windows(ctx, start, stop) == self.direct(ctx, start, stop)
-        assert len(dims._window_table(ctx)) == 50
-        dims._window_table.cache_clear()
+
+    def test_the_table_stops_at_the_largest_evaluator(self):
+        # one profile at k_bullet 5000 grows one evaluator; the table holds
+        # the windows of the indices that evaluator stores and no more
+        ctx = new_context(5, 1, 1)
+        clear_context_caches()
+        k = ctx.weight_of_bullet(5000)
+        steinberg.delta_profile(ctx, k)
+        stored = len(ghost.classical_evaluator(ctx, k)._scaled)  # indices 0 .. stored - 1
+        assert stored > 5000
+        assert [len(column) for column in dims._window_table(ctx)] == [stored - 1] * 2
+        clear_context_caches()
 
     def test_window_ends_are_nondecreasing(self):
         # the jump evaluator sizes its level table from the last window

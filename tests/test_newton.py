@@ -180,23 +180,6 @@ class TestVertexStorage:
                 assert got == [per_unit[i] for i in sorted(per_unit) if i > start]
             assert tuple(newton.segments(hull.vertices)) == hull.slopes
 
-    def test_unit_slopes_match_slope_at(self):
-        rng = random.Random(41)
-        seen_zero_start = 0
-        for _ in range(300):
-            hull = random_hull(rng)
-            if hull.vertices[0][0] != 0:
-                with pytest.raises(ValueError):
-                    newton.unit_slopes(hull)
-                continue
-            seen_zero_start += 1
-            want = [slope_at_walk(hull, i) for i in range(1, hull.certified_upto + 1)]
-            assert newton.unit_slopes(hull) == want, hull
-        assert seen_zero_start >= 50
-        np_, _ = newton.np_of_ghost_auto(C4, Classical(66), 20)
-        assert newton.unit_slopes(np_) == [
-            newton.slope_at(np_, i) for i in range(1, np_.certified_upto + 1)]
-
 
 class TestGhostPolygon:
     def test_regime_straight_line(self):
@@ -523,11 +506,6 @@ class TuplePolygon:
         ys = dict(self.vertices)
         return ys[x] if x in ys else hull_value(self, x)
 
-    def unit_slopes(self):
-        if self.vertices[0][0] != 0:
-            raise ValueError(self.vertices[0][0])
-        return [s for s, width in self.segments() for _ in range(width)]
-
     def to_json_dict(self):
         return {
             "vertices": [[x, format_rational(y)] for x, y in self.vertices],
@@ -577,7 +555,6 @@ def assert_same_polygon(np_, old):
         assert list(newton.segments(np_.vertices, n)) == old.segments(n)
         assert list(newton.segments_from(np_, n)) == old.segments(n)
         _same_answer(lambda m: newton.value_at(np_, m), old.value_at, n)
-    _same_answer(lambda: newton.unit_slopes(np_), old.unit_slopes)
 
 
 def is_machine_column(column):

@@ -91,6 +91,11 @@ class TestGouvea:
         assert verify.check_gouvea(ctx, 10) == []
 
 
+def _unit_slopes(np_):
+    """Every slope of a polygon that starts at x = 0, once per unit of width."""
+    return [s for s, width in newton.segments(np_.vertices) for _ in range(width)]
+
+
 def _per_index_witnesses(ctx, name, k):
     """The witnesses of ``mid_slopes``, ``p_stabilization`` or ``gouvea`` at
     the weight k, from a walk over every slope index of the polygon that
@@ -99,7 +104,7 @@ def _per_index_witnesses(ctx, name, k):
     out = []
     if name == "mid_slopes":
         if di - 2 * du >= 2:
-            slopes = newton.unit_slopes(verify._np_at_classical(ctx, k))
+            slopes = _unit_slopes(verify._np_at_classical(ctx, k))
             want = Fraction(k - 2, 2)
             for i in range(du + 1, di - du + 1):
                 if slopes[i - 1] != want:
@@ -107,7 +112,7 @@ def _per_index_witnesses(ctx, name, k):
                                 "rhs": format_rational(want)})
     elif name == "p_stabilization":
         if di >= 1:
-            slopes = newton.unit_slopes(verify._np_at_classical(ctx, k))
+            slopes = _unit_slopes(verify._np_at_classical(ctx, k))
             for ell in range(1, du + 1):
                 s = slopes[ell - 1] + slopes[di - ell]
                 if s != k - 1:
@@ -124,7 +129,7 @@ def _per_index_witnesses(ctx, name, k):
         if bound > coarse:
             out.append({"k0": k, "lhs": bound, "rhs": coarse,
                         "reason": "sharp bound above floor bound"})
-        slopes = newton.unit_slopes(verify._np_at_classical(ctx, k))
+        slopes = _unit_slopes(verify._np_at_classical(ctx, k))
         for i in range(1, du + 1):
             if slopes[i - 1] > bound:
                 out.append({"k0": k, "slope_index": i, "lhs": format_rational(slopes[i - 1]),
