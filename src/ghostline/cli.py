@@ -4,12 +4,13 @@ Every computation is reachable as a subcommand with machine-readable
 output; rationals are always emitted as "num/den" strings and +infinity as
 "inf", so downstream comparisons stay bit-exact.
 
-Exit codes: 0 success, 1 failed verification, 2 parameter errors (a
-request that runs out of memory among them), 3 Newton-polygon
-certification failure after retries, and 141 when the reader of stdout
-closes it early (the status a shell gives a process that SIGPIPE ended;
-``main`` returns it and leaves the signal handlers as they are).  csv and
-table output keep an empty list or dict as a row of its key path alone.
+Exit codes: 0 success, 1 failed verification, 2 parameter errors (an np
+or delta request past ``MAX_INDEX``, and a request that runs out of memory,
+among them), 3 Newton-polygon certification failure after retries, and
+141 when the reader of stdout closes it early (the status a shell gives a
+process that SIGPIPE ended; ``main`` returns it and leaves the signal
+handlers as they are).  csv and table output keep an empty list or dict
+as a row of its key path alone, and csv rows end in a line feed.
 
 Each command imports only the modules it runs: ``steinberg`` is loaded by
 ``delta`` and ``ns``, and ``verify`` by ``verify`` and ``scan`` (and by the
@@ -38,6 +39,13 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARAMS = 2
 EXIT_CERTIFICATION = 3
 EXIT_BROKEN_PIPE = 141
+
+#: The largest index an np or delta request may read; both know theirs
+#: before any work.  An np query peaks near 120 MB at 10^5 indices (Python
+#: 3.11), about 1 kB per index, most of it transient lists beside the 24
+#: bytes per index of window table and store that stay cached; so a
+#: request at the limit peaks near 1 GB.
+MAX_INDEX = 10**6
 
 
 # --------------------------------------------------------------- payloads
@@ -79,9 +87,19 @@ def _point_query(args) -> Tuple[GhostContext, WeightPoint]:
     return ctx, point
 
 
+def _check_index(command: str, last: int) -> None:
+    """Refuse a request that would read indices past ``MAX_INDEX``."""
+    if last > MAX_INDEX:
+        raise ValueError(f"the {command} request reads indices up to {last}, "
+                         f"past the limit of {MAX_INDEX}")
+
+
 def _payload_np(args) -> dict:
     ctx, point = _point_query(args)
-    np_, buffer_used = newton.np_of_ghost_auto(ctx, point, args.nmax, args.buffer)
+    buffer = newton.default_buffer(ctx) if args.buffer is None else args.buffer
+    # the window end of the last retry, a zero buffer growing from 1
+    _check_index("np", args.nmax + max(buffer, 1) * 2**newton.RETRIES)
+    np_, buffer_used = newton.np_of_ghost_auto(ctx, point, args.nmax, buffer)
     payload = {"point": args.point, "n_max": args.nmax, "buffer_used": buffer_used}
     payload.update(np_.to_json_dict())
     return payload
@@ -95,6 +113,7 @@ def _payload_delta(args) -> dict:
         raise ValueError(
             f"--k must be >= 2 and congruent to k_eps = {ctx.k_eps} mod {ctx.p - 1}"
         )
+    _check_index("delta", dims.d_iw(ctx, args.k) // 2 + dims.d_new(ctx, args.k) // 2)
     return steinberg.delta_profile(ctx, args.k).to_json_dict()
 
 
@@ -186,7 +205,7 @@ def render(payload: dict, fmt: str) -> str:
         import csv
 
         out = io.StringIO()
-        writer = csv.writer(out)
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerows(rows)
         return out.getvalue().rstrip("\n")
     if fmt == "table":

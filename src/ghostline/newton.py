@@ -246,12 +246,17 @@ def np_of_ghost(
     raise CertificationError(n_max, achieved, buffer)
 
 
+def default_buffer(ctx: GhostContext) -> int:
+    """The window past n_max that ``np_of_ghost_auto`` starts from."""
+    return 2 * ctx.p + 8
+
+
 def np_of_ghost_auto(
     ctx: GhostContext, w: WeightPoint, n_max: int, buffer: int | None = None
 ) -> Tuple[NewtonPolygon, int]:
     """np_of_ghost with up to RETRIES buffer doublings; returns (polygon, buffer)."""
     if buffer is None:
-        buffer = 2 * ctx.p + 8
+        buffer = default_buffer(ctx)
     for attempt in range(RETRIES + 1):
         try:
             return np_of_ghost(ctx, w, n_max, buffer), buffer

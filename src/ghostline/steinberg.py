@@ -22,7 +22,8 @@ of (w, k).  A ``DeltaProfile`` keeps its raw values and their hull, a
 The checkers below verify that these ranges are nested, that they are
 exactly the non-vertices of the Newton polygon, and that non-vertices of
 the profile hull are detected by near-Steinberg ranges of neighbouring
-weights.  Each returns the witnesses ``verify`` reports, in their final
+weights; the last reads one list of ranges per weight, those at w_k0
+itself, for all its offsets.  Each returns the witnesses ``verify`` reports, in their final
 JSON form (rationals as "num/den", ranges as dicts), and none when the
 statement holds.
 """
@@ -294,39 +295,37 @@ def _check_range_slope(
     return []
 
 
-def delta_vertex_check(ctx: GhostContext, k0: int, ell: int) -> List[dict]:
-    """Three-way equivalence at one profile offset of the weight k0.
+def delta_vertex_check(ctx: GhostContext, k0: int) -> List[dict]:
+    """Three-way equivalence at the profile offsets 0 <= ell < d_new/2 of k0.
 
     (ell, delta_prime(k0, ell)) fails to be a hull vertex exactly when the
     index d_iw/2 + ell is near-Steinberg for some larger weight, exactly
-    when d_iw/2 - ell is near-Steinberg for some smaller weight.  Returns
-    no witness when that holds, and otherwise one with the vertex test and
-    the witness weight found on each side (None for none).
+    when d_iw/2 - ell is near-Steinberg for some smaller weight.  All those
+    indices lie in [1, d_iw/2 + d_new/2 - 1], so one list of the ranges at
+    w_k0 (``near_steinberg_ranges``) serves every offset.  The witness on
+    each side is the least weight whose range contains the index: a range
+    containing n belongs to a weight of ``dims.zero_window(n)``, which
+    ascends in k, so this is that window's first hit on the side.  Returns
+    one witness per offset where the equivalence fails, with the vertex
+    test and the witness weight found on each side (None for none).
     """
     half_new = dims.d_new(ctx, k0) // 2
-    if not 0 <= ell <= half_new - 1:
-        raise ValueError(f"need 0 <= ell <= d_new/2 - 1 = {half_new - 1}")
-    prof = delta_profile(ctx, k0)
-    non_vertex = not newton.is_vertex(prof.hull, ell)
-    half_iw = dims.d_iw(ctx, k0) // 2
-    w = Classical(k0)
-
-    def witness(n: int, side: int) -> Optional[int]:
-        for kb in dims.zero_window(ctx, n):
-            k1 = ctx.weight_of_bullet(kb)
-            if side * (k1 - k0) <= 0:
-                continue
-            rng = near_steinberg_range(ctx, w, k1)
-            if rng is not None and rng.contains(n):
-                return k1
-        return None
-
-    above = witness(half_iw + ell, +1)
-    below = witness(half_iw - ell, -1)
-    if non_vertex == (above is not None) == (below is not None):
+    if half_new == 0:
         return []
-    return [{"k0": k0, "ell": ell, "non_vertex": non_vertex,
-             "witness_above": above, "witness_below": below}]
+    half_iw = dims.d_iw(ctx, k0) // 2
+    hull = delta_profile(ctx, k0).hull
+    ranges = near_steinberg_ranges(ctx, Classical(k0), half_iw + half_new - 1)
+    witnesses = []
+    for ell in range(half_new):
+        non_vertex = not newton.is_vertex(hull, ell)
+        above = min((r.k for r in ranges if r.k > k0 and r.contains(half_iw + ell)),
+                    default=None)
+        below = min((r.k for r in ranges if r.k < k0 and r.contains(half_iw - ell)),
+                    default=None)
+        if not non_vertex == (above is not None) == (below is not None):
+            witnesses.append({"k0": k0, "ell": ell, "non_vertex": non_vertex,
+                              "witness_above": above, "witness_below": below})
+    return witnesses
 
 
 def slope_class_ok(ctx: GhostContext, slope: Fraction, width: int) -> bool:

@@ -463,8 +463,7 @@ def check_delta_vertices(ctx: GhostContext, k_bullet_max: int) -> List[dict]:
     """Three-way equivalence for profile hull vertices, plus slope classes."""
     witnesses = []
     for k in _weights(ctx, k_bullet_max):
-        for ell in range(0, dims.d_new(ctx, k) // 2):
-            witnesses += steinberg.delta_vertex_check(ctx, k, ell)
+        witnesses += steinberg.delta_vertex_check(ctx, k)
         witnesses += steinberg.delta_hull_slope_classes(ctx, k)
     return witnesses
 

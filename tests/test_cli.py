@@ -14,6 +14,9 @@ import pytest
 import ghostline
 
 from ghostline import cli, verify
+from ghostline import dimensions as dims
+from ghostline import ghost_series as ghost
+from ghostline.weight_space import clear_context_caches
 
 
 def run(capsys, *argv):
@@ -264,6 +267,10 @@ class TestFormats:
             assert self.numbers(line[len(row[0]):]) == [
                 x for cell in row[1:] for x in self.numbers(cell)]
 
+    def test_csv_rows_end_in_a_line_feed(self, capsys):
+        code, out, _ = run(capsys, *self.QUERIES["ns-no-ranges"], "--format", "csv")
+        assert code == 0 and "\r" not in out and "ranges" in out.split("\n")
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "g.json"
         code, out, _ = run(capsys, "ghost", "--p", "7", "--a", "2", "--seps", "0",
@@ -312,6 +319,26 @@ class TestExitCodes:
                              "--point", "classical:18", "--nmax", "1000000000000")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "memory" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("np", "--p", "7", "--a", "2", "--seps", "4", "--point", "classical:18",
+         "--nmax", "1000000000000"),
+        ("np", "--p", "7", "--a", "2", "--seps", "4", "--point", "boundary:1/2",
+         "--nmax", "10", "--buffer", "100000"),
+        ("delta", "--p", "5", "--a", "1", "--seps", "1", "--k", "40019229"),
+    ])
+    def test_a_request_past_the_index_limit_is_refused_before_any_work(self, capsys, argv):
+        clear_context_caches()
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "limit" in err and err.count("\n") == 1
+        for cache in (dims._window_table, ghost.classical_evaluator, ghost._point_evaluator):
+            assert cache.cache_info().currsize == 0
+
+    def test_the_index_limit_is_inclusive(self):
+        cli._check_index("np", cli.MAX_INDEX)
+        with pytest.raises(ValueError):
+            cli._check_index("np", cli.MAX_INDEX + 1)
 
     def test_a_reader_that_closes_the_pipe_early_gets_status_141(self):
         # a profile of about 110 kB, more than a pipe buffer holds, read as

@@ -530,35 +530,123 @@ class TestVertexTheorem:
         }]
 
 
+def oracle_delta_witnesses(ctx, k0, ell):
+    """The (above, below) witnesses of offset ell of k0 by the per-offset
+    scan: the weights of ``dims.zero_window(n)`` in order, on the side, and
+    the first whose own range contains n."""
+    half_iw = dims.d_iw(ctx, k0) // 2
+
+    def first_hit(n, side):
+        for kb in dims.zero_window(ctx, n):
+            k1 = ctx.weight_of_bullet(kb)
+            if side * (k1 - k0) > 0:
+                rng = steinberg.near_steinberg_range(ctx, Classical(k0), k1)
+                if rng is not None and rng.contains(n):
+                    return k1
+        return None
+
+    return first_hit(half_iw + ell, +1), first_hit(half_iw - ell, -1)
+
+
+def nonconvex_offsets(ctx, kb_max):
+    """The (k, ell) with 0 <= ell < d_new/2 that are not profile hull vertices."""
+    return [(k, ell) for k in map(ctx.weight_of_bullet, range(kb_max + 1))
+            for ell in range(dims.d_new(ctx, k) // 2)
+            if not newton.is_vertex(steinberg.delta_profile(ctx, k).hull, ell)]
+
+
 class TestDeltaVertices:
     def test_convex_profile_has_no_witnesses(self):
         # the check passes at a vertex only when neither side has a witness
         assert newton.is_vertex(steinberg.delta_profile(C4, 18).hull, 1)
-        assert steinberg.delta_vertex_check(C4, 18, 1) == []
+        assert steinberg.delta_vertex_check(C4, 18) == []
 
     def test_equivalence_and_nonconvex_witness_found(self):
         # sweep one disk until a genuinely non-convex profile shows up; at
         # such offsets both neighbouring-weight witnesses must exist
         ctx = new_context(5, 1, 0)
-        found_nonconvex = 0
         for kb in range(0, 60):
             k = ctx.weight_of_bullet(kb)
-            prof = steinberg.delta_profile(ctx, k)
-            for ell in range(0, dims.d_new(ctx, k) // 2):
-                assert steinberg.delta_vertex_check(ctx, k, ell) == [], (k, ell)
-                found_nonconvex += not newton.is_vertex(prof.hull, ell)
-        assert found_nonconvex >= 1
+            assert steinberg.delta_vertex_check(ctx, k) == [], k
+        assert nonconvex_offsets(ctx, 59)
 
     def test_missing_witnesses_are_reported(self, monkeypatch):
-        # with no ranges at all, a non-vertex has neither witness
+        # with no ranges at all, every non-vertex has neither witness
         ctx = new_context(5, 1, 0)
-        k, ell = next((k, ell) for k in map(ctx.weight_of_bullet, range(60))
-                      for ell in range(dims.d_new(ctx, k) // 2)
-                      if not newton.is_vertex(steinberg.delta_profile(ctx, k).hull, ell))
+        k = nonconvex_offsets(ctx, 59)[0][0]
+        ells = [ell for k1, ell in nonconvex_offsets(ctx, 59) if k1 == k]
         monkeypatch.setattr(steinberg, "near_steinberg_range", lambda ctx, w, k: None)
-        assert steinberg.delta_vertex_check(ctx, k, ell) == [
+        assert steinberg.delta_vertex_check(ctx, k) == [
             {"k0": k, "ell": ell, "non_vertex": True,
-             "witness_above": None, "witness_below": None}]
+             "witness_above": None, "witness_below": None} for ell in ells]
+
+    @pytest.mark.parametrize("p,a,s_eps", [(5, 1, 0), (7, 2, 4), (11, 3, 0), (13, 9, 0)])
+    def test_witnesses_match_the_per_offset_scan(self, monkeypatch, p, a, s_eps):
+        # an inverted vertex test makes every offset report its witnesses,
+        # which must be the per-offset scan's first hits on each side
+        ctx = new_context(p, a, s_eps)
+        is_vertex = newton.is_vertex
+        monkeypatch.setattr(newton, "is_vertex", lambda poly, x: not is_vertex(poly, x))
+        for k in map(ctx.weight_of_bullet, range(26)):
+            got = steinberg.delta_vertex_check(ctx, k)
+            assert [w["ell"] for w in got] == list(range(dims.d_new(ctx, k) // 2)), k
+            for w in got:
+                assert (w["witness_above"], w["witness_below"]) == \
+                    oracle_delta_witnesses(ctx, k, w["ell"]), (k, w["ell"])
+
+    @pytest.mark.parametrize("p,a,s_eps", [(5, 1, 0), (7, 2, 4), (13, 9, 0)])
+    def test_least_witness_among_overlapping_ranges(self, monkeypatch, p, a, s_eps):
+        # real ranges give each index at most one witness per side, so give
+        # every weight its widest range, L = d_new/2: then the ranges of
+        # several weights hold one index, and the check must still pick the
+        # per-offset scan's first hit.  With every offset a vertex, an
+        # offset is reported exactly when it has a witness.
+        def widest_range(ctx, w, k):
+            half_iw, top = dims.d_iw(ctx, k) // 2, dims.d_new(ctx, k) // 2
+            return steinberg.NearSteinbergRange(k, top, half_iw - top, half_iw + top) \
+                if top else None
+
+        ctx = new_context(p, a, s_eps)
+        monkeypatch.setattr(steinberg, "near_steinberg_range", widest_range)
+        monkeypatch.setattr(newton, "is_vertex", lambda poly, x: True)
+        several = 0  # offsets whose index lies in two ranges above k
+        for k in map(ctx.weight_of_bullet, range(26)):
+            got = {w["ell"]: (w["witness_above"], w["witness_below"])
+                   for w in steinberg.delta_vertex_check(ctx, k)}
+            half_iw = dims.d_iw(ctx, k) // 2
+            for ell in range(dims.d_new(ctx, k) // 2):
+                assert got.get(ell, (None, None)) == oracle_delta_witnesses(ctx, k, ell)
+                n = half_iw + ell
+                holders = [k1 for k1 in map(ctx.weight_of_bullet, dims.zero_window(ctx, n))
+                           if k1 > k and widest_range(ctx, None, k1).contains(n)]
+                several += len(holders) > 1
+        assert several
+
+    def test_check_reads_the_range_list(self, monkeypatch):
+        # drop the least range above k0 from the list: the non-convex
+        # offsets of (5, 1, 0) whose index it held lose their witness above,
+        # and every other offset still passes
+        ctx = new_context(5, 1, 0)
+        ranges = steinberg.near_steinberg_ranges
+        dropped = {}
+
+        def without_least_above(ctx, w, n_max):
+            found = ranges(ctx, w, n_max)
+            above = [r for r in found if r.k > w.k0]
+            if above:
+                dropped[w.k0] = min(above, key=lambda r: r.k)
+                found.remove(dropped[w.k0])
+            return found
+
+        monkeypatch.setattr(steinberg, "near_steinberg_ranges", without_least_above)
+        reported = [w for k in map(ctx.weight_of_bullet, range(60))
+                    for w in steinberg.delta_vertex_check(ctx, k)]
+        lost = [(k, ell) for k, ell in nonconvex_offsets(ctx, 59)
+                if dropped[k].contains(dims.d_iw(ctx, k) // 2 + ell)]
+        assert lost
+        assert [(w["k0"], w["ell"]) for w in reported] == lost
+        assert all(w["non_vertex"] and w["witness_above"] is None
+                   and w["witness_below"] is not None for w in reported)
 
     def test_hull_slope_classes(self):
         for ctx in (C0, C4, new_context(7, 3, 2)):
