@@ -4,9 +4,10 @@ Every computation is reachable as a subcommand with machine-readable
 output; rationals are always emitted as "num/den" strings and +infinity as
 "inf", so downstream comparisons stay bit-exact.
 
-Exit codes: 0 success, 1 failed verification, 2 parameter errors (an np
-or delta request past ``MAX_INDEX``, and a request that runs out of memory,
-among them), 3 Newton-polygon certification failure after retries, and
+Exit codes: 0 success, 1 failed verification, 2 parameter errors (an np,
+delta, ghost or dims request that spans more than ``MAX_WEIGHTS`` weights,
+and a request that runs out of memory, among them), 3 Newton-polygon
+certification failure after the fixed schedule of ``newton.buffers``, and
 141 when the reader of stdout closes it early (the status a shell gives a
 process that SIGPIPE ended; ``main`` returns it and leaves the signal
 handlers as they are).  csv and table output keep an empty list or dict
@@ -40,12 +41,17 @@ EXIT_PARAMS = 2
 EXIT_CERTIFICATION = 3
 EXIT_BROKEN_PIPE = 141
 
-#: The largest index an np or delta request may read; both know theirs
-#: before any work.  An np query peaks near 120 MB at 10^5 indices (Python
-#: 3.11), about 1 kB per index, most of it transient lists beside the 24
-#: bytes per index of window table and store that stay cached; so a
-#: request at the limit peaks near 1 GB.
-MAX_INDEX = 10**6
+#: The most weights a request may span, each command counting its own
+#: before any work: np and delta the k_bullet <= k_max_bullet(n) for the
+#: last index n their evaluators read (about (p + 1)/2 weights per index),
+#: ghost the factors of g_n, and dims its (p - 1) * (kmax - 1) rank rows.
+#: Peak memory per weight counted (Python 3.11, ru_maxrss of a fresh
+#: process less its 15 MB at start): dims 600 bytes, ghost 475, delta 290
+#: at p = 5 and 35 at p = 1000003, np 170 at p = 5 (about 1 kB per index
+#: of its window, most of it transient lists, over 6 weights counted per
+#: index) and 70 at p = 13.  So a dims request at the limit peaks near
+#: 1 GB, and every other one below that.
+MAX_WEIGHTS = 1_600_000
 
 
 # --------------------------------------------------------------- payloads
@@ -55,6 +61,7 @@ def _payload_dims(args) -> dict:
     if args.kmax < 2:
         raise ValueError("--kmax must be >= 2")
     p = args.p
+    _check_weights("dims", (p - 1) * (args.kmax - 1))
     disks = []
     for s_eps in range(0, p - 1):
         ctx = new_context(p, args.a, s_eps)
@@ -75,6 +82,7 @@ def _payload_ghost(args) -> dict:
     ctx = new_context(args.p, args.a, args.seps)
     if args.n < 0:
         raise ValueError("--n must be >= 0")
+    _check_weights("ghost", len(dims.zero_window(ctx, args.n)))
     return ghost.coefficient(ctx, args.n).to_json_dict()
 
 
@@ -87,19 +95,17 @@ def _point_query(args) -> Tuple[GhostContext, WeightPoint]:
     return ctx, point
 
 
-def _check_index(command: str, last: int) -> None:
-    """Refuse a request that would read indices past ``MAX_INDEX``."""
-    if last > MAX_INDEX:
-        raise ValueError(f"the {command} request reads indices up to {last}, "
-                         f"past the limit of {MAX_INDEX}")
+def _check_weights(command: str, weights: int) -> None:
+    """Refuse a request that would span more than ``MAX_WEIGHTS`` weights."""
+    if weights > MAX_WEIGHTS:
+        raise ValueError(f"the {command} request spans {weights} weights, "
+                         f"past the limit of {MAX_WEIGHTS}")
 
 
 def _payload_np(args) -> dict:
     ctx, point = _point_query(args)
-    buffer = newton.default_buffer(ctx) if args.buffer is None else args.buffer
-    # the window end of the last retry, a zero buffer growing from 1
-    _check_index("np", args.nmax + max(buffer, 1) * 2**newton.RETRIES)
-    np_, buffer_used = newton.np_of_ghost_auto(ctx, point, args.nmax, buffer)
+    _check_weights("np", dims.k_max_bullet(ctx, newton.last_index(ctx, args.nmax)) + 1)
+    np_, buffer_used = newton.np_of_ghost_auto(ctx, point, args.nmax)
     payload = {"point": args.point, "n_max": args.nmax, "buffer_used": buffer_used}
     payload.update(np_.to_json_dict())
     return payload
@@ -113,7 +119,8 @@ def _payload_delta(args) -> dict:
         raise ValueError(
             f"--k must be >= 2 and congruent to k_eps = {ctx.k_eps} mod {ctx.p - 1}"
         )
-    _check_index("delta", dims.d_iw(ctx, args.k) // 2 + dims.d_new(ctx, args.k) // 2)
+    last = dims.d_iw(ctx, args.k) // 2 + dims.d_new(ctx, args.k) // 2
+    _check_weights("delta", dims.k_max_bullet(ctx, last) + 1)
     return steinberg.delta_profile(ctx, args.k).to_json_dict()
 
 
@@ -258,7 +265,6 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     sp.add_argument("--point", required=True,
                     help="classical:K | perturbed:K0:NUM/DEN | boundary:NUM/DEN")
     sp.add_argument("--nmax", type=int, required=True)
-    sp.add_argument("--buffer", type=int, default=None)
     sp.set_defaults(payload=_payload_np)
 
     sp = sub.add_parser("delta", help="duality profile of one weight")

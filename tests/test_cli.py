@@ -16,7 +16,7 @@ import ghostline
 from ghostline import cli, verify
 from ghostline import dimensions as dims
 from ghostline import ghost_series as ghost
-from ghostline.weight_space import clear_context_caches
+from ghostline.weight_space import clear_context_caches, new_context
 
 
 def run(capsys, *argv):
@@ -62,11 +62,11 @@ class TestNpCommand:
         assert d["buffer_used"] == 2 * 7 + 8
 
     def test_certification_exit_code(self, capsys):
-        # a straight stretch far longer than four buffer doublings can see
+        # the INF values of g_n at w_k run to about n = 3500, past the end of
+        # every window of the schedule (the last is 2001 + 16 * 22 = 2353)
         k = 6 + 6 * 2000
         code, _, err = run(capsys, "np", "--p", "7", "--a", "2", "--seps", "4",
-                           "--point", f"classical:{k}", "--nmax", "2001",
-                           "--buffer", "1")
+                           "--point", f"classical:{k}", "--nmax", "2001")
         assert code == 3
         assert "certified" in err
 
@@ -323,22 +323,57 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("np", "--p", "7", "--a", "2", "--seps", "4", "--point", "classical:18",
          "--nmax", "1000000000000"),
+        # the least --nmax refused at p = 7
         ("np", "--p", "7", "--a", "2", "--seps", "4", "--point", "boundary:1/2",
-         "--nmax", "10", "--buffer", "100000"),
+         "--nmax", "199648"),
         ("delta", "--p", "5", "--a", "1", "--seps", "1", "--k", "40019229"),
+        # k_bullet 3 reads six indices, but each spans about (p + 1)/2 weights
+        ("delta", "--p", "1000003", "--a", "1", "--seps", "0", "--k", "3000009"),
+        # the least --n and --kmax refused at p = 5
+        ("ghost", "--p", "5", "--a", "1", "--seps", "0", "--n", "666669"),
+        ("dims", "--p", "5", "--a", "1", "--kmax", "400002"),
     ])
-    def test_a_request_past_the_index_limit_is_refused_before_any_work(self, capsys, argv):
+    def test_a_request_past_the_index_limit_is_refused_before_any_work(
+            self, capsys, monkeypatch, argv):
         clear_context_caches()
+        contexts = []
+
+        def counted(*triple):
+            contexts.append(triple)
+            return new_context(*triple)
+
+        monkeypatch.setattr(cli, "new_context", counted)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "limit" in err and err.count("\n") == 1
-        for cache in (dims._window_table, ghost.classical_evaluator, ghost._point_evaluator):
+        for cache in (dims._window_table, ghost.classical_evaluator, ghost._point_evaluator,
+                      ghost.coefficient):
             assert cache.cache_info().currsize == 0
+        assert len(contexts) <= 1  # dims builds one context per disk after its check
 
-    def test_the_index_limit_is_inclusive(self):
-        cli._check_index("np", cli.MAX_INDEX)
+    def test_the_index_limit_is_inclusive(self, monkeypatch):
+        # one step below the least refused requests above (a step of --nmax,
+        # --n or --kmax adds fewer than 10 weights), the check passes; the
+        # work after it is cut off by Admitted
+        class Admitted(Exception):
+            pass
+
+        def checked(command, weights):
+            real(command, weights)
+            raise Admitted(weights)
+
+        real = cli._check_weights
+        monkeypatch.setattr(cli, "_check_weights", checked)
+        for argv in (("np", "--p", "7", "--a", "2", "--seps", "4", "--point",
+                      "boundary:1/2", "--nmax", "199647"),
+                     ("ghost", "--p", "5", "--a", "1", "--seps", "0", "--n", "666668"),
+                     ("dims", "--p", "5", "--a", "1", "--kmax", "400001")):
+            with pytest.raises(Admitted) as exc:
+                cli.main(list(argv))
+            assert cli.MAX_WEIGHTS - 10 < exc.value.args[0] <= cli.MAX_WEIGHTS, argv
+        real("np", cli.MAX_WEIGHTS)
         with pytest.raises(ValueError):
-            cli._check_index("np", cli.MAX_INDEX + 1)
+            real("np", cli.MAX_WEIGHTS + 1)
 
     def test_a_reader_that_closes_the_pipe_early_gets_status_141(self):
         # a profile of about 110 kB, more than a pipe buffer holds, read as
