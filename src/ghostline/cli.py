@@ -4,10 +4,11 @@ Every computation is reachable as a subcommand with machine-readable
 output; rationals are always emitted as "num/den" strings and +infinity as
 "inf", so downstream comparisons stay bit-exact.
 
-Exit codes: 0 success, 1 failed verification, 2 parameter errors (an np,
+Exit codes: 0 success, 1 failed verification, 2 parameter errors (a
 delta, ghost or dims request that spans more than ``MAX_WEIGHTS`` weights,
-and a request that runs out of memory, among them), 3 Newton-polygon
-certification failure after the fixed schedule of ``newton.buffers``, and
+an np request whose next window does, and a request that runs out of
+memory, among them), 3 Newton-polygon certification failure after the
+fixed schedule of ``newton.buffers``, and
 141 when the reader of stdout closes it early (the status a shell gives a
 process that SIGPIPE ended; ``main`` returns it and leaves the signal
 handlers as they are).  csv and table output keep an empty list or dict
@@ -42,15 +43,17 @@ EXIT_CERTIFICATION = 3
 EXIT_BROKEN_PIPE = 141
 
 #: The most weights a request may span, each command counting its own
-#: before any work: np and delta the k_bullet <= k_max_bullet(n) for the
-#: last index n their evaluators read (about (p + 1)/2 weights per index),
-#: ghost the factors of g_n, and dims its (p - 1) * (kmax - 1) rank rows.
+#: before any work: delta the k_bullet <= k_max_bullet(n) for the last
+#: index n its evaluator reads (about (p + 1)/2 weights per index), np the
+#: same for each window before it is read (``newton.span``), ghost the
+#: factors of g_n, and dims its (p - 1) * (kmax - 1) rank rows.
 #: Peak memory per weight counted (Python 3.11, ru_maxrss of a fresh
 #: process less its 15 MB at start): dims 600 bytes, ghost 475, delta 290
 #: at p = 5 and 35 at p = 1000003, np 170 at p = 5 (about 1 kB per index
 #: of its window, most of it transient lists, over 6 weights counted per
-#: index) and 70 at p = 13.  So a dims request at the limit peaks near
-#: 1 GB, and every other one below that.
+#: index) and 70 at p = 13 (52 at p = 1009, whose first window spans
+#: 1.06e6 weights).  So a dims request at the limit peaks near 1 GB, and
+#: every other one below that.
 MAX_WEIGHTS = 1_600_000
 
 
@@ -82,7 +85,8 @@ def _payload_ghost(args) -> dict:
     ctx = new_context(args.p, args.a, args.seps)
     if args.n < 0:
         raise ValueError("--n must be >= 0")
-    _check_weights("ghost", len(dims.zero_window(ctx, args.n)))
+    zeros = dims.zero_window(ctx, args.n)  # len() overflows past 2^63 weights
+    _check_weights("ghost", max(zeros.stop - zeros.start, 0))
     return ghost.coefficient(ctx, args.n).to_json_dict()
 
 
@@ -104,8 +108,7 @@ def _check_weights(command: str, weights: int) -> None:
 
 def _payload_np(args) -> dict:
     ctx, point = _point_query(args)
-    _check_weights("np", dims.k_max_bullet(ctx, newton.last_index(ctx, args.nmax)) + 1)
-    np_, buffer_used = newton.np_of_ghost_auto(ctx, point, args.nmax)
+    np_, buffer_used = newton.np_of_ghost_auto(ctx, point, args.nmax, MAX_WEIGHTS)
     payload = {"point": args.point, "n_max": args.nmax, "buffer_used": buffer_used}
     payload.update(np_.to_json_dict())
     return payload

@@ -40,8 +40,10 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from . import dimensions as dims
 from . import ghost_series as ghost
 from .valuation import INF, ExtRat
 from .weight_space import GhostContext, WeightPoint, _Record, format_rational
@@ -186,12 +188,16 @@ def _future_safe(
     deg g_m) grow without bound while the line rises by a fixed step, so
     the floor passes the line at some m and rises at least as fast from
     there on, unless a point on or below the line stops the loop first.
-    The exact values grow at most c' = p/(p - 1) times as fast as the
-    floor (the mean of min(r, 1 + vp(k - k0)) over the weights k), so for
-    a line that meets them near the window end W the floor, which grows
-    like the square of m, passes it near m = (c' + sqrt(c'^2 - c')) * W:
-    the scan reads about 0.81 * W indices past the window at p = 5,
-    0.61 * W at p = 7, and fewer at larger p.
+    How far that is, is an estimate, not a bound: on average the exact
+    values grow c' = p/(p - 1) times as fast as the floor (the mean of
+    min(r, 1 + vp(k - k0)) over the weights k; one term has no upper
+    limit), so for a line that meets them near the window end W the
+    floor, which grows like the square of m, passes it near
+    m = (c' + sqrt(c'^2 - c')) * W.  The scan then reads about
+    (1 + sqrt(p)) / (p - 1) * W indices past the window: 0.81 * W at
+    p = 5, 0.61 * W at p = 7, 0.03 * W at p = 1009.  Short windows read a
+    little more (at most 1.0 * W at p = 5 and 0.75 * W at p = 7 over
+    3,460 scans of seeded points), which ``span`` leaves room for.
 
     Line, floor and exact values are all scaled by dx, so the loop compares
     integers.
@@ -260,23 +266,33 @@ def buffers(ctx: GhostContext) -> List[int]:
     return [(2 * ctx.p + 8) << i for i in range(RETRIES + 1)]
 
 
-def last_index(ctx: GhostContext, n_max: int) -> int:
-    """The largest index ``np_of_ghost_auto`` may read: twice its last window
-    end, since the certificate's scan past a window is shorter than it."""
-    return 2 * (n_max + buffers(ctx)[-1])
+def span(ctx: GhostContext, n_max: int, buffer: int) -> int:
+    """About how many weights ``np_of_ghost(ctx, w, n_max, buffer)`` reads:
+    the k_bullet of its window [0, W] and of the certificate's scan past
+    it, counted as (3 + isqrt(p)) * W / (p - 1) indices, at least W / (p - 1)
+    more than the length the scan tends to (see ``_future_safe``)."""
+    window_end = n_max + buffer
+    scan = (3 + isqrt(ctx.p)) * window_end // (ctx.p - 1)
+    return dims.k_max_bullet(ctx, window_end + scan) + 1
 
 
-def np_of_ghost_auto(ctx: GhostContext, w: WeightPoint, n_max: int) -> Tuple[NewtonPolygon, int]:
+def np_of_ghost_auto(
+    ctx: GhostContext, w: WeightPoint, n_max: int, max_weights: Optional[int] = None
+) -> Tuple[NewtonPolygon, int]:
     """np_of_ghost over the windows of ``buffers`` in turn; returns (polygon,
     buffer) for the first that certifies n_max, and raises the
-    CertificationError of the last when none does."""
-    *first, last = buffers(ctx)
-    for buffer in first:
+    CertificationError of the last when none does.  A window whose ``span``
+    is more than max_weights raises ValueError before it is read."""
+    for buffer in buffers(ctx):
+        weights = span(ctx, n_max, buffer)
+        if max_weights is not None and weights > max_weights:
+            raise ValueError(f"the polygon's window at buffer {buffer} spans {weights} "
+                             f"weights, past the limit of {max_weights}")
         try:
             return np_of_ghost(ctx, w, n_max, buffer), buffer
-        except CertificationError:
-            pass
-    return np_of_ghost(ctx, w, n_max, last), last
+        except CertificationError as exc:
+            error = exc
+    raise error
 
 
 def is_vertex(np: NewtonPolygon, n: int) -> bool:

@@ -13,7 +13,7 @@ import pytest
 
 import ghostline
 
-from ghostline import cli, verify
+from ghostline import cli, newton, verify
 from ghostline import dimensions as dims
 from ghostline import ghost_series as ghost
 from ghostline.weight_space import clear_context_caches, new_context
@@ -60,6 +60,15 @@ class TestNpCommand:
         assert xs[:5] == [0, 1, 2, 4, 5]
         assert d["certified_upto"] >= 5
         assert d["buffer_used"] == 2 * 7 + 8
+
+    def test_a_large_prime_is_sized_per_window(self, capsys):
+        # the first window certifies; the last of the schedule alone would
+        # span more weights than the limit at p = 1009, not at p = 223
+        for p in ("223", "1009"):
+            code, out, _ = run(capsys, "np", "--p", p, "--a", "1", "--seps", "0",
+                               "--point", "classical:30", "--nmax", "1")
+            assert code == 0
+            assert json.loads(out)["buffer_used"] == 2 * int(p) + 8
 
     def test_certification_exit_code(self, capsys):
         # the INF values of g_n at w_k run to about n = 3500, past the end of
@@ -323,15 +332,17 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("np", "--p", "7", "--a", "2", "--seps", "4", "--point", "classical:18",
          "--nmax", "1000000000000"),
-        # the least --nmax refused at p = 7
+        # the least --nmax refused at p = 7: its first window spans too much
         ("np", "--p", "7", "--a", "2", "--seps", "4", "--point", "boundary:1/2",
-         "--nmax", "199648"),
+         "--nmax", "218160"),
         ("delta", "--p", "5", "--a", "1", "--seps", "1", "--k", "40019229"),
         # k_bullet 3 reads six indices, but each spans about (p + 1)/2 weights
         ("delta", "--p", "1000003", "--a", "1", "--seps", "0", "--k", "3000009"),
         # the least --n and --kmax refused at p = 5
         ("ghost", "--p", "5", "--a", "1", "--seps", "0", "--n", "666669"),
         ("dims", "--p", "5", "--a", "1", "--kmax", "400002"),
+        # more weights than a range's len() can count
+        ("ghost", "--p", "5", "--a", "1", "--seps", "0", "--n", str(10**19)),
     ])
     def test_a_request_past_the_index_limit_is_refused_before_any_work(
             self, capsys, monkeypatch, argv):
@@ -362,10 +373,14 @@ class TestExitCodes:
             real(command, weights)
             raise Admitted(weights)
 
+        def first_window(ctx, w, n_max, buffer):
+            raise Admitted(newton.span(ctx, n_max, buffer))
+
         real = cli._check_weights
         monkeypatch.setattr(cli, "_check_weights", checked)
+        monkeypatch.setattr(newton, "np_of_ghost", first_window)
         for argv in (("np", "--p", "7", "--a", "2", "--seps", "4", "--point",
-                      "boundary:1/2", "--nmax", "199647"),
+                      "boundary:1/2", "--nmax", "218159"),
                      ("ghost", "--p", "5", "--a", "1", "--seps", "0", "--n", "666668"),
                      ("dims", "--p", "5", "--a", "1", "--kmax", "400001")):
             with pytest.raises(Admitted) as exc:

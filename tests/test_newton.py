@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ghostline import dimensions as dims
 from ghostline import ghost_series as ghost
 from ghostline import newton, verify
 from ghostline.valuation import INF
@@ -235,6 +236,31 @@ class TestGhostPolygon:
         with pytest.raises(newton.CertificationError):
             newton.np_of_ghost(C4, Classical(k), n_mid, buffer=2)
 
+    def test_each_window_is_sized_before_it_is_read(self, monkeypatch):
+        # the INF stretch of g_n at w_k outlasts every window (see
+        # test_certification_exit_code), so each window is tried in turn
+        # until the next one spans more than max_weights
+        buffers = []
+        real = newton.np_of_ghost
+
+        def spy(ctx, w, n_max, buffer):
+            buffers.append(buffer)
+            return real(ctx, w, n_max, buffer)
+
+        monkeypatch.setattr(newton, "np_of_ghost", spy)
+        w, schedule = Classical(6 + 6 * 2000), newton.buffers(C4)
+        limit = newton.span(C4, 2001, schedule[2]) - 1
+        with pytest.raises(ValueError, match="limit"):
+            newton.np_of_ghost_auto(C4, w, 2001, limit)
+        assert buffers == schedule[:2]
+        buffers.clear()
+        with pytest.raises(ValueError, match="limit"):
+            newton.np_of_ghost_auto(C4, w, 2001, newton.span(C4, 2001, schedule[0]) - 1)
+        assert buffers == []
+        # the limit is inclusive
+        np_, used = newton.np_of_ghost_auto(C4, Classical(18), 5, newton.span(C4, 5, schedule[0]))
+        assert (buffers, used) == ([schedule[0]], schedule[0])
+
     def test_queries_beyond_certification_rejected(self):
         np_, _ = newton.np_of_ghost_auto(C4, Classical(18), 5)
         with pytest.raises(ValueError):
@@ -435,6 +461,8 @@ class TestExactCertificate:
         # the store grows in steps of GROW_STEP past the last index read
         read = len(ghost.evaluator(ctx, w)._scaled) - ghost.GROW_STEP
         assert read - window_end > 100_000
+        # and the weights read stay within the window's span
+        assert dims.k_max_bullet(ctx, read) < newton.span(ctx, 130_000, buffer)
 
 
 class TestIntegerHull:
