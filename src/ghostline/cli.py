@@ -5,10 +5,8 @@ output; rationals are always emitted as "num/den" strings and +infinity as
 "inf", so downstream comparisons stay bit-exact.
 
 Exit codes: 0 success, 1 failed verification, 2 parameter errors (a
-delta, ghost or dims request that spans more than ``MAX_WEIGHTS`` weights,
-an np request whose next window does, and a request that runs out of
-memory, among them), 3 Newton-polygon certification failure after the
-fixed schedule of ``newton.buffers``, and
+request that would span more than ``dims.MAX_WEIGHTS`` weights, and one
+that runs out of memory, among them), and
 141 when the reader of stdout closes it early (the status a shell gives a
 process that SIGPIPE ended; ``main`` returns it and leaves the signal
 handlers as they are).  csv and table output keep an empty list or dict
@@ -39,22 +37,7 @@ from .weight_space import GhostContext, WeightPoint, new_context, parse_point
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_PARAMS = 2
-EXIT_CERTIFICATION = 3
 EXIT_BROKEN_PIPE = 141
-
-#: The most weights a request may span, each command counting its own
-#: before any work: delta the k_bullet <= k_max_bullet(n) for the last
-#: index n its evaluator reads (about (p + 1)/2 weights per index), np the
-#: same for each window before it is read (``newton.span``), ghost the
-#: factors of g_n, and dims its (p - 1) * (kmax - 1) rank rows.
-#: Peak memory per weight counted (Python 3.11, ru_maxrss of a fresh
-#: process less its 15 MB at start): dims 600 bytes, ghost 475, delta 290
-#: at p = 5 and 35 at p = 1000003, np 170 at p = 5 (about 1 kB per index
-#: of its window, most of it transient lists, over 6 weights counted per
-#: index) and 70 at p = 13 (52 at p = 1009, whose first window spans
-#: 1.06e6 weights).  So a dims request at the limit peaks near 1 GB, and
-#: every other one below that.
-MAX_WEIGHTS = 1_600_000
 
 
 # --------------------------------------------------------------- payloads
@@ -100,15 +83,17 @@ def _point_query(args) -> Tuple[GhostContext, WeightPoint]:
 
 
 def _check_weights(command: str, weights: int) -> None:
-    """Refuse a request that would span more than ``MAX_WEIGHTS`` weights."""
-    if weights > MAX_WEIGHTS:
+    """Refuse a ghost or dims request that would span more than
+    ``dims.MAX_WEIGHTS`` weights; those two build their output here, not
+    through the window table that holds every other request to the limit."""
+    if weights > dims.MAX_WEIGHTS:
         raise ValueError(f"the {command} request spans {weights} weights, "
-                         f"past the limit of {MAX_WEIGHTS}")
+                         f"past the limit of {dims.MAX_WEIGHTS}")
 
 
 def _payload_np(args) -> dict:
     ctx, point = _point_query(args)
-    np_, buffer_used = newton.np_of_ghost_auto(ctx, point, args.nmax, MAX_WEIGHTS)
+    np_, buffer_used = newton.np_of_ghost_auto(ctx, point, args.nmax)
     payload = {"point": args.point, "n_max": args.nmax, "buffer_used": buffer_used}
     payload.update(np_.to_json_dict())
     return payload
@@ -122,8 +107,6 @@ def _payload_delta(args) -> dict:
         raise ValueError(
             f"--k must be >= 2 and congruent to k_eps = {ctx.k_eps} mod {ctx.p - 1}"
         )
-    last = dims.d_iw(ctx, args.k) // 2 + dims.d_new(ctx, args.k) // 2
-    _check_weights("delta", dims.k_max_bullet(ctx, last) + 1)
     return steinberg.delta_profile(ctx, args.k).to_json_dict()
 
 
@@ -326,9 +309,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_PARAMS
     try:
         payload = args.payload(args)
-    except newton.CertificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATION
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS

@@ -19,6 +19,8 @@ some n) are the only statements of that relation.
 The jump windows of index n, the three ends (k_min_bullet(n),
 k_mid_bullet(n), k_max_bullet(n)) that every jump evaluator reads, come
 from ``jump_windows``, which tabulates the outer two once per context.
+Every evaluator grows through that table, so it is where the engine's one
+size limit sits: the table never spans more than ``MAX_WEIGHTS`` weights.
 
 Two independent oracles guard the closed forms: a power-basis count for
 d_iw, and a Jordan-Holder recursion in the Grothendieck group of
@@ -31,6 +33,18 @@ from array import array
 from typing import Iterator, List, Optional, Tuple
 
 from .weight_space import GhostContext, context_cache
+
+#: The most weights a window table may span: the k_bullet <= k_max_bullet(n)
+#: for its last index n, about (p + 1)/2 weights per index.  Every jump
+#: evaluator grows through that table, so no profile or polygon of ``np``,
+#: ``delta``, ``ns`` or ``verify`` reads past it; ``cli`` counts the
+#: weights of ``ghost`` and ``dims`` against it up front.  Peak
+#: memory per weight (Python 3.11, ru_maxrss of a fresh process less its
+#: 15 MB at start): dims 600 bytes, ghost 475, delta 290 at p = 5 and 35
+#: at p = 1000003, np 190 at p = 5 (297 MB over 1.56e6 weights, most of
+#: it transient lists of its window) and 52 at p = 1009.  So a dims request
+#: at the limit peaks near 1 GB, and every other one below that.
+MAX_WEIGHTS = 1_600_000
 
 
 def d_iw(ctx: GhostContext, k: int) -> int:
@@ -117,11 +131,18 @@ def jump_windows(ctx: GhostContext, start: int, stop: int) -> List[Tuple[int, in
     The outer ends are tabulated per context, for the 32 most recent
     contexts, in two columns of machine integers that grow in place to the
     largest ``stop`` asked for, so the jump evaluators of one context share
-    them; k_mid_bullet(n) = n + delta_eps - 1 is not stored.
+    them; k_mid_bullet(n) = n + delta_eps - 1 is not stored.  A growth that
+    would span more than ``MAX_WEIGHTS`` weights raises ValueError before
+    anything changes, so a caller's cursors and stores stay as they were.
     """
     if start < 0:
         raise ValueError(f"start must be >= 0, got {start}")
     kmins, kmaxs = _window_table(ctx)
+    if stop > len(kmaxs):
+        weights = k_max_bullet(ctx, stop - 1) + 1
+        if weights > MAX_WEIGHTS:
+            raise ValueError(f"reading index {stop - 1} would span {weights} weights, "
+                             f"past the limit of {MAX_WEIGHTS}")
     # each column grows from its own length, so a growth that a MemoryError
     # cut short leaves both columns right
     kmins.extend(k_min_bullet(ctx, n) for n in range(len(kmins), stop))

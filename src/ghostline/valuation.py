@@ -70,9 +70,16 @@ ExtRat = Union[int, Fraction, PlusInfinity]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+#: The least strong pseudoprime to every base of ``_SMALL_PRIMES``,
+#: 1287836182261 * 2575672364521; below it those bases decide primality.
+PROVEN_BELOW = 3317044064679887385961981
+
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for every n below 3.3e24."""
+    """Deterministic Miller-Rabin, exact for every n below ``PROVEN_BELOW``;
+    raises ValueError at and past it, where the answer is not proven."""
+    if n >= PROVEN_BELOW:
+        raise ValueError(f"primality is decided only below {PROVEN_BELOW}, got {n}")
     if n < 2:
         return False
     for q in _SMALL_PRIMES:

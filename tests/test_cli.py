@@ -16,7 +16,7 @@ import ghostline
 from ghostline import cli, newton, verify
 from ghostline import dimensions as dims
 from ghostline import ghost_series as ghost
-from ghostline.weight_space import clear_context_caches, new_context
+from ghostline.weight_space import Classical, clear_context_caches, new_context
 
 
 def run(capsys, *argv):
@@ -62,22 +62,27 @@ class TestNpCommand:
         assert d["buffer_used"] == 2 * 7 + 8
 
     def test_a_large_prime_is_sized_per_window(self, capsys):
-        # the first window certifies; the last of the schedule alone would
-        # span more weights than the limit at p = 1009, not at p = 223
+        # the first window certifies, so the request reads no more weights
+        # than that window and its certificate need: 1.07e6 at p = 1009
         for p in ("223", "1009"):
             code, out, _ = run(capsys, "np", "--p", p, "--a", "1", "--seps", "0",
                                "--point", "classical:30", "--nmax", "1")
             assert code == 0
             assert json.loads(out)["buffer_used"] == 2 * int(p) + 8
 
-    def test_certification_exit_code(self, capsys):
-        # the INF values of g_n at w_k run to about n = 3500, past the end of
-        # every window of the schedule (the last is 2001 + 16 * 22 = 2353)
+    def test_a_long_inf_stretch_certifies(self, capsys):
+        # the INF values of g_n at w_k run to about n = 3500, past the window
+        # of the first seven buffers; the eighth, 128 * (2p + 8), certifies
         k = 6 + 6 * 2000
-        code, _, err = run(capsys, "np", "--p", "7", "--a", "2", "--seps", "4",
-                           "--point", f"classical:{k}", "--nmax", "2001")
-        assert code == 3
-        assert "certified" in err
+        code, out, err = run(capsys, "np", "--p", "7", "--a", "2", "--seps", "4",
+                             "--point", f"classical:{k}", "--nmax", "2001")
+        assert code == 0, err
+        d = json.loads(out)
+        assert (d["certified_upto"], d["buffer_used"]) == (4817, 128 * 22)
+        # the certified prefix is final: a window twice as long agrees on it
+        longer = newton.np_of_ghost(new_context(7, 2, 4), Classical(k), 2001, 2 * 128 * 22)
+        assert longer.certified_upto >= 4817
+        assert d["vertices"] == [v for v in longer.to_json_dict()["vertices"] if v[0] <= 4817]
 
     @pytest.mark.parametrize("triple, nmax, buffer_used", [
         (("5", "1", "0"), 400, 2 * 5 + 8),
@@ -319,6 +324,13 @@ class TestExitCodes:
             assert (code, out) == (2, "") and "bad weight point" in err
         assert run(capsys, "dims", "--p", "7", "--a", "2")[0] == 2  # missing kmax
 
+    def test_a_prime_past_the_proven_bound_is_refused(self, capsys):
+        # a composite that the twelve Miller-Rabin bases take for a prime
+        code, out, err = run(capsys, "ghost", "--p", "3317044064679887385961981", "--a", "1",
+                             "--seps", "0", "--n", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_a_request_that_runs_out_of_memory_exits_2(self, capsys, monkeypatch):
         def payload(args):
             raise MemoryError  # what a huge --nmax meets, with nothing allocated
@@ -332,9 +344,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("np", "--p", "7", "--a", "2", "--seps", "4", "--point", "classical:18",
          "--nmax", "1000000000000"),
-        # the least --nmax refused at p = 7: its first window spans too much
+        # the least --nmax at p = 7 whose first window alone spans too much
         ("np", "--p", "7", "--a", "2", "--seps", "4", "--point", "boundary:1/2",
-         "--nmax", "218160"),
+         "--nmax", "399979"),
         ("delta", "--p", "5", "--a", "1", "--seps", "1", "--k", "40019229"),
         # k_bullet 3 reads six indices, but each spans about (p + 1)/2 weights
         ("delta", "--p", "1000003", "--a", "1", "--seps", "0", "--k", "3000009"),
@@ -357,15 +369,16 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "limit" in err and err.count("\n") == 1
-        for cache in (dims._window_table, ghost.classical_evaluator, ghost._point_evaluator,
-                      ghost.coefficient):
-            assert cache.cache_info().currsize == 0
         assert len(contexts) <= 1  # dims builds one context per disk after its check
+        for triple in contexts:  # the window table did not grow
+            assert [len(column) for column in dims._window_table(new_context(*triple))] == [0, 0]
+        assert ghost.coefficient.cache_info().currsize == 0
 
     def test_the_index_limit_is_inclusive(self, monkeypatch):
         # one step below the least refused requests above (a step of --nmax,
         # --n or --kmax adds fewer than 10 weights), the check passes; the
-        # work after it is cut off by Admitted
+        # work after it is cut off by Admitted, for np after the window
+        # table has grown for its first window
         class Admitted(Exception):
             pass
 
@@ -373,22 +386,23 @@ class TestExitCodes:
             real(command, weights)
             raise Admitted(weights)
 
-        def first_window(ctx, w, n_max, buffer):
-            raise Admitted(newton.span(ctx, n_max, buffer))
+        def first_growth(ctx, start, stop):
+            real_windows(ctx, stop - 1, stop)  # checks the limit, then grows the table
+            raise Admitted(dims.k_max_bullet(ctx, stop - 1) + 1)
 
-        real = cli._check_weights
+        real, real_windows = cli._check_weights, dims.jump_windows
         monkeypatch.setattr(cli, "_check_weights", checked)
-        monkeypatch.setattr(newton, "np_of_ghost", first_window)
+        monkeypatch.setattr(dims, "jump_windows", first_growth)
         for argv in (("np", "--p", "7", "--a", "2", "--seps", "4", "--point",
-                      "boundary:1/2", "--nmax", "218159"),
+                      "boundary:1/2", "--nmax", "399978"),
                      ("ghost", "--p", "5", "--a", "1", "--seps", "0", "--n", "666668"),
                      ("dims", "--p", "5", "--a", "1", "--kmax", "400001")):
             with pytest.raises(Admitted) as exc:
                 cli.main(list(argv))
-            assert cli.MAX_WEIGHTS - 10 < exc.value.args[0] <= cli.MAX_WEIGHTS, argv
-        real("np", cli.MAX_WEIGHTS)
+            assert dims.MAX_WEIGHTS - 10 < exc.value.args[0] <= dims.MAX_WEIGHTS, argv
+        real("ghost", dims.MAX_WEIGHTS)
         with pytest.raises(ValueError):
-            real("np", cli.MAX_WEIGHTS + 1)
+            real("ghost", dims.MAX_WEIGHTS + 1)
 
     def test_a_reader_that_closes_the_pipe_early_gets_status_141(self):
         # a profile of about 110 kB, more than a pipe buffer holds, read as

@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from ghostline import dimensions as dims
 from ghostline import ghost_series as ghost
 from ghostline import steinberg
+from ghostline.valuation import INF
 from ghostline.weight_space import clear_context_caches, new_context
 
 # known rank tables for p = 7, a = 2, one row per disk s_eps = 0..5
@@ -268,6 +270,36 @@ class TestJumpWindows:
         stored = len(ghost.classical_evaluator(ctx, k)._scaled)  # indices 0 .. stored - 1
         assert stored > 5000
         assert [len(column) for column in dims._window_table(ctx)] == [stored - 1] * 2
+        clear_context_caches()
+
+    @pytest.mark.parametrize("r", [INF, Fraction(7, 2)])
+    def test_a_refused_growth_changes_nothing(self, monkeypatch, r):
+        # the limit admits the table up to index 99, exactly MAX_WEIGHTS
+        # weights; an evaluator's growth past it raises before the table
+        # columns, the store (an array at r = INF, a list at D = 2) or the
+        # cursors change
+        ctx = new_context(7, 2, 4)
+        clear_context_caches()
+        monkeypatch.setattr(dims, "MAX_WEIGHTS", dims.k_max_bullet(ctx, 99) + 1)
+        k0 = ctx.weight_of_bullet(30)
+        ev = ghost.JumpEvaluator(ctx, k0, r)
+        ev.grow(50)
+        table = dims._window_table(ctx)
+
+        def state():
+            return ([list(column) for column in table], list(ev._scaled), list(ev._cursors),
+                    list(ev._levels))
+
+        before = state()
+        with pytest.raises(ValueError, match="limit"):
+            ev.grow(101)
+        with pytest.raises(ValueError, match="limit"):
+            ev.scaled(0, 102)
+        assert state() == before
+        # a read within the limit then equals a fresh evaluator's, and the
+        # limit is inclusive: the table grows to index 99
+        assert ev.scaled(0, 101) == ghost.JumpEvaluator(ctx, k0, r).scaled(0, 101)
+        assert [len(column) for column in table] == [100, 100]
         clear_context_caches()
 
     def test_window_ends_are_nondecreasing(self):

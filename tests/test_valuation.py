@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ghostline import valuation
 from ghostline.valuation import (
     INF,
     digit_sum,
@@ -46,8 +47,6 @@ class TestVpInt:
                 digit_sum(3, 1)
 
     def test_prime_check_is_memoized(self, monkeypatch):
-        from ghostline import valuation
-
         valuation._check_prime.cache_clear()
         calls = []
         real = valuation.is_prime
@@ -170,6 +169,17 @@ class TestMisc:
         assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         assert not is_prime(561)  # Carmichael
         assert is_prime(2**61 - 1)
+
+    def test_is_prime_refuses_past_its_proven_bound(self):
+        # the least strong pseudoprime to the twelve bases it tries; its
+        # answer there would be True
+        n = 1287836182261 * 2575672364521
+        assert n == valuation.PROVEN_BELOW
+        assert is_prime(1287836182261) and is_prime(2575672364521)
+        assert not is_prime(n - 1)  # below the bound it still answers
+        for m in (n, n + 2, 2**89 - 1):
+            with pytest.raises(ValueError, match="only below"):
+                is_prime(m)
 
 
 class TestInfinity:
