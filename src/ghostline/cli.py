@@ -18,6 +18,12 @@ parser when it may have to describe those two), and ``csv`` by ``--format
 csv``; no query imports ``dataclasses``, as the records are plain classes.
 An ``--out`` that is a directory, or lies in a missing one, is refused
 before any work is done.
+
+The weight limit bounds the span of a query, not its time: an ``ns``
+query below the limit still visits every weight of its window and builds
+the whole duality profile of each weight near enough to the point, so its
+time grows with the square of ``--nmax``.  A range scan that stops after
+the first few hull segments of each profile would bound it.
 """
 
 from __future__ import annotations
@@ -83,9 +89,10 @@ def _point_query(args) -> Tuple[GhostContext, WeightPoint]:
 
 
 def _check_weights(command: str, weights: int) -> None:
-    """Refuse a ghost or dims request that would span more than
-    ``dims.MAX_WEIGHTS`` weights; those two build their output here, not
-    through the window table that holds every other request to the limit."""
+    """Refuse a ghost, dims or ns request that would span more than
+    ``dims.MAX_WEIGHTS`` weights; those three walk their weights outside
+    the window table that holds every other request to the limit (ns reads
+    it only for the weights near its point)."""
     if weights > dims.MAX_WEIGHTS:
         raise ValueError(f"the {command} request spans {weights} weights, "
                          f"past the limit of {dims.MAX_WEIGHTS}")
@@ -114,6 +121,8 @@ def _payload_ns(args) -> dict:
     from . import steinberg
 
     ctx, point = _point_query(args)
+    window = dims.zero_window(ctx, 1, args.nmax)  # the weights the range scan walks
+    _check_weights("ns", max(window.stop - window.start, 0))
     ranges = steinberg.near_steinberg_ranges(ctx, point, args.nmax)
     pair = steinberg.check_nested(ranges)
     return {

@@ -14,7 +14,12 @@ straight stretch around d_iw/2 is the largest L with
     vp(w - w_k) >= hull gap at L,
 
 and the open interval (d_iw/2 - L, d_iw/2 + L) is the near-Steinberg range
-of (w, k).  A ``DeltaProfile`` keeps its raw values and their hull, a
+of (w, k).  Profile values lie in (1/2)Z, and ``doubled_profile`` is their
+one statement: the integers 2 * delta_prime(k, l), read off the classical
+evaluator.  The estimate suite in ``verify`` reads those integers and
+takes their hull itself.  ``delta_profile`` halves them into the cached
+``DeltaProfile`` that the range scans, the checkers below and the
+``delta`` query read: its raw values as Fractions and their hull, a
 ``newton.NewtonPolygon`` over the offsets, and every hull question goes to
 ``newton``'s readers.  A hull gap is constant along a hull segment, so
 ``l_max`` scans segments rather than offsets.
@@ -96,16 +101,29 @@ class DeltaProfile(_Record):
         }
 
 
-@context_cache(maxsize=4096)
-def delta_profile(ctx: GhostContext, k: int) -> DeltaProfile:
-    """Raw profile values and their lower hull, offsets in [-d_new/2, d_new/2]."""
+def doubled_profile(ctx: GhostContext, k: int) -> List[int]:
+    """Twice the profile values, 2 * omitted(d_iw/2 + l) - (k - 2) * l for
+    l = -d_new/2 .. d_new/2 in order, as a new list of ints: the one
+    statement of the profile values, read off the classical evaluator.
+
+    Profile values lie in (1/2)Z, so their doubles are integers.  The list
+    is not cached; ``delta_profile`` halves it into its cached record.
+    """
     half_new = dims.d_new(ctx, k) // 2
     half_iw = dims.d_iw(ctx, k) // 2
     ev = ghost.classical_evaluator(ctx, k)
     ev.grow(half_iw + half_new)
-    steinberg_slope = Fraction(k - 2, 2)
+    omitted = ev.omitted
+    return [2 * omitted(half_iw + l) - (k - 2) * l for l in range(-half_new, half_new + 1)]
+
+
+@context_cache(maxsize=4096)
+def delta_profile(ctx: GhostContext, k: int) -> DeltaProfile:
+    """Raw profile values and their lower hull, offsets in [-d_new/2, d_new/2]:
+    the halves of ``doubled_profile`` as Fractions, and their hull."""
+    raw = tuple(Fraction(v, 2) for v in doubled_profile(ctx, k))
+    half_new = len(raw) // 2
     offsets = range(-half_new, half_new + 1)
-    raw = tuple(ev.omitted(half_iw + l) - steinberg_slope * l for l in offsets)
     return DeltaProfile(k, raw, newton.lower_convex_hull(list(zip(offsets, raw))))
 
 

@@ -291,15 +291,6 @@ def _theta_eta(ctx: GhostContext, kb: int, ell: int) -> Tuple[int, int]:
     return theta, eta
 
 
-def _twice(x: Fraction) -> int:
-    """2x as an int, for a profile value x in (1/2)Z."""
-    if x.denominator == 1:
-        return 2 * x.numerator
-    if x.denominator == 2:
-        return x.numerator
-    raise RuntimeError(f"profile value {x} is not in (1/2)Z")
-
-
 def _half(x2: int) -> str:
     """Witness rendering of the rational x2 / 2."""
     return format_rational(Fraction(x2, 2))
@@ -310,16 +301,21 @@ def check_delta_estimates(
 ) -> List[dict]:
     """Gap bounds, convexity defect, and hull-distance bounds of one profile.
 
-    Profile values lie in (1/2)Z, so gaps, defects and their bounds are
-    compared doubled, as integers; raw - hull is kept as an unreduced
-    numerator over a positive denominator.  A Fraction is built only for a
-    witness, or for the log bound when raw - hull > 0.
+    The checks read the doubled profile (``steinberg.doubled_profile``), so
+    gaps, defects and their bounds are compared doubled, as integers, and
+    the hull is the lower hull of those integers over the full width: no
+    symmetry is assumed.  raw - hull is (2 raw - 2 hull) / 2, kept as an
+    unreduced numerator over a positive denominator, since ``value_at``
+    reads a hull value between vertices as a Fraction.  A Fraction is
+    built only for a witness, or for the log bound when raw - hull > 0.
+    This builds no ``DeltaProfile``.
     """
     p = ctx.p
     kb = ctx.bullet(k)
-    half_new = dims.d_new(ctx, k) // 2
-    prof = steinberg.delta_profile(ctx, k)
-    raw2 = [_twice(prof.raw_value(ell)) for ell in range(half_new + 1)]
+    doubled = steinberg.doubled_profile(ctx, k)
+    half_new = len(doubled) // 2
+    hull2 = newton.lower_convex_hull(list(enumerate(doubled, -half_new)))
+    raw2 = doubled[half_new:]  # offsets 0 .. d_new/2
     witnesses = []
     min_step2 = min(ctx.a + 2, p - 1 - ctx.a)
     for ell in range(1, half_new + 1):
@@ -338,8 +334,8 @@ def check_delta_estimates(
                 witnesses.append({"k": k, "ell": ell, "lhs": _half(gap2),
                                   "rhs": _half(up2), "reason": "gap upper bound"})
         # distance between the raw profile and its hull, as diff_num / diff_den
-        h = newton.value_at(prof.hull, ell)
-        diff_num, diff_den = raw2[ell] * h.denominator - 2 * h.numerator, 2 * h.denominator
+        h2 = newton.value_at(hull2, ell)  # twice the hull value: int or Fraction
+        diff_num, diff_den = raw2[ell] * h2.denominator - h2.numerator, 2 * h2.denominator
         if ell < 2 * p and ell != p:
             if diff_num != 0:
                 witnesses.append({"k": k, "ell": ell,

@@ -355,6 +355,13 @@ class TestExitCodes:
         ("dims", "--p", "5", "--a", "1", "--kmax", "400002"),
         # more weights than a range's len() can count
         ("ghost", "--p", "5", "--a", "1", "--seps", "0", "--n", str(10**19)),
+        # the range scan would walk 3,999,999,999,997 weights, most of them
+        # too far from the point to reach the window table; and the least
+        # refused --nmax at p = 7
+        ("ns", "--p", "7", "--a", "2", "--seps", "4", "--point", "perturbed:18:7/1",
+         "--nmax", "1000000000000"),
+        ("ns", "--p", "7", "--a", "2", "--seps", "4", "--point", "perturbed:18:7/1",
+         "--nmax", "400001"),
     ])
     def test_a_request_past_the_index_limit_is_refused_before_any_work(
             self, capsys, monkeypatch, argv):
@@ -396,7 +403,9 @@ class TestExitCodes:
         for argv in (("np", "--p", "7", "--a", "2", "--seps", "4", "--point",
                       "boundary:1/2", "--nmax", "399978"),
                      ("ghost", "--p", "5", "--a", "1", "--seps", "0", "--n", "666668"),
-                     ("dims", "--p", "5", "--a", "1", "--kmax", "400001")):
+                     ("dims", "--p", "5", "--a", "1", "--kmax", "400001"),
+                     ("ns", "--p", "7", "--a", "2", "--seps", "4", "--point",
+                      "perturbed:18:7/1", "--nmax", "400000")):
             with pytest.raises(Admitted) as exc:
                 cli.main(list(argv))
             assert dims.MAX_WEIGHTS - 10 < exc.value.args[0] <= dims.MAX_WEIGHTS, argv

@@ -268,6 +268,51 @@ class TestProfileReadersAgainstOffsets:
         assert_readers_match_offsets(prof, whole_walks=False)
 
 
+def integer_hull(doubled):
+    """The lower hull of a doubled profile, on its integers."""
+    top = len(doubled) // 2
+    return newton.lower_convex_hull(list(zip(range(-top, top + 1), doubled)))
+
+
+class TestDoubledProfile:
+    """``doubled_profile``, which the estimate suite reads, against the
+    Fraction profile and hull of ``delta_profile``."""
+
+    @staticmethod
+    def assert_doubles(ctx, k):
+        doubled = steinberg.doubled_profile(ctx, k)
+        prof = steinberg.delta_profile(ctx, k)
+        assert doubled == [2 * v for v in prof.raw], (ctx, k)
+        assert all(type(v) is int for v in doubled)
+        hull = integer_hull(doubled)
+        assert hull.xs.tolist() == prof.hull.xs.tolist(), (ctx, k)
+        assert list(hull.ys) == [2 * y for y in prof.hull.ys], (ctx, k)
+        return prof
+
+    def test_seeded_weights(self):
+        rng = random.Random(53)
+        for _ in range(60):
+            p = rng.choice((5, 7, 11, 13))
+            ctx = new_context(p, rng.randint(1, p - 4), rng.randint(0, p - 2))
+            self.assert_doubles(ctx, ctx.weight_of_bullet(rng.randint(0, 200)))
+
+    @pytest.mark.parametrize("triple, kb", [((5, 1, 0), 4000), ((7, 2, 4), 4500),
+                                            ((11, 5, 4), 4200), ((13, 5, 7), 5000)])
+    def test_large_weights(self, triple, kb):
+        ctx = new_context(*triple)
+        assert self.assert_doubles(ctx, ctx.weight_of_bullet(kb)).top > 2500
+
+    def test_a_profile_with_non_vertex_offsets(self):
+        prof = self.assert_doubles(C4, 66)
+        assert len(prof.hull.xs) < len(prof.raw)
+
+    def test_each_call_builds_a_new_list(self):
+        first = steinberg.doubled_profile(C4, 18)
+        assert first == [34, 22, 16, 22, 34]
+        first[0] = 0
+        assert steinberg.doubled_profile(C4, 18) == [34, 22, 16, 22, 34]
+
+
 class TestLMax:
     def test_examples(self):
         assert steinberg.l_max(C4, Perturbed(18, Fraction(7)), 18) == 2
