@@ -17,7 +17,12 @@ Each command imports only the modules it runs: ``steinberg`` is loaded by
 parser when it may have to describe those two), and ``csv`` by ``--format
 csv``; no query imports ``dataclasses``, as the records are plain classes.
 An ``--out`` that is a directory, or lies in a missing one, is refused
-before any work is done.
+before any work is done.  Any other parameter error is the ValueError of
+the library function that reads the value (``n_max must be >= 1, got
+0``), raised before that function does any work.  This module checks only
+what no library function checks first: the bound flags of ``verify`` and
+``scan``, so that their messages name the flags, ``--kmax``, and the
+weights that ``ghost``, ``dims`` and ``ns`` walk.
 
 The weight limit bounds the span of a query, not its time: an ``ns``
 query below the limit still visits every weight of its window and builds
@@ -72,20 +77,14 @@ def _payload_dims(args) -> dict:
 
 def _payload_ghost(args) -> dict:
     ctx = new_context(args.p, args.a, args.seps)
-    if args.n < 0:
-        raise ValueError("--n must be >= 0")
     zeros = dims.zero_window(ctx, args.n)  # len() overflows past 2^63 weights
     _check_weights("ghost", max(zeros.stop - zeros.start, 0))
     return ghost.coefficient(ctx, args.n).to_json_dict()
 
 
 def _point_query(args) -> Tuple[GhostContext, WeightPoint]:
-    """Context and parsed --point of an np or ns query, with --nmax checked."""
-    ctx = new_context(args.p, args.a, args.seps)
-    point = parse_point(args.point)
-    if args.nmax < 1:
-        raise ValueError("--nmax must be >= 1")
-    return ctx, point
+    """Context and parsed --point of an np or ns query."""
+    return new_context(args.p, args.a, args.seps), parse_point(args.point)
 
 
 def _check_weights(command: str, weights: int) -> None:
@@ -110,10 +109,6 @@ def _payload_delta(args) -> dict:
     from . import steinberg
 
     ctx = new_context(args.p, args.a, args.seps)
-    if not ctx.on_disk(args.k) or args.k < 2:
-        raise ValueError(
-            f"--k must be >= 2 and congruent to k_eps = {ctx.k_eps} mod {ctx.p - 1}"
-        )
     return steinberg.delta_profile(ctx, args.k).to_json_dict()
 
 

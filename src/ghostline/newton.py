@@ -47,19 +47,6 @@ from .valuation import INF, ExtRat
 from .weight_space import GhostContext, WeightPoint, _Record, format_rational
 
 
-class CertificationError(RuntimeError):
-    """Raised when the requested prefix cannot be certified from the window."""
-
-    def __init__(self, requested: int, achieved: int, buffer: int):
-        self.requested = requested
-        self.achieved = achieved
-        self.buffer = buffer
-        super().__init__(
-            f"Newton polygon certified only up to x = {achieved} "
-            f"(requested {requested}, buffer {buffer})"
-        )
-
-
 def segments(
     vertices: Iterable[Tuple[int, ExtRat]], start: Optional[int] = None
 ) -> Iterator[Tuple[Fraction, int]]:
@@ -216,7 +203,7 @@ def np_of_ghost(
     w: WeightPoint,
     n_max: int,
     buffer: int,
-) -> NewtonPolygon:
+) -> Optional[NewtonPolygon]:
     """Certified Newton polygon prefix of the ghost series at the point w.
 
     Hull of (n, v_p(g_n(w))) over the window n in [0, n_max + buffer],
@@ -226,8 +213,8 @@ def np_of_ghost(
     windowed vertex whose trailing segment no future point can undercut,
     by the exact values past the window at every kind of point
     (``_future_safe``).  Hull and certificate compare those integers, and
-    only the returned vertices are divided by D.  Raises CertificationError
-    when that falls short of n_max (``np_of_ghost_auto`` retries with a
+    only the returned vertices are divided by D.  Returns None when no
+    vertex at or past n_max certifies (``np_of_ghost_auto`` retries with a
     doubled buffer, which extends the same cached evaluator).
     """
     if n_max < 1:
@@ -239,23 +226,22 @@ def np_of_ghost(
     ev = ghost.evaluator(ctx, w)
     hull = lower_convex_hull(list(enumerate(ev.scaled(0, window_end + 1))))
     xs, ys = hull.xs, hull.ys
+    # vertex 0 is (0, 0), since g_0 = 1, so the loop stops before i = 0
     for i in range(len(xs) - 1, -1, -1):
         vx, vy = xs[i], ys[i]
         if vx < n_max:
-            break  # nothing below n_max can satisfy the caller
-        if i == 0 or _future_safe(ev, vx, vy, vy - ys[i - 1], vx - xs[i - 1], window_end):
+            return None  # nothing below n_max can satisfy the caller
+        if _future_safe(ev, vx, vy, vy - ys[i - 1], vx - xs[i - 1], window_end):
             # report only the final prefix: the vertices up to the
             # certified one survive any extension of the window
-            if ev.den == 1:
-                return NewtonPolygon(xs[: i + 1], ys[: i + 1])
-            return NewtonPolygon(xs[: i + 1], [Fraction(y, ev.den) for y in ys[: i + 1]])
-    achieved = xs[bisect_left(xs, n_max) - 1] if xs[0] < n_max else -1
-    raise CertificationError(n_max, achieved, buffer)
+            ys = ys[: i + 1] if ev.den == 1 else [Fraction(y, ev.den) for y in ys[: i + 1]]
+            return NewtonPolygon(xs[: i + 1], ys)
 
 
 def np_of_ghost_auto(ctx: GhostContext, w: WeightPoint, n_max: int) -> Tuple[NewtonPolygon, int]:
     """np_of_ghost over the buffers 2p + 8, 4p + 16, ... in turn; returns
-    (polygon, buffer) for the first that certifies n_max.
+    (polygon, buffer) for the first that certifies n_max, that is, the
+    first that does not return None.
 
     The loop ends: ghost valuations grow quadratically in n, so the polygon
     has infinitely many vertices, among them one X >= n_max, and once the
@@ -265,11 +251,9 @@ def np_of_ghost_auto(ctx: GhostContext, w: WeightPoint, n_max: int) -> Tuple[New
     evaluator, so the doublings cost at most twice the last window.
     """
     buffer = 2 * ctx.p + 8
-    while True:
-        try:
-            return np_of_ghost(ctx, w, n_max, buffer), buffer
-        except CertificationError:
-            buffer *= 2
+    while (np_ := np_of_ghost(ctx, w, n_max, buffer)) is None:
+        buffer *= 2
+    return np_, buffer
 
 
 def is_vertex(np: NewtonPolygon, n: int) -> bool:

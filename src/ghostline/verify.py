@@ -284,13 +284,6 @@ def _leq_3_log_ratio_sq(q: Fraction, ell: int, p: int) -> bool:
     return u * n * n <= v * m * m
 
 
-def _theta_eta(ctx: GhostContext, kb: int, ell: int) -> Tuple[int, int]:
-    n = (dims.d_iw_of_bullet(ctx, kb) // 2) - ell
-    theta = ctx.beta(n - 1) - ctx.beta(n) + (ctx.p + 1) // 2
-    eta = (ctx.p - 1) // 2 * kb - (ctx.p + 1) // 2 * ctx.delta_eps + ctx.beta(n) - 1
-    return theta, eta
-
-
 def _half(x2: int) -> str:
     """Witness rendering of the rational x2 / 2."""
     return format_rational(Fraction(x2, 2))
@@ -316,15 +309,18 @@ def check_delta_estimates(
     half_new = len(doubled) // 2
     hull2 = newton.lower_convex_hull(list(enumerate(doubled, -half_new)))
     raw2 = doubled[half_new:]  # offsets 0 .. d_new/2
-    witnesses = []
+    half_iw = dims.d_iw_of_bullet(ctx, kb) // 2
+    witnesses, defects = [], []  # the defects of every ell follow the rest
     min_step2 = min(ctx.a + 2, p - 1 - ctx.a)
     for ell in range(1, half_new + 1):
+        n = half_iw - ell
+        theta = ctx.beta(n - 1) - ctx.beta(n) + (p + 1) // 2
+        eta = (p - 1) // 2 * kb - (p + 1) // 2 * ctx.delta_eps + ctx.beta(n) - 1
         gap2 = raw2[ell] - raw2[ell - 1]
         low2 = min_step2 + (p - 1) * (ell - 1)
         if gap2 < low2:
             witnesses.append({"k": k, "ell": ell, "lhs": _half(gap2),
                               "rhs": _half(low2), "reason": "gap lower bound"})
-        theta, eta = _theta_eta(ctx, kb, ell)
         lo_i = eta - (p + 1) // 2 * (ell - 1)
         hi_i = eta + theta + (p + 1) // 2 * (ell - 1)
         beta_max = max_vp_interval(lo_i, hi_i, p) if lo_i <= hi_i else 0
@@ -354,15 +350,14 @@ def check_delta_estimates(
                               "reason": "hull distance log bound"})
         if with_k_prime:
             witnesses.extend(_check_k_prime_bounds(ctx, k, ell, gap2))
-    for ell in range(1, half_new):
-        defect2 = raw2[ell + 1] - 2 * raw2[ell] + raw2[ell - 1]
-        theta, _ = _theta_eta(ctx, kb, ell)
-        vl = vp_int(ell, p)
-        for rhs in (p - 1 - theta - 2 * vl, 1 - 2 * vl):
-            if defect2 < 2 * rhs:
-                witnesses.append({"k": k, "ell": ell, "lhs": _half(defect2),
-                                  "rhs": rhs, "reason": "convexity defect"})
-    return witnesses
+        if ell < half_new:
+            defect2 = raw2[ell + 1] - 2 * raw2[ell] + raw2[ell - 1]
+            vl = vp_int(ell, p)
+            for rhs in (p - 1 - theta - 2 * vl, 1 - 2 * vl):
+                if defect2 < 2 * rhs:
+                    defects.append({"k": k, "ell": ell, "lhs": _half(defect2),
+                                    "rhs": rhs, "reason": "convexity defect"})
+    return witnesses + defects
 
 
 def _k_prime_candidates(ctx: GhostContext, k: int, ell: int) -> List[int]:

@@ -16,7 +16,8 @@ import ghostline
 from ghostline import cli, newton, verify
 from ghostline import dimensions as dims
 from ghostline import ghost_series as ghost
-from ghostline.weight_space import Classical, clear_context_caches, new_context
+from ghostline.weight_space import (
+    _CONTEXT_CACHES, Classical, clear_context_caches, new_context)
 
 
 def run(capsys, *argv):
@@ -341,6 +342,19 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "memory" in err and err.count("\n") == 1
 
+    # values that only the library function reading them checks, each with
+    # that function's message; they are refused before any context cache fills
+    LIBRARY_REFUSALS = {
+        ("delta", "--p", "7", "--a", "2", "--seps", "4", "--k", "5"): "not congruent to k_eps",
+        ("delta", "--p", "7", "--a", "2", "--seps", "4", "--k", "0"): "d_iw requires k >= 2",
+        ("ghost", "--p", "7", "--a", "2", "--seps", "4", "--n", "-1"):
+            "coefficient index must be >= 0, got -1",
+        ("np", "--p", "7", "--a", "2", "--seps", "4", "--point", "classical:18",
+         "--nmax", "0"): "n_max must be >= 1, got 0",
+        ("ns", "--p", "7", "--a", "2", "--seps", "4", "--point", "perturbed:18:7/1",
+         "--nmax", "0"): "n_max must be >= 1, got 0",
+    }
+
     @pytest.mark.parametrize("argv", [
         ("np", "--p", "7", "--a", "2", "--seps", "4", "--point", "classical:18",
          "--nmax", "1000000000000"),
@@ -362,6 +376,7 @@ class TestExitCodes:
          "--nmax", "1000000000000"),
         ("ns", "--p", "7", "--a", "2", "--seps", "4", "--point", "perturbed:18:7/1",
          "--nmax", "400001"),
+        *LIBRARY_REFUSALS,
     ])
     def test_a_request_past_the_index_limit_is_refused_before_any_work(
             self, capsys, monkeypatch, argv):
@@ -375,7 +390,10 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "new_context", counted)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and "limit" in err and err.count("\n") == 1
+        message = self.LIBRARY_REFUSALS.get(argv, "limit")
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        if argv in self.LIBRARY_REFUSALS:
+            assert not any(cached.cache_info().currsize for cached in _CONTEXT_CACHES)
         assert len(contexts) <= 1  # dims builds one context per disk after its check
         for triple in contexts:  # the window table did not grow
             assert [len(column) for column in dims._window_table(new_context(*triple))] == [0, 0]

@@ -288,6 +288,16 @@ class TestKPrimeCandidates:
         assert cases >= 500 and split >= 50  # unions of windows with gaps
 
 
+def _theta_eta(ctx, k, ell):
+    """The paper's theta = beta(n - 1) - beta(n) + (p + 1)/2 and eta =
+    (p - 1)/2 * k_bullet - (p + 1)/2 * delta_eps + beta(n) - 1 at n =
+    d_iw/2 - ell, stated here apart from the suite's own loop."""
+    p, n = ctx.p, dims.d_iw(ctx, k) // 2 - ell
+    theta = ctx.beta(n - 1) - ctx.beta(n) + (p + 1) // 2
+    eta = (p - 1) // 2 * ctx.bullet(k) - (p + 1) // 2 * ctx.delta_eps + ctx.beta(n) - 1
+    return theta, eta
+
+
 def _fraction_delta_estimates(ctx, k, with_k_prime=False):
     """The estimate checks in plain Fraction arithmetic on dict lookups, as
     the oracle for the doubled-integer checks; returns the witnesses.  The
@@ -295,7 +305,6 @@ def _fraction_delta_estimates(ctx, k, with_k_prime=False):
     ``steinberg.doubled_profile``, built uncached, so that a doctored
     doubled profile reaches the oracle and the check alike."""
     p = ctx.p
-    kb = ctx.bullet(k)
     half_new = dims.d_new(ctx, k) // 2
     prof = steinberg.delta_profile.__wrapped__(ctx, k)
     raw = {l: prof.raw_value(l) for l in range(-half_new, half_new + 1)}
@@ -308,7 +317,7 @@ def _fraction_delta_estimates(ctx, k, with_k_prime=False):
         if gap < low:
             witnesses.append({"k": k, "ell": ell, "lhs": format_rational(gap),
                               "rhs": format_rational(low), "reason": "gap lower bound"})
-        theta, eta = verify._theta_eta(ctx, kb, ell)
+        theta, eta = _theta_eta(ctx, k, ell)
         lo_i = eta - (p + 1) // 2 * (ell - 1)
         hi_i = eta + theta + (p + 1) // 2 * (ell - 1)
         beta_max = max_vp_interval(lo_i, hi_i, p) if lo_i <= hi_i else 0
@@ -334,7 +343,7 @@ def _fraction_delta_estimates(ctx, k, with_k_prime=False):
             witnesses.extend(_fraction_k_prime_bounds(ctx, k, ell, gap))
     for ell in range(1, half_new):
         defect = raw[ell + 1] - 2 * raw[ell] + raw[ell - 1]
-        theta, _ = verify._theta_eta(ctx, kb, ell)
+        theta, _ = _theta_eta(ctx, k, ell)
         vl = vp_int(ell, p)
         for rhs in (p - 1 - theta - 2 * vl, 1 - 2 * vl):
             if defect < rhs:
