@@ -292,7 +292,9 @@ def _half(x2: int) -> str:
 def check_delta_estimates(
     ctx: GhostContext, k: int, with_k_prime: bool = False
 ) -> List[dict]:
-    """Gap bounds, convexity defect, and hull-distance bounds of one profile.
+    """Gap bounds, convexity defect, and hull-distance bounds of one profile,
+    and with ``with_k_prime`` the strengthened gap bounds against the
+    weights k' near k, read on one residue class (``_check_k_prime_bounds``).
 
     The checks read the doubled profile (``steinberg.doubled_profile``), so
     gaps, defects and their bounds are compared doubled, as integers, and
@@ -360,31 +362,22 @@ def check_delta_estimates(
     return witnesses + defects
 
 
-def _k_prime_candidates(ctx: GhostContext, k: int, ell: int) -> List[int]:
-    """Weights k' != k, in increasing order, with d_ur or d_iw - d_ur
-    strictly within ell of h = d_iw(k)/2, or with |d_iw/2 - h| <= ell.
-
-    Both ranks are nondecreasing in k_bullet, so the three conditions hold
-    on the k_bullet windows (k_max(h - ell), k_max(h + ell - 1)],
-    [k_min(h - ell), k_min(h + ell - 1)) and [kb - ell, kb + ell].  They are
-    not ``dims.zero_window``s: those bound the zeros of one g_n, these bound
-    d_ur and d_iw - d_ur themselves.
-    """
-    kb = ctx.bullet(k)
-    h = dims.d_iw_of_bullet(ctx, kb) // 2
-    kbs = {
-        *range(dims.k_max_bullet(ctx, h - ell) + 1, dims.k_max_bullet(ctx, h + ell - 1) + 1),
-        *range(dims.k_min_bullet(ctx, h - ell), dims.k_min_bullet(ctx, h + ell - 1)),
-        *range(kb - ell, kb + ell + 1),
-    }
-    return [ctx.weight_of_bullet(kb2) for kb2 in sorted(kbs - {kb}) if kb2 >= 0]
-
-
 def _check_k_prime_bounds(ctx: GhostContext, k: int, ell: int, gap2: int) -> List[dict]:
     """Strengthened gap bounds against the weights k' near k; gap2 is twice
-    the profile gap at ell, and every bound is compared doubled."""
+    the profile gap at ell, and every bound is compared doubled.
+
+    The k' != k have d_ur or d_iw - d_ur strictly within ell of h =
+    d_iw(k)/2, or |d_iw/2 - h| <= ell.  Both ranks are nondecreasing in
+    k_bullet, so these fill three k_bullet windows (not the zero windows of
+    one g_n), each read only at kb' = kb (mod p^t), where t = max(0,
+    floor((gap2 - R)/2)) and R is the largest doubled rhs.  No witness is
+    lost: v_p(k - k') = v_p(kb - kb'), as p does not divide p - 1, and a kb'
+    with v < t has margin2 = gap2 - 2(1 + v) >= gap2 - 2t >= R.  Witnesses
+    come in increasing k', each k' with its checks in order.
+    """
     p = ctx.p
-    witnesses = []
+    kb = ctx.bullet(k)
+    h = dims.d_iw_of_bullet(ctx, kb) // 2
     fine2 = 1 + (p - 1) * (ell - 1) - 2 * ilog(p, (p + 1) * ell)
     checks = [(fine2, "strengthened gap bound")]
     if ell == 1:
@@ -393,13 +386,19 @@ def _check_k_prime_bounds(ctx: GhostContext, k: int, ell: int, gap2: int) -> Lis
         checks.append((2 * ell - 1, "strengthened gap bound floor"))
         if p >= 7:
             checks.append((2 * ell + 1, "strengthened gap bound p>=7"))
-    for k2 in _k_prime_candidates(ctx, k, ell):
-        margin2 = gap2 - 2 * (1 + vp_int(k - k2, p))
+    step = p ** max(0, (gap2 - max(rhs2 for rhs2, _ in checks)) // 2)
+    windows = ((dims.k_max_bullet(ctx, h - ell) + 1, dims.k_max_bullet(ctx, h + ell - 1) + 1),
+               (dims.k_min_bullet(ctx, h - ell), dims.k_min_bullet(ctx, h + ell - 1)),
+               (kb - ell, kb + ell + 1))
+    kbs = {kb2 for lo, hi in windows for kb2 in range(lo + (kb - lo) % step, hi, step)
+           if 0 <= kb2 != kb}
+    witnesses = []
+    for kb2 in sorted(kbs):
+        margin2 = gap2 - 2 * (1 + vp_int(kb - kb2, p))
         for rhs2, reason in checks:
             if margin2 < rhs2:
-                witnesses.append({"k": k, "k_prime": k2, "ell": ell,
-                                  "lhs": _half(margin2), "rhs": _half(rhs2),
-                                  "reason": reason})
+                witnesses.append({"k": k, "k_prime": ctx.weight_of_bullet(kb2), "ell": ell,
+                                  "lhs": _half(margin2), "rhs": _half(rhs2), "reason": reason})
     return witnesses
 
 

@@ -269,23 +269,31 @@ def k_prime_brute(ctx, k, ell):
     return out
 
 
-class TestKPrimeCandidates:
-    def test_matches_brute_force(self):
+class TestKPrimeBounds:
+    def test_matches_brute_force_at_lowered_gaps(self):
+        # the suite reads one residue class of each k' window; the oracle
+        # reads every k' that k_prime_brute finds, at the real gap and at
+        # gaps lowered until the checks produce witnesses
         rng = random.Random(71)
-        cases = split = 0
-        for p in (5, 7, 11, 13):
-            for _ in range(3):
-                ctx = new_context(p, rng.randint(1, p - 4), rng.randint(0, p - 2))
-                for kb in sorted(rng.sample(range(0, 61), 8)):
-                    k = ctx.weight_of_bullet(kb)
-                    for ell in range(1, dims.d_new(ctx, k) // 2 + 1):
-                        got = verify._k_prime_candidates(ctx, k, ell)
-                        assert got == k_prime_brute(ctx, k, ell), (ctx, k, ell)
+        contexts = [new_context(p, rng.randint(1, p - 4), rng.randint(0, p - 2))
+                    for p in (5, 7, 11, 13) for _ in range(3)]
+        cases = witnessed = partial = 0
+        for ctx in contexts + [new_context(37, 16, 30)]:
+            for kb in sorted(rng.sample(range(0, 31), 2)):
+                k = ctx.weight_of_bullet(kb)
+                doubled = steinberg.doubled_profile(ctx, k)
+                raw2 = doubled[len(doubled) // 2:]
+                for ell in range(1, len(raw2)):
+                    k_primes = k_prime_brute(ctx, k, ell)
+                    for d in (0, 2, 4, 8, 20, 41):
+                        gap2 = raw2[ell] - raw2[ell - 1] - d
+                        got = verify._check_k_prime_bounds(ctx, k, ell, gap2)
+                        want = _fraction_k_prime_bounds(ctx, k, ell, Fraction(gap2, 2))
+                        assert got == want, (ctx, k, ell, d)
                         cases += 1
-                        bullets = [ctx.bullet(k2) for k2 in got]
-                        split += any(b2 - b1 > 1 + (b1 < kb < b2)
-                                     for b1, b2 in zip(bullets, bullets[1:]))
-        assert cases >= 500 and split >= 50  # unions of windows with gaps
+                        witnessed += bool(want)
+                        partial += 0 < len({w["k_prime"] for w in want}) < len(k_primes)
+        assert cases >= 500 and witnessed >= 100 and partial >= 50
 
 
 def _theta_eta(ctx, k, ell):
@@ -353,6 +361,9 @@ def _fraction_delta_estimates(ctx, k, with_k_prime=False):
 
 
 def _fraction_k_prime_bounds(ctx, k, ell, gap):
+    """The strengthened gap bounds in Fraction arithmetic over every k' that
+    k_prime_brute finds, as the oracle of the suite, which reads one
+    residue class of k' per window."""
     p = ctx.p
     witnesses = []
     fine = Fraction(1, 2) + Fraction(p - 1, 2) * (ell - 1) - ilog(p, (p + 1) * ell)
@@ -363,7 +374,7 @@ def _fraction_k_prime_bounds(ctx, k, ell, gap):
         checks.append((Fraction(2 * ell - 1, 2), "strengthened gap bound floor"))
         if p >= 7:
             checks.append((Fraction(2 * ell + 1, 2), "strengthened gap bound p>=7"))
-    for k2 in verify._k_prime_candidates(ctx, k, ell):
+    for k2 in k_prime_brute(ctx, k, ell):
         margin = gap - (1 + vp_int(k - k2, p))
         for rhs, reason in checks:
             if margin < rhs:
