@@ -313,6 +313,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_PARAMS
     try:
         payload = args.payload(args)
+        text = render(payload, args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
@@ -320,7 +321,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: the {args.command} request ran out of memory", file=sys.stderr)
         return EXIT_PARAMS
 
-    text = render(payload, args.format)
     if args.out:
         try:
             with open(args.out, "w") as fh:

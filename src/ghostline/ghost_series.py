@@ -40,9 +40,9 @@ prefix sums that the new jumps read.  The window ends come from a
 per-context table shared by all evaluators (``dims.jump_windows``), the
 levels from the evaluator's table of pairs (p^l, residue of level l),
 which depends on k0 alone.  A profile to n thus costs O(n) list steps,
-most of them inside ``accumulate``.  ``increment_at`` runs the kernel at
-one n, ``scaled`` reads a stretch of a profile in bulk and ``at`` one
-index of it.  Every read is an integer D * v_p, and nothing divides by D.
+most of them inside ``accumulate``.  ``increment_at`` runs the kernel at one n,
+``omitted_range`` and ``scaled`` read a stretch of a profile in bulk (without and
+with w_k0's factor), and ``at`` one index.  Every read is an integer D * v_p.
 deg g_n is the profile at a point at distance 1 from every w_k
 (``degree_evaluator``).
 
@@ -333,14 +333,17 @@ class JumpEvaluator:
             return y + _multiplicity(n, self.zeros) * self.dr
         return y
 
-    def scaled(self, start: int, stop: int) -> List[ExtRat]:
-        """D * v_p(g_n(w)) for n in range(start, stop), read in bulk: an
-        ``int`` each, or INF where w = w_k0 is a zero, in a new list."""
+    def omitted_range(self, start: int, stop: int) -> List[int]:
+        """``omitted(n)`` for n in range(start, stop), read in bulk, in a new list."""
         _check_index(start)
         self.grow(stop - 1)
         out = self._scaled[start:stop]
-        if self.den == 1:
-            out = out.tolist()
+        return out.tolist() if self.den == 1 else out
+
+    def scaled(self, start: int, stop: int) -> List[ExtRat]:
+        """D * v_p(g_n(w)) for n in range(start, stop), read in bulk: an
+        ``int`` each, or INF where w = w_k0 is a zero, in a new list."""
+        out: List[ExtRat] = self.omitted_range(start, stop)
         zeros, dr = self.zeros, self.dr
         for n in range(max(start, zeros.start), min(stop, zeros.stop)):
             out[n - start] = INF if dr is INF else out[n - start] + _multiplicity(n, zeros) * dr

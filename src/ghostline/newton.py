@@ -1,10 +1,11 @@
 """Exact lower convex hulls and certified Newton polygons of ghost series.
 
-Hull arithmetic is exact and cross-multiplied on the values as given:
-integer profiles stay ``int``, and a ghost profile is one at every point
-(D * v_p, see ``np_of_ghost``); points at +infinity are skipped.
-Vertices are strict: collinear interior points are not vertices, so a
-straight stretch has vertices only at its ends.  A polygon is stored as
+A hull reads one column, the point i at x = start + i, since every caller
+holds its values at consecutive x.  Its arithmetic is exact and
+cross-multiplied on the values as given: integer profiles stay ``int``, and
+a ghost profile is one at every point (D * v_p, see ``np_of_ghost``); INF
+entries are skipped.  Vertices are strict: collinear interior points are
+not vertices, so a straight stretch has vertices only at its ends.  A polygon is stored as
 its vertices alone, and no slope is ever stored: ``slope_at`` reads one
 slope off the two vertices that bracket it, and ``segments`` and
 ``NewtonPolygon.slopes`` walk the vertices each time they are asked; no
@@ -40,7 +41,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from . import ghost_series as ghost
 from .valuation import INF, ExtRat
@@ -114,35 +115,30 @@ class NewtonPolygon(_Record):
         }
 
 
-def _hull_vertices(points: Sequence[Tuple[int, ExtRat]]) -> List[Tuple[int, ExtRat]]:
-    # monotone chain, lower hull only; input sorted by x, strict vertices
-    hull: List[Tuple[int, ExtRat]] = []
-    for pt in points:
-        while len(hull) >= 2:
-            (x0, y0), (x1, y1) = hull[-2], hull[-1]
-            # pop the middle point unless it turns strictly downward
-            if (y1 - y0) * (pt[0] - x0) >= (pt[1] - y0) * (x1 - x0):
-                hull.pop()
+def lower_convex_hull(ys: Sequence[ExtRat], start: int = 0) -> NewtonPolygon:
+    """Lower hull of the column ys, whose entry i is the point (start + i,
+    ys[i]), by a monotone chain in one pass.
+
+    Finite values are kept as given (``int`` or ``Fraction``); INF entries
+    are skipped, and at least one entry must be finite.
+    """
+    hx, hy = [], []  # the vertices so far
+    for x, y in enumerate(ys, start):
+        if y is INF:
+            continue
+        while len(hx) >= 2:
+            x0, y0 = hx[-2], hy[-2]
+            # pop the last vertex unless the turn to (x, y) is strictly upward
+            if (hy[-1] - y0) * (x - x0) >= (y - y0) * (hx[-1] - x0):
+                hx.pop()
+                hy.pop()
             else:
                 break
-        hull.append(pt)
-    return hull
-
-
-def lower_convex_hull(points: Sequence[Tuple[int, ExtRat]]) -> NewtonPolygon:
-    """Lower hull of integer-indexed extended-rational points.
-
-    Finite y-values are kept as given (``int`` or ``Fraction``); points
-    with y = +inf are skipped; the x-values must be distinct and at
-    least one y must be finite.
-    """
-    finite = [(x, y) for x, y in points if y is not INF]
-    if not finite:
+        hx.append(x)
+        hy.append(y)
+    if not hx:
         raise ValueError("need at least one finite point")
-    finite.sort()
-    if any(a[0] == b[0] for a, b in zip(finite, finite[1:])):
-        raise ValueError("x-values must be distinct")
-    return NewtonPolygon(*zip(*_hull_vertices(finite)))
+    return NewtonPolygon(hx, hy)
 
 
 def _future_safe(
@@ -224,7 +220,7 @@ def np_of_ghost(
     window_end = n_max + buffer
 
     ev = ghost.evaluator(ctx, w)
-    hull = lower_convex_hull(list(enumerate(ev.scaled(0, window_end + 1))))
+    hull = lower_convex_hull(ev.scaled(0, window_end + 1))
     xs, ys = hull.xs, hull.ys
     # vertex 0 is (0, 0), since g_0 = 1, so the loop stops before i = 0
     for i in range(len(xs) - 1, -1, -1):

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from . import dimensions as dims
 from . import ghost_series as ghost
@@ -104,17 +104,15 @@ class DeltaProfile(_Record):
 def doubled_profile(ctx: GhostContext, k: int) -> List[int]:
     """Twice the profile values, 2 * omitted(d_iw/2 + l) - (k - 2) * l for
     l = -d_new/2 .. d_new/2 in order, as a new list of ints: the one
-    statement of the profile values, read off the classical evaluator.
+    statement of the profile values, read in bulk off the classical evaluator.
 
     Profile values lie in (1/2)Z, so their doubles are integers.  The list
     is not cached; ``delta_profile`` halves it into its cached record.
     """
     half_new = dims.d_new(ctx, k) // 2
     half_iw = dims.d_iw(ctx, k) // 2
-    ev = ghost.classical_evaluator(ctx, k)
-    ev.grow(half_iw + half_new)
-    omitted = ev.omitted
-    return [2 * omitted(half_iw + l) - (k - 2) * l for l in range(-half_new, half_new + 1)]
+    ys = ghost.classical_evaluator(ctx, k).omitted_range(half_iw - half_new, half_iw + half_new + 1)
+    return [2 * y - (k - 2) * l for l, y in enumerate(ys, -half_new)]
 
 
 @context_cache(maxsize=4096)
@@ -122,9 +120,7 @@ def delta_profile(ctx: GhostContext, k: int) -> DeltaProfile:
     """Raw profile values and their lower hull, offsets in [-d_new/2, d_new/2]:
     the halves of ``doubled_profile`` as Fractions, and their hull."""
     raw = tuple(Fraction(v, 2) for v in doubled_profile(ctx, k))
-    half_new = len(raw) // 2
-    offsets = range(-half_new, half_new + 1)
-    return DeltaProfile(k, raw, newton.lower_convex_hull(list(zip(offsets, raw))))
+    return DeltaProfile(k, raw, newton.lower_convex_hull(raw, -(len(raw) // 2)))
 
 
 def l_max(ctx: GhostContext, w: WeightPoint, k: int) -> Optional[int]:
@@ -292,8 +288,7 @@ def _check_range_slope(
         # line lives on the omitted profile, with slope in a/2 + Z.  (For
         # the point's own range the plain polygon below already skips the
         # infinite coordinates and carries the straight line itself.)
-        pts = [(n, ev.omitted(n)) for n in range(r.lo, r.hi + 1)]
-        slopes = newton.lower_convex_hull(pts).slopes
+        slopes = newton.lower_convex_hull(ev.omitted_range(r.lo, r.hi + 1), r.lo).slopes
         if len(slopes) != 1:
             return [{"range": rng, "reason": "omitted hull is not straight"}]
         slope = slopes[0][0]
@@ -346,12 +341,14 @@ def delta_vertex_check(ctx: GhostContext, k0: int) -> List[dict]:
     return witnesses
 
 
-def slope_class_ok(ctx: GhostContext, slope: Fraction, width: int) -> bool:
-    """Slope class of a segment at a classical point: width-1 slopes are
-    integers, wider slopes have even width and lie in a/2 + Z."""
+def slope_class_ok(ctx: GhostContext, rise: Union[int, Fraction], width: int) -> bool:
+    """Slope class of a segment at a classical point, by its rise over its
+    width: width-1 slopes are integers, wider slopes have even width and lie
+    in a/2 + Z (width | 2 * rise, with a quotient of a's parity)."""
     if width == 1:
-        return slope.denominator == 1
-    return width % 2 == 0 and (slope - Fraction(ctx.a, 2)).denominator == 1
+        return rise.denominator == 1
+    twice, rem = divmod(2 * rise, width)
+    return width % 2 == 0 and rem == 0 and (twice - ctx.a) % 2 == 0
 
 
 def delta_hull_slope_classes(ctx: GhostContext, k0: int) -> List[dict]:
@@ -366,7 +363,7 @@ def delta_hull_slope_classes(ctx: GhostContext, k0: int) -> List[dict]:
     bad = []
     for norm_slope, width in delta_profile(ctx, k0).hull.slopes:
         slope = norm_slope + shift
-        if not slope_class_ok(ctx, slope, width):
+        if not slope_class_ok(ctx, slope * width, width):
             bad.append({"k0": k0, "lhs": format_rational(slope),
                         "rhs": f"width {width} slope class", "reason": "hull slope class"})
     return bad

@@ -64,9 +64,9 @@ def check_ghost_duality(ctx: GhostContext, k_bullet_max: int) -> List[dict]:
         k = ctx.weight_of_bullet(kb)
         du, di = dims.d_ur_of_bullet(ctx, kb), dims.d_iw_of_bullet(ctx, kb)
         half_new = (di - 2 * du) // 2
-        ev = ghost.classical_evaluator(ctx, k)
+        ys = ghost.classical_evaluator(ctx, k).omitted_range(du, di - du + 1)
         for ell in range(0, half_new):
-            lhs = ev.omitted(di - du - ell) - ev.omitted(du + ell)
+            lhs = ys[-1 - ell] - ys[ell]  # omitted(di - du - ell) - omitted(du + ell)
             rhs = (k - 2) * (half_new - ell)
             if lhs != rhs:
                 witnesses.append({"k": k, "ell": ell, "lhs": lhs, "rhs": rhs})
@@ -137,14 +137,12 @@ def check_atkin_lehner(ctx: GhostContext, k0: int) -> List[dict]:
     if d != dims.d_iw(ctx2, k0):
         raise RuntimeError(f"d_iw at k0 = {k0} differs on the paired disk s_eps = {ctx2.s_eps}")
     on_class = ctx.on_disk(k0)
-    ev1 = ghost.classical_evaluator(ctx, k0)
-    ev2 = ghost.classical_evaluator(ctx2, k0)
+    ys1 = ghost.classical_evaluator(ctx, k0).omitted_range(0, d + 1)
+    ys2 = ghost.classical_evaluator(ctx2, k0).omitted_range(0, d + 1)
     witnesses = []
     du = dims.d_ur(ctx, k0) if on_class else None
     for ell in range(1, d + 1):
-        lhs = (ev1.omitted(d + 1 - ell) - ev1.omitted(d - ell)) + (
-            ev2.omitted(ell) - ev2.omitted(ell - 1)
-        )
+        lhs = ys1[d + 1 - ell] - ys1[d - ell] + ys2[ell] - ys2[ell - 1]
         if on_class and du + 1 <= ell <= d - du:
             rhs = k0 - 2
         else:
@@ -167,18 +165,32 @@ def check_atkin_lehner(ctx: GhostContext, k0: int) -> List[dict]:
 # -------------------------------------------------------- p-stabilization
 
 
+def _pairs_accept(np_: newton.NewtonPolygon, du: int, di: int, k0: int) -> bool:
+    """Whether the pair defects s_l + s_(di+1-l) - (k0 - 1), l = 1 .. du, all
+    vanish, read at vertices.  With y the value function (y(0) = 0, as g_0 =
+    1), g(x) = y(x) + y(di) - y(di - x) - x (k0 - 1) has g(l) - g(l - 1) = the
+    defect at l, and is linear on [0, du] between 0, du, the vertices in (0,
+    du) and the di - x for the vertices x in (di - du, di), so it is 0 at every l
+    exactly when it is 0 at du and at those points."""
+    y = newton.value_at
+    xs = [x for x, _ in np_.vertices]
+    points = [du] + [x for x in xs if 0 < x < du] + [di - x for x in xs if di - du < x < di]
+    return all(y(np_, x) + y(np_, di) - y(np_, di - x) == x * (k0 - 1) for x in points)
+
+
 def check_p_stabilization(ctx: GhostContext, k0: int) -> List[dict]:
     """Old-form slope pairs at w_k0 sum to k0 - 1; no slope exceeds k0 - 1."""
     du, di = dims.d_ur(ctx, k0), dims.d_iw(ctx, k0)
     witnesses = []
     if di >= 1:
         np_ = _np_at_classical(ctx, k0)
-        for ell in range(1, du + 1):
-            s = newton.slope_at(np_, ell) + newton.slope_at(np_, di + 1 - ell)
-            if s != k0 - 1:
-                witnesses.append(
-                    {"k0": k0, "ell": ell, "lhs": format_rational(s), "rhs": k0 - 1}
-                )
+        if du and not _pairs_accept(np_, du, di, k0):
+            for ell in range(1, du + 1):
+                s = newton.slope_at(np_, ell) + newton.slope_at(np_, di + 1 - ell)
+                if s != k0 - 1:
+                    witnesses.append(
+                        {"k0": k0, "ell": ell, "lhs": format_rational(s), "rhs": k0 - 1}
+                    )
         # hull slopes never decrease, so the last one is the largest
         if newton.slope_at(np_, di) > k0 - 1:
             for i in range(1, di + 1):
@@ -254,9 +266,11 @@ def check_integrality(ctx: GhostContext, k0: int) -> List[dict]:
     di = dims.d_iw(ctx, k0)
     witnesses = []
     if di >= 1:
-        for s, w in _np_at_classical(ctx, k0).slopes:
-            if not steinberg.slope_class_ok(ctx, s, w):
-                witnesses.append({"k0": k0, "slope": format_rational(s), "width": w})
+        verts = _np_at_classical(ctx, k0).vertices  # D = 1: every y is an int
+        for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
+            if not steinberg.slope_class_ok(ctx, y1 - y0, x1 - x0):
+                witnesses.append({"k0": k0, "slope": format_rational(Fraction(y1 - y0, x1 - x0)),
+                                  "width": x1 - x0})
     return witnesses
 
 
@@ -299,41 +313,46 @@ def check_delta_estimates(
     The checks read the doubled profile (``steinberg.doubled_profile``), so
     gaps, defects and their bounds are compared doubled, as integers, and
     the hull is the lower hull of those integers over the full width: no
-    symmetry is assumed.  raw - hull is (2 raw - 2 hull) / 2, kept as an
-    unreduced numerator over a positive denominator, since ``value_at``
-    reads a hull value between vertices as a Fraction.  A Fraction is
-    built only for a witness, or for the log bound when raw - hull > 0.
-    This builds no ``DeltaProfile``.
+    symmetry is assumed.  One pass walks the hull's vertices with a cursor,
+    reading raw - hull as an unreduced numerator over a positive denominator.
+    The upper gap bound is least at beta = 0 (beta_max >= 0, and INF sets no
+    bound), so ``max_vp_interval`` runs only where the gap exceeds that.  A
+    Fraction is built only for a witness, or for the log bound when raw -
+    hull > 0.  This builds no ``DeltaProfile``.
     """
-    p = ctx.p
+    p, h = ctx.p, (ctx.p + 1) // 2
     kb = ctx.bullet(k)
     doubled = steinberg.doubled_profile(ctx, k)
     half_new = len(doubled) // 2
-    hull2 = newton.lower_convex_hull(list(enumerate(doubled, -half_new)))
+    verts = newton.lower_convex_hull(doubled, -half_new).vertices
     raw2 = doubled[half_new:]  # offsets 0 .. d_new/2
     half_iw = dims.d_iw_of_bullet(ctx, kb) // 2
+    be, bo, eta0 = ctx.beta_even, ctx.beta_odd, (p - 1) // 2 * kb - h * ctx.delta_eps - 1
+    theta_eta = ((bo - be + h, eta0 + be), (be - bo + h, eta0 + bo))  # at even, odd d_iw/2 - ell
     witnesses, defects = [], []  # the defects of every ell follow the rest
     min_step2 = min(ctx.a + 2, p - 1 - ctx.a)
+    j, log_ell, next_power = 0, 0, p  # hull cursor, ilog(p, ell), p^(log_ell + 1)
     for ell in range(1, half_new + 1):
-        n = half_iw - ell
-        theta = ctx.beta(n - 1) - ctx.beta(n) + (p + 1) // 2
-        eta = (p - 1) // 2 * kb - (p + 1) // 2 * ctx.delta_eps + ctx.beta(n) - 1
+        theta, eta = theta_eta[(half_iw - ell) % 2]
+        if ell == next_power:
+            log_ell, next_power = log_ell + 1, next_power * p
         gap2 = raw2[ell] - raw2[ell - 1]
         low2 = min_step2 + (p - 1) * (ell - 1)
         if gap2 < low2:
             witnesses.append({"k": k, "ell": ell, "lhs": _half(gap2),
                               "rhs": _half(low2), "reason": "gap lower bound"})
-        lo_i = eta - (p + 1) // 2 * (ell - 1)
-        hi_i = eta + theta + (p + 1) // 2 * (ell - 1)
-        beta_max = max_vp_interval(lo_i, hi_i, p) if lo_i <= hi_i else 0
-        if beta_max is not INF:
-            up2 = (p - 1) * ell + 3 + 2 * (beta_max + ilog(p, ell))
-            if gap2 > up2:
+        up2 = (p - 1) * ell + 3 + 2 * log_ell  # the bound at beta = 0
+        if gap2 > up2:
+            lo_i, hi_i = eta - h * (ell - 1), eta + theta + h * (ell - 1)
+            beta_max = max_vp_interval(lo_i, hi_i, p) if lo_i <= hi_i else 0
+            if beta_max is not INF and gap2 > up2 + 2 * beta_max:
                 witnesses.append({"k": k, "ell": ell, "lhs": _half(gap2),
-                                  "rhs": _half(up2), "reason": "gap upper bound"})
-        # distance between the raw profile and its hull, as diff_num / diff_den
-        h2 = newton.value_at(hull2, ell)  # twice the hull value: int or Fraction
-        diff_num, diff_den = raw2[ell] * h2.denominator - h2.numerator, 2 * h2.denominator
+                                  "rhs": _half(up2 + 2 * beta_max), "reason": "gap upper bound"})
+        # distance between the raw profile and its hull segment (x0, x1] over ell
+        while verts[j][0] < ell:
+            j += 1
+        (x0, y0), (x1, y1) = verts[j - 1], verts[j]
+        diff_num, diff_den = (raw2[ell] - y0) * (x1 - x0) - (y1 - y0) * (ell - x0), 2 * (x1 - x0)
         if ell < 2 * p and ell != p:
             if diff_num != 0:
                 witnesses.append({"k": k, "ell": ell,
@@ -354,7 +373,7 @@ def check_delta_estimates(
             witnesses.extend(_check_k_prime_bounds(ctx, k, ell, gap2))
         if ell < half_new:
             defect2 = raw2[ell + 1] - 2 * raw2[ell] + raw2[ell - 1]
-            vl = vp_int(ell, p)
+            vl = vp_int(ell, p) if ell % p == 0 else 0
             for rhs in (p - 1 - theta - 2 * vl, 1 - 2 * vl):
                 if defect2 < 2 * rhs:
                     defects.append({"k": k, "ell": ell, "lhs": _half(defect2),
@@ -565,6 +584,15 @@ def _report(name: str, params: dict, status: str, witnesses: List[dict], t0: flo
     """A report timed from ``t0``; the indent=2 digests depend on its key order."""
     return {"name": name, "params": params, "status": status, "witnesses": witnesses,
             "elapsed": round(time.perf_counter() - t0, 6), "meta": {}}
+
+
+def report_digest(reports: Sequence[dict]) -> str:
+    """The one digest rule for reports: the first 12 hex digits of the SHA-256
+    of ``json.dumps(reports, sort_keys=True, default=str)``, ``elapsed`` removed."""
+    import hashlib, json
+
+    kept = [{key: val for key, val in rep.items() if key != "elapsed"} for rep in reports]
+    return hashlib.sha256(json.dumps(kept, sort_keys=True, default=str).encode()).hexdigest()[:12]
 
 
 # ------------------------------------------------------------ grid runner

@@ -171,11 +171,13 @@ def test_criterion_6_theorem_sweeps(capsys):
     failures = [r for r in reports if r["status"] != "pass"]
     contexts = {(r["params"]["p"], r["params"]["a"], r["params"]["s_eps"]) for r in reports}
     points_tested = 3 * len(contexts)  # vertex-theorem points per context
-    ok = not failures and points_tested >= 500
+    # the reports, elapsed aside, byte for byte as recorded (the sorted rule)
+    digest = verify.report_digest(reports)
+    ok = not failures and points_tested >= 500 and digest == "1f1d07255f10"
     elapsed = time.perf_counter() - t0
     detail = (
         f"{len(reports)} reports over {len(contexts)} parameter triples, "
-        f"{points_tested} perturbed points"
+        f"{points_tested} perturbed points, digest {digest}"
     )
     if failures:
         detail += f"; first failure: {json.dumps(failures[0])[:400]}"

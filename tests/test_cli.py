@@ -342,6 +342,17 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "memory" in err and err.count("\n") == 1
 
+    def test_a_render_that_runs_out_of_memory_exits_2(self, capsys, monkeypatch):
+        # rendering, not the engine, makes most of a large query's peak
+        def render(payload, fmt):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "render", render)
+        code, out, err = run(capsys, "np", "--p", "7", "--a", "2", "--seps", "4",
+                             "--point", "classical:18", "--nmax", "5")
+        assert (code, out) == (2, "")
+        assert err == "error: the np request ran out of memory\n"
+
     # values that only the library function reading them checks, each with
     # that function's message; they are refused before any context cache fills
     LIBRARY_REFUSALS = {

@@ -26,37 +26,92 @@ C0 = new_context(7, 2, 0)
 C4 = new_context(7, 2, 4)
 
 
+def column(points):
+    """(ys, start) of the column form of (x, y) pairs with distinct x in
+    any order: INF where no pair has that x."""
+    start = min(x for x, _ in points)
+    ys = [INF] * (max(x for x, _ in points) - start + 1)
+    for x, y in points:
+        ys[x - start] = y
+    return ys, start
+
+
+def brute_vertices(points):
+    """The strict lower-hull vertices of (x, y) pairs with distinct x, INF
+    skipped, by their definition, the oracle of the monotone chain: the ends
+    are vertices, and an inner point is one when every chord over it passes
+    strictly above it, that is, when the steepest slope into it from the
+    left is below the shallowest slope out of it to the right."""
+    pts = sorted((x, y) for x, y in points if y is not INF)
+    out = []
+    for i, (x, y) in enumerate(pts):
+        into = [Fraction(y - y0) / (x - x0) for x0, y0 in pts[:i]]
+        onward = [Fraction(y1 - y) / (x1 - x) for x1, y1 in pts[i + 1:]]
+        if not into or not onward or max(into) < min(onward):
+            out.append((x, y))
+    return out
+
+
 class TestLowerConvexHull:
     def test_three_point_examples(self):
-        np_ = newton.lower_convex_hull([(0, 0), (1, 1), (2, 3)])
+        np_ = newton.lower_convex_hull([0, 1, 3])
         assert [v for v in np_.vertices] == [(0, 0), (1, 1), (2, 3)]
         assert np_.slopes == ((Fraction(1), 1), (Fraction(2), 1))
 
-        np_ = newton.lower_convex_hull([(0, 0), (1, 5), (2, 3)])
+        np_ = newton.lower_convex_hull([0, 5, 3])
         assert np_.vertices == ((0, 0), (2, 3))
         assert np_.slopes == ((Fraction(3, 2), 2),)
 
-        np_ = newton.lower_convex_hull([(0, 0), (1, INF), (2, 4)])
+        np_ = newton.lower_convex_hull([0, INF, 4])
         assert np_.vertices == ((0, 0), (2, 4))
 
     def test_integer_values_stay_int(self):
-        np_ = newton.lower_convex_hull([(0, 0), (1, 5), (2, 3), (3, INF), (4, 9)])
+        np_ = newton.lower_convex_hull([0, 5, 3, INF, 9])
         assert all(type(y) is int for _, y in np_.vertices)
         assert all(type(s) is Fraction for s, _ in np_.slopes)
         np_, _ = newton.np_of_ghost_auto(C4, Classical(30), 8)
         assert all(type(y) is int for _, y in np_.vertices)
 
     def test_collinear_points_are_not_vertices(self):
-        np_ = newton.lower_convex_hull([(0, 0), (1, 1), (2, 2), (3, 5)])
+        np_ = newton.lower_convex_hull([0, 1, 2, 5])
         assert np_.vertices == ((0, 0), (2, 2), (3, 5))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             newton.lower_convex_hull([])
         with pytest.raises(ValueError):
-            newton.lower_convex_hull([(0, INF), (1, INF)])
-        with pytest.raises(ValueError):
-            newton.lower_convex_hull([(0, 0), (0, 1)])
+            newton.lower_convex_hull([INF, INF], start=-3)
+
+    def test_matches_brute_force_hull(self):
+        # seeded int and Fraction columns with INF gaps, negative starts and
+        # collinear runs, against the strict hull by its definition
+        rng = random.Random(2026)
+        seen = {"int": 0, "fraction": 0, "gap": 0, "negative": 0, "collinear": 0}
+        for case in range(600):
+            kind = ("int", "fraction")[case % 2]
+            start = rng.randint(-40, 10)
+            y = Fraction(rng.randint(-30, 30)) if kind == "fraction" else rng.randint(-30, 30)
+            slope = rng.randint(-9, 3)
+            ys = []
+            for _ in range(rng.randint(1, 28)):
+                if rng.random() < 0.25:  # a bend; otherwise the run stays collinear
+                    slope += rng.randint(0, 4)
+                    if kind == "fraction":
+                        slope += Fraction(rng.randint(1, 5), rng.randint(2, 4))
+                roll = rng.random()
+                ys.append(INF if roll < 0.1 else y + (rng.randint(1, 6) if roll < 0.3 else 0))
+                y += slope
+            if all(v is INF for v in ys):
+                ys[rng.randrange(len(ys))] = y
+            want = brute_vertices(list(enumerate(ys, start)))
+            hull = newton.lower_convex_hull(ys, start)
+            assert hull.vertices == tuple(want), (ys, start)
+            assert all(type(v) is type(w) for (_, v), (_, w) in zip(hull.vertices, want))
+            seen[kind] += 1
+            seen["gap"] += INF in ys
+            seen["negative"] += start < 0
+            seen["collinear"] += any(w > 1 for _, w in hull.slopes)
+        assert min(seen.values()) >= 100, seen
 
     @given(
         st.lists(
@@ -68,8 +123,8 @@ class TestLowerConvexHull:
     )
     @settings(max_examples=200)
     def test_idempotent_and_supporting(self, pts):
-        np_ = newton.lower_convex_hull(pts)
-        again = newton.lower_convex_hull(np_.vertices)
+        np_ = newton.lower_convex_hull(*column(pts))
+        again = newton.lower_convex_hull(*column(np_.vertices))
         assert again.vertices == np_.vertices
         # every input point lies on or above the hull
         for x, y in pts:
@@ -103,7 +158,7 @@ def random_hull(rng):
         else:
             pts.append((x, y + rng.choice((0, 0, 0, Fraction(rng.randint(1, 5), 2)))))
         y += slope
-    return newton.lower_convex_hull(pts)
+    return newton.lower_convex_hull([y for _, y in pts], x0)
 
 
 def is_vertex_walk(np_, n):
@@ -145,7 +200,7 @@ class TestVertexStorage:
         w = Perturbed(18, Fraction(4))
         ys = ghost.evaluator(C4, w).scaled(0, 8 + 22 + 1)
         assert ys == [ghost.eval_vp(C4, n, w) for n in range(8 + 22 + 1)]  # D = 1
-        window = newton.lower_convex_hull(list(enumerate(ys)))
+        window = newton.lower_convex_hull(ys)
         assert window.vertices[: len(np_.vertices)] == np_.vertices
         assert window.slopes[: len(np_.slopes)] == np_.slopes
 
@@ -434,7 +489,7 @@ class TestExactCertificate:
                     np_, buffer = newton.np_of_ghost_auto(ctx, w, n_max)
                     ev = ghost.evaluator(ctx, w)
                     ys = ev.scaled(0, n_max + buffer + 3000 + 1)
-                    window = newton.lower_convex_hull(list(enumerate(ys))).vertices
+                    window = newton.lower_convex_hull(ys).vertices
                     n = np_.certified_upto
                     assert [(x, y * ev.den) for x, y in np_.vertices] == [
                         v for v in window if v[0] <= n], (ctx, w, n_max)
@@ -482,9 +537,9 @@ class TestIntegerHull:
         seen = []
         real = newton.lower_convex_hull
 
-        def spy(points):
-            seen.extend(y for _, y in points if y is not INF)
-            return real(points)
+        def spy(ys, start=0):
+            seen.extend(y for y in ys if y is not INF)
+            return real(ys, start)
 
         monkeypatch.setattr(newton, "lower_convex_hull", spy)
         np_, _ = newton.np_of_ghost_auto(ctx, w, 6)
@@ -535,8 +590,7 @@ def tuple_np_of_ghost(ctx, w, n_max, buffer):
     hull as pairs, the largest certified vertex, the prefix divided by D."""
     ev = ghost.evaluator(ctx, w)
     window_end = n_max + buffer
-    verts = newton._hull_vertices(
-        [(n, y) for n, y in enumerate(ev.scaled(0, window_end + 1)) if y is not INF])
+    verts = newton.lower_convex_hull(ev.scaled(0, window_end + 1)).vertices
     for i in range(len(verts) - 1, -1, -1):
         (vx, vy) = verts[i]
         if vx < n_max:
@@ -609,8 +663,8 @@ class TestColumnLayout:
         layouts = set()
         for _ in range(150):
             pts = self.random_points(rng, kind)
-            hull = newton.lower_convex_hull(pts)
-            old = TuplePolygon(newton._hull_vertices(sorted(p for p in pts if p[1] is not INF)))
+            hull = newton.lower_convex_hull(*column(pts))
+            old = TuplePolygon(brute_vertices(pts))
             assert is_machine_column(hull.xs)
             machine = all(type(y) is int and -2**63 <= y < 2**63 for _, y in old.vertices)
             assert (is_machine_column(hull.ys) if machine else type(hull.ys) is tuple), old.vertices
@@ -696,7 +750,7 @@ class TestColumnLayout:
         # D = 10**19: the scaled values pass 64 bits, so the hull keeps a tuple
         w = Perturbed(18, Fraction(10**19 - 1, 10**19))
         np_, _ = newton.np_of_ghost_auto(C4, w, 5)
-        hull = newton.lower_convex_hull(list(enumerate(ghost.evaluator(C4, w).scaled(0, 30))))
+        hull = newton.lower_convex_hull(ghost.evaluator(C4, w).scaled(0, 30))
         assert type(hull.ys) is tuple and max(hull.ys) > 2**63
         assert np_.vertices[1] == (1, Fraction(10**19 - 1, 10**19))
 

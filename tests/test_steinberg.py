@@ -71,7 +71,7 @@ def per_offset_profile(ctx, k):
     ev = ghost.classical_evaluator(ctx, k)
     raw = {l: ev.omitted(half_iw + l) - Fraction(k - 2, 2) * l
            for l in range(-half_new, half_new + 1)}
-    hull = newton.lower_convex_hull(sorted(raw.items()))
+    hull = newton.lower_convex_hull([raw[l] for l in sorted(raw)], -half_new)
     return raw, interpolated_hull(raw, [x for x, _ in hull.vertices]), hull
 
 
@@ -122,8 +122,7 @@ class OffsetProfile:
 
 def hull_offsets(prof):
     """The vertex offsets of the profile's raw values, by a hull of its own."""
-    pts = list(zip(range(-prof.top, prof.top + 1), prof.raw))
-    return [x for x, _ in newton._hull_vertices(pts)]
+    return [x for x, _ in newton.lower_convex_hull(list(prof.raw), -prof.top).vertices]
 
 
 class TestDeltaProfile:
@@ -271,7 +270,7 @@ class TestProfileReadersAgainstOffsets:
 def integer_hull(doubled):
     """The lower hull of a doubled profile, on its integers."""
     top = len(doubled) // 2
-    return newton.lower_convex_hull(list(zip(range(-top, top + 1), doubled)))
+    return newton.lower_convex_hull(doubled, -top)
 
 
 class TestDoubledProfile:

@@ -220,6 +220,76 @@ class TestSlopeSuitesOracle:
             assert [w["slope_index"] for w in wits] == [du]
 
 
+def _paired_polygon(rng, ctx, k):
+    """A doctored polygon at w_k, the new-form middle one segment: the
+    slopes 1 .. d_ur come in a few straight runs, the slopes d_iw - d_ur + 1
+    .. d_iw pair with them to k - 1, and then none, one or two slopes are
+    moved by 1, two on the right in opposite directions.  Only the x where
+    the slope changes are vertices, so a pair defect may show only at the
+    mirrored points d_iw - x.  No slope exceeds k - 1."""
+    du, di = dims.d_ur(ctx, k), dims.d_iw(ctx, k)
+    left = sorted(rng.choice((1, 1, 1, 2, 3)) for _ in range(du))
+    slopes = left + [Fraction(k - 2, 2)] * (di - 2 * du) + [k - 1 - s for s in reversed(left)]
+    moves = rng.choice(("none", "left", "right", "pair", "pair"))
+    if moves == "left":
+        slopes[rng.randrange(du)] += rng.choice((-1, 1))
+    elif moves == "right":
+        slopes[rng.randrange(di - du, di)] -= 1
+    elif moves == "pair":  # the defects cancel at d_ur, and at every x left of both
+        i, j = rng.sample(range(di - du, di), 2)
+        slopes[i] += 1
+        slopes[j] -= 1
+    xs, ys = [0], [0]
+    for x, s in enumerate(slopes, 1):
+        if x < di and s == slopes[x]:
+            continue  # no bend at x
+        ys.append(ys[-1] + s * (x - xs[-1]))
+        xs.append(x)
+    return newton.NewtonPolygon(xs, ys)
+
+
+def _without_mirrored_points(np_, du, di, k0):
+    """``_pairs_accept`` with the mirrored points d_iw - x left out: a
+    planted fault, which the doctored polygons must catch."""
+    y = newton.value_at
+    xs = [x for x, _ in np_.vertices]
+    return all(y(np_, x) + y(np_, di) - y(np_, di - x) == x * (k0 - 1)
+               for x in [du] + [x for x in xs if 0 < x < du])
+
+
+class TestPairsAccept:
+    """``p_stabilization`` walks its pairs only when the vertex-level test
+    fails; on doctored polygons its witnesses must be those of the walk
+    over every index."""
+
+    CASES = [(new_context(7, 2, 4), kb) for kb in (20, 33)] + [
+        (new_context(11, 5, 7), 33), (new_context(13, 3, 2), 41), (new_context(5, 1, 2), 30)]
+
+    def doctored_runs(self, monkeypatch):
+        rng = random.Random(4111)
+        for ctx, kb in self.CASES:
+            k = ctx.weight_of_bullet(kb)
+            assert dims.d_ur(ctx, k) >= 4
+            for _ in range(60):
+                np_ = _paired_polygon(rng, ctx, k)
+                monkeypatch.setattr(verify, "_np_at_classical", lambda c, kk, np_=np_: np_)
+                yield ctx, k, _per_index_witnesses(ctx, "p_stabilization", k)
+
+    def test_doctored_polygons_match_the_walk(self, monkeypatch):
+        broken = 0
+        for ctx, k, want in self.doctored_runs(monkeypatch):
+            assert verify.check_p_stabilization(ctx, k) == want, (ctx, k)
+            broken += bool(want)
+        assert broken >= 200
+
+    def test_dropping_the_mirrored_points_is_caught(self, monkeypatch):
+        missed = 0
+        monkeypatch.setattr(verify, "_pairs_accept", _without_mirrored_points)
+        for ctx, k, want in self.doctored_runs(monkeypatch):
+            missed += verify.check_p_stabilization(ctx, k) != want
+        assert missed >= 30
+
+
 class TestHalo:
     def test_suite(self):
         assert verify.check_halo(C0, Fraction(1, 2), 15) == []
@@ -232,6 +302,61 @@ class TestIntegrality:
         ctx = new_context(7, 3, 0)  # odd a: repeated slopes in 3/2 + Z
         for kb in range(0, 25):
             assert verify.check_integrality(ctx, ctx.weight_of_bullet(kb)) == []
+
+
+def _fraction_slope_class_ok(ctx, slope, width):
+    """The slope-class rule on the Fraction slope, the oracle of the
+    integer test on (rise, width)."""
+    if width == 1:
+        return slope.denominator == 1
+    return width % 2 == 0 and (slope - Fraction(ctx.a, 2)).denominator == 1
+
+
+def _fraction_integrality(ctx, k0):
+    """``integrality`` as a walk over the Fraction slopes, the oracle."""
+    if dims.d_iw(ctx, k0) < 1:
+        return []
+    return [{"k0": k0, "slope": format_rational(s), "width": w}
+            for s, w in verify._np_at_classical(ctx, k0).slopes
+            if not _fraction_slope_class_ok(ctx, s, w)]
+
+
+class TestIntegralityOracle:
+    # segment widths and rises: width-1 integer slopes, width-2 slopes on
+    # and off a/2 + Z, an odd width 3, and a width-1 slope of 1/2
+    SEGMENTS = [(1, 3), (2, 5), (2, 6), (3, 12), (4, 10), (2, Fraction(13, 2)), (1, Fraction(1, 2))]
+
+    def polygon(self, segments):
+        xs, ys = [0], [0]
+        for width, rise in segments:
+            xs.append(xs[-1] + width)
+            ys.append(ys[-1] + rise)
+        return newton.NewtonPolygon(xs, ys)
+
+    def test_doctored_slopes_match_the_fraction_walk(self, monkeypatch):
+        for ctx in (new_context(7, 2, 4), new_context(7, 3, 0)):  # a even and odd
+            monkeypatch.setattr(verify, "_np_at_classical",
+                                lambda c, kk: self.polygon(self.SEGMENTS))
+            got = verify.check_integrality(ctx, 30)
+            assert got == _fraction_integrality(ctx, 30)
+            # a width-2 slope off a/2 + Z (5/2 for even a, 3/1 for odd a), an
+            # odd width and a width-1 slope that is not an integer
+            off_class = ("5/2" if ctx.a % 2 == 0 else "3/1", 2)
+            assert {(w["slope"], w["width"]) for w in got} >= {off_class, ("4/1", 3), ("1/2", 1)}
+
+    def test_real_polygons_match_the_fraction_walk(self):
+        for ctx in (new_context(7, 3, 0), new_context(11, 4, 3), new_context(13, 5, 7)):
+            for kb in range(0, 60, 7):
+                k = ctx.weight_of_bullet(kb)
+                assert verify.check_integrality(ctx, k) == _fraction_integrality(ctx, k) == []
+
+    def test_an_odd_width_let_through_is_caught(self, monkeypatch):
+        def without_the_parity_test(ctx, rise, width):
+            return width == 1 or (2 * rise - ctx.a * width) % (2 * width) == 0
+
+        monkeypatch.setattr(verify, "_np_at_classical", lambda c, kk: self.polygon(self.SEGMENTS))
+        monkeypatch.setattr(steinberg, "slope_class_ok", without_the_parity_test)
+        assert verify.check_integrality(C4, 30) != _fraction_integrality(C4, 30)
 
 
 class TestDeltaEstimates:
@@ -438,6 +563,46 @@ class TestDeltaEstimatesOracle:
                     seen.update(w["reason"] for w in wits)
         assert seen == self.ALL_REASONS
 
+    def test_upper_bound_at_beta_zero_first(self, monkeypatch):
+        # the gap at one offset raised past the bound at beta = 0, once
+        # within the true bound and once past it; max_vp_interval runs only
+        # at that offset, and a beta_max taken as 0 there is caught
+        ctx, k = C4, C4.weight_of_bullet(40)
+        p, real = ctx.p, steinberg.doubled_profile
+        raw2 = real(ctx, k)[len(real(ctx, k)) // 2:]
+        for ell in range(2, len(raw2)):
+            theta, eta = _theta_eta(ctx, k, ell)
+            lo_i, hi_i = eta - (p + 1) // 2 * (ell - 1), eta + theta + (p + 1) // 2 * (ell - 1)
+            beta_max = max_vp_interval(lo_i, hi_i, p) if lo_i <= hi_i else 0
+            if beta_max is not INF and beta_max >= 1:
+                break
+        up0 = (p - 1) * ell + 3 + 2 * ilog(p, ell)  # doubled, at beta = 0
+        calls = []
+
+        def spy(lo, hi, q):
+            calls.append((lo, hi))
+            return max_vp_interval(lo, hi, q)
+
+        monkeypatch.setattr(verify, "max_vp_interval", spy)
+        for gap2, witnessed in ((up0 + 1, False), (up0 + 2 * beta_max + 1, True)):
+            shift = gap2 - (raw2[ell] - raw2[ell - 1])
+            doctored = _doctored(real(ctx, k), raw_shift=lambda l: shift * (l >= ell))
+            monkeypatch.setattr(steinberg, "doubled_profile", lambda c, kk: doctored)
+            calls.clear()
+            wits = _assert_matches_oracle(ctx, k, False)
+            uppers = [w["ell"] for w in wits if w["reason"] == "gap upper bound"]
+            assert uppers == ([ell] if witnessed else []), (ell, gap2)
+            # one call at each offset whose gap exceeds its bound at beta = 0
+            top = doctored[len(doctored) // 2:]
+            past = [e for e in range(1, len(top)) if top[e] - top[e - 1]
+                    > (p - 1) * e + 3 + 2 * ilog(p, e)]
+            assert ell in past and len(calls) == len(past) < len(top) // 2
+            if not witnessed:
+                monkeypatch.setattr(verify, "max_vp_interval", lambda lo, hi, q: 0)
+                assert "gap upper bound" in [w["reason"] for w in
+                                             verify.check_delta_estimates(ctx, k)]
+                monkeypatch.setattr(verify, "max_vp_interval", spy)
+
     def test_suite_runs_each_weight_with_its_k_prime_flag(self, monkeypatch):
         # k_bullet 0 .. 2 (k = 6, 12, 18) check the k' bounds, 3 .. 5 do not
         real = steinberg.doubled_profile
@@ -575,6 +740,16 @@ class TestReports:
         r1.pop("elapsed"), r2.pop("elapsed")
         assert r1 == r2
         assert list(r1) == ["name", "params", "status", "witnesses", "meta"]
+
+    def test_report_digest_is_the_sorted_rule(self):
+        reports = [verify.run_suite(name, C4, **bounds) for name, bounds in
+                   (("halo", {"n_max": 4}), ("theta", {"k0_max": 4}))]
+        kept = [{key: val for key, val in rep.items() if key != "elapsed"} for rep in reports]
+        want = hashlib.sha256(json.dumps(kept, sort_keys=True, default=str).encode()).hexdigest()
+        assert verify.report_digest(reports) == want[:12]
+        reports[0]["elapsed"] += 1.0  # the time a suite took is no part of it
+        assert verify.report_digest(reports) == want[:12]
+        assert verify.report_digest(reports[::-1]) != want[:12]
 
     def test_run_suite_builds_a_plain_dict(self):
         rep = verify.run_suite("halo", C4, n_max=3)
